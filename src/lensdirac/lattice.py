@@ -37,7 +37,10 @@ spectrum.  Two independent backends compute Nred exactly:
     otherwise, and refuses (falling back to "packed") beyond 2^63.
 
 Both backends produce identical tables; tests compare them and a brute
-force enumeration on small cases.
+force enumeration on small cases.  reduced_prefix() returns only the
+rows k <= K, from the same mim contraction over half tables capped at
+e <= K; a census buckets classes on such prefixes before it computes
+any full table.
 """
 
 from __future__ import annotations
@@ -105,7 +108,9 @@ def point_level(a: Sequence[int]) -> int:
     """Level k with sum |a_j| = 2k + m; requires every a_j odd."""
     n2 = point_norm2(a)
     m = len(a)
-    assert (n2 - m) % 2 == 0, "norm parity broken: coordinates must be odd"
+    if (n2 - m) % 2:
+        raise ValueError(f"point {tuple(a)} has no level: sum |a_j| - m is odd, "
+                         "so some coordinate is even")
     return (n2 - m) // 2
 
 
@@ -203,24 +208,29 @@ _HALF_CACHE_LIMIT = 256
 _HALF_CACHE_LOCK = threading.Lock()
 
 
-def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
+def _half_table(q: int, mod: int, s_half: tuple[int, ...],
+                kcap: Optional[int] = None) -> np.ndarray:
     """Dense table H[residue, e, parity] counting sign/size choices for
     the coordinates s_half: |a_j| = 2 e_j + 1 <= 2q - 1, e = sum e_j,
-    parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.
+    parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  With
+    kcap only e <= kcap is kept; a cap at or above the largest e is the
+    full table.  Full and capped tables share one bounded LRU.
 
     The LRU bookkeeping mutates an OrderedDict, so it is guarded; a
     cache miss computes outside the lock (worst case two threads build
     the same table, both results are identical)."""
-    key = (q, mod, s_half)
+    if kcap is not None and kcap >= len(s_half) * (q - 1):
+        kcap = None
+    key = (q, mod, s_half, kcap)
     with _HALF_CACHE_LOCK:
         hit = _HALF_CACHE.get(key)
         if hit is not None:
             _HALF_CACHE.move_to_end(key)
             return hit
     if len(s_half) <= 3:
-        table = _half_by_enumeration(q, mod, s_half)
+        table = _half_by_enumeration(q, mod, s_half, kcap)
     else:
-        table = _half_by_dp(q, mod, s_half)
+        table = _half_by_dp(q, mod, s_half, kcap)
     table.flags.writeable = False
     with _HALF_CACHE_LOCK:
         _HALF_CACHE[key] = table
@@ -229,13 +239,15 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _half_by_enumeration(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
+def _half_by_enumeration(q: int, mod: int, s_half: tuple[int, ...],
+                         kcap: Optional[int] = None) -> np.ndarray:
     n = len(s_half)
-    kcap = n * (q - 1) + 1
-    vals = 2 * np.arange(q, dtype=np.int64) + 1
+    esize = q if kcap is None else min(q, kcap + 1)
+    width = n * (esize - 1) + 1
+    vals = 2 * np.arange(esize, dtype=np.int64) + 1
     grids = np.meshgrid(*([vals] * n), indexing="ij")
     esum = sum((g - 1) // 2 for g in grids).ravel()
-    table = np.zeros(mod * kcap * 2, dtype=np.int64)
+    table = np.zeros(mod * width * 2, dtype=np.int64)
     for signs in np.ndindex(*([2] * n)):
         acc = np.zeros_like(grids[0], dtype=np.int64)
         parity = 0
@@ -243,30 +255,72 @@ def _half_by_enumeration(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarra
             acc = acc + (-g if neg else g) * s
             parity ^= neg
         res = np.mod(acc.ravel(), mod)
-        flat = (res * kcap + esum) * 2 + parity
-        table += np.bincount(flat, minlength=mod * kcap * 2).astype(np.int64)
-    return table.reshape(mod, kcap, 2)
+        flat = (res * width + esum) * 2 + parity
+        table += np.bincount(flat, minlength=mod * width * 2).astype(np.int64)
+    table = table.reshape(mod, width, 2)
+    return table if kcap is None else table[:, : kcap + 1].copy()
 
 
-def _half_by_dp(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
+def _half_by_dp(q: int, mod: int, s_half: tuple[int, ...],
+                kcap: Optional[int] = None) -> np.ndarray:
     table = np.zeros((mod, 1, 2), dtype=np.int64)
     table[0, 0, 0] = 1
     rows = np.arange(mod)
     for s in s_half:
         kold = table.shape[1]
-        new = np.zeros((mod, kold + q - 1, 2), dtype=np.int64)
-        for e in range(q):
+        width = kold + q - 1
+        if kcap is not None:
+            width = min(width, kcap + 1)
+        new = np.zeros((mod, width, 2), dtype=np.int64)
+        for e in range(min(q, width)):
+            span = min(kold, width - e)
             v = (2 * e + 1) * s
             for sign in (1, -1):
                 d = (sign * v) % mod
                 rolled_rows = (rows + d) % mod
                 if sign == 1:
-                    new[rolled_rows, e:e + kold, :] += table
+                    new[rolled_rows, e:e + span, :] += table[:, :span]
                 else:
-                    new[rolled_rows, e:e + kold, 0] += table[:, :, 1]
-                    new[rolled_rows, e:e + kold, 1] += table[:, :, 0]
+                    new[rolled_rows, e:e + span, 0] += table[:, :span, 1]
+                    new[rolled_rows, e:e + span, 1] += table[:, :span, 0]
         table = new
     return table
+
+
+def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
+              use_float: bool) -> np.ndarray:
+    """Rows k = 0..levels, as an int64 array of shape (levels + 1, 2), of
+
+        out[k, p] = sum ta[r, ea, pa] * tb[tgt - r, eb, pb]
+                    over residues r, ea + eb = k, pa + pb == p (mod 2).
+
+    A matrix product over residues per parity pair gives the (ea, eb)
+    blocks, each stored in a row of ka + kb entries of which the last ka
+    stay zero.  Rereading that buffer with rows one entry shorter shifts
+    row ea right by ea, so the antidiagonal ea + eb = k becomes column k
+    and summing down the rows finishes it.
+
+    The caller picks use_float only when every count involved stays
+    below 2^53, where float64 sums of nonnegative integers are exact."""
+    mod, ka, _ = ta.shape
+    kb = tb.shape[1]
+    if use_float:
+        ta, tb = ta.astype(np.float64), tb.astype(np.float64)
+    right = tb[(tgt - np.arange(mod)) % mod]
+    width = ka + kb
+    skew = np.zeros((ka, width, 2), dtype=ta.dtype)
+    for pa in (0, 1):
+        left = ta[:, :, pa].T
+        for pb in (0, 1):
+            skew[:, :kb, (pa + pb) % 2] += left @ right[:, :, pb]
+    skew = skew.reshape(ka * width, 2)[: ka * (width - 1)]
+    out = skew.reshape(ka, width - 1, 2)[:, : levels + 1].sum(axis=0)
+    if use_float:
+        rounded = np.rint(out)
+        if not np.array_equal(out, rounded):
+            raise ArithmeticError("float64 contraction produced a non-integer count")
+        out = rounded.astype(np.int64)
+    return out
 
 
 def _reduced_mim(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> Optional[list[list[int]]]:
@@ -274,30 +328,14 @@ def _reduced_mim(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> Optional[li
     bound = 2 * (2 * q) ** (m - 1)  # exact total of reduced points
     if bound > _INT64_SAFE:
         return None
-    use_float = bound < _FLOAT_SAFE
-    half_a, half_b = sn[: m // 2], sn[m // 2:]
-    ta = _half_table(q, mod, half_a)
-    tb = _half_table(q, mod, half_b)
-    ka, kb = ta.shape[1], tb.shape[1]
+    ta = _half_table(q, mod, sn[: m // 2])
+    tb = _half_table(q, mod, sn[m // 2:])
     kmax = reduced_level_bound(q, m)
-    assert ka + kb - 1 == kmax + 1
-    align = (tgt - np.arange(mod)) % mod
-    fold = (np.arange(ka)[:, None] + np.arange(kb)[None, :]).ravel()
-    out = np.zeros((2, kmax + 1), dtype=np.float64 if use_float else np.int64)
-    for pa in (0, 1):
-        left = ta[:, :, pa]
-        for pb in (0, 1):
-            right = tb[align, :, pb]
-            if use_float:
-                prod = left.T.astype(np.float64) @ right.astype(np.float64)
-            else:
-                prod = left.T @ right
-            np.add.at(out[(pa + pb) % 2], fold, prod.ravel())
-    if use_float:
-        rounded = np.rint(out)
-        assert np.all(np.abs(out - rounded) == 0.0)
-        out = rounded.astype(np.int64)
-    return [[int(out[0, k]), int(out[1, k])] for k in range(kmax + 1)]
+    if ta.shape[1] + tb.shape[1] - 2 != kmax:
+        raise ArithmeticError(
+            f"half tables reach e = {ta.shape[1] - 1} and {tb.shape[1] - 1}, "
+            f"which do not add up to kmax = {kmax}")
+    return _contract(ta, tb, tgt, kmax, bound < _FLOAT_SAFE).tolist()
 
 
 # ------------------------------------------------------------ public API
@@ -323,6 +361,30 @@ def reduced_counts(lat: CongruenceLattice, backend: Backend = "auto") -> Reduced
     table = ReducedCountTable(q, len(sn), tuple((r[0], r[1]) for r in rows))
     _TABLE_CACHE[cache_key] = table
     return table
+
+
+def reduced_prefix(lat: CongruenceLattice, levels: int) -> tuple[tuple[int, int], ...]:
+    """Rows k = 0..levels of the reduced table, equal to
+    reduced_counts(lat).rows[:levels + 1] (the whole table once levels
+    reaches m(q-1)).  Level k <= levels only reads half-table entries
+    with e <= levels, so the half tables are capped there and the
+    contraction costs O(mod * levels^2) instead of O(mod * q^2).  The
+    result is not cached."""
+    if levels < 0:
+        raise ValueError(f"levels must be >= 0, got {levels}")
+    q, mod, tgt, sn = _norm_key(lat)
+    m = len(sn)
+    levels = min(levels, reduced_level_bound(q, m))
+    # every entry of the capped contraction counts lattice points of
+    # level <= 2*levels, and there are 2^m C(2 levels + m, m) such
+    # odd vectors in all
+    bound = min(2 * (2 * q) ** (m - 1), (1 << m) * binomial(2 * levels + m, m))
+    if bound > _INT64_SAFE:
+        return reduced_counts(lat).rows[: levels + 1]
+    ta = _half_table(q, mod, sn[: m // 2], levels)
+    tb = _half_table(q, mod, sn[m // 2:], levels)
+    out = _contract(ta, tb, tgt, levels, bound < _FLOAT_SAFE)
+    return tuple((even, odd) for even, odd in out.tolist())
 
 
 def count(lat: CongruenceLattice, parity: int, k: int,

@@ -340,7 +340,10 @@ def _raw_spin_shift(ell: int, sigma: Sequence[int], eps: Sequence[int],
     total = 0
     for j in range(a.m):
         diff = ell * eps[j] * a.s[j] - b.s[sigma[j]]
-        assert diff % q == 0
+        if diff % q:
+            raise ArithmeticError(
+                f"assignment sends parameter {a.s[j]} (x {ell * eps[j]}) to "
+                f"{b.s[sigma[j]]}, which differ mod {q}")
         total += diff // q
     return total % 2
 
@@ -477,7 +480,8 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
             cand = (tup, hval)
             if best is None or cand < best:
                 best = cand
-    assert best is not None
+    if best is None:
+        raise ArithmeticError(f"no unit of Z/{q} produced a canonical candidate")
     tup, hval = best
     spin_tag = "unique" if h is None else f"h{hval}"
     return CanonicalKey(q, tup, spin_tag, mode)

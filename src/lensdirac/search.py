@@ -5,10 +5,12 @@ families, a from-scratch family verifier, and result persistence.
 
 Class enumeration is vectorized: all candidate parameter multisets are
 canonicalized in bulk with numpy, one lexicographic-minimum update per
-unit of the residue ring.  Fingerprinting is a plain map over the
-representatives (optionally threaded, LENSDIRAC_THREADS); grouping is a
-single-threaded reduction in enumeration order, so output is
-deterministic.
+unit of the residue ring.  Fingerprinting runs in two phases, each a
+plain map over the representatives (optionally threaded,
+LENSDIRAC_THREADS): a sketch of the first _SKETCH_LEVELS + 1 table rows
+for every class, then the full table only for classes whose sketch
+collides with another's.  Grouping is a single-threaded reduction in
+enumeration order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -33,7 +35,7 @@ from .lens import (
     self_transport_pairs,
     spin_space,
 )
-from .lattice import Backend, ReducedCountTable
+from .lattice import Backend, ReducedCountTable, lattice_of, reduced_prefix
 from .numtheory import units
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
@@ -67,12 +69,19 @@ class IsospectralFamily:
 
     def __post_init__(self):
         k = len(self.members)
-        assert k >= 2
-        assert len(self.trivial_flags) == k * (k - 1) // 2
+        if k < 2:
+            raise ValueError(f"a family needs at least two members, got {k}")
+        if len(self.trivial_flags) != k * (k - 1) // 2:
+            raise ValueError(f"{len(self.trivial_flags)} trivial flags for "
+                             f"{k * (k - 1) // 2} member pairs")
 
 
 @dataclass(frozen=True)
 class CensusResult:
+    """One q of a census.  classes counts the isometry classes;
+    fingerprints counts the full tables computed, i.e. the classes whose
+    sketch collided with another class's."""
+
     n: int
     q: int
     mode: str
@@ -151,7 +160,8 @@ def _canonical_tuples(q: int, m: int, mode: KeyMode) -> list[tuple[int, ...]]:
                 Ci[:, i] = q - G[:, i]
                 Ci.sort(axis=1)
                 _lex_update(best, Ci, odd)
-    assert (best < q).all()
+    if not (best < q).all():
+        raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
     uniq = np.unique(best, axis=0)
     return [tuple(map(int, row)) for row in uniq]
 
@@ -192,32 +202,68 @@ def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[Spi
     return tuple(out)
 
 
+# Rows k = 0.._SKETCH_LEVELS of the reduced table are the sketch on
+# which a census buckets its classes before any full table is computed.
+_SKETCH_LEVELS = 16
+
+
+def census_threads(threads: Optional[int] = None) -> int:
+    """Worker threads for a census: the given count, or else
+    LENSDIRAC_THREADS (default 1), clamped to the number of CPUs."""
+    source, value = "threads", threads
+    if threads is None:
+        source = "LENSDIRAC_THREADS"
+        value = os.environ.get(source, "1")
+    try:
+        count = int(value)
+    except ValueError:
+        count = 0
+    if count < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return min(count, os.cpu_count() or 1)
+
+
 def _swap_rows(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     return tuple((odd, even) for even, odd in rows)
 
 
-def _map_fingerprints(reps: Sequence[SpinLensSpace], backend: Backend,
-                      threads: int) -> list[ReducedCountTable]:
+def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
+    """Rows as compared by a census: up to the parity swap when unoriented."""
+    return min(rows, _swap_rows(rows)) if mode == "unoriented" else rows
+
+
+def _map_fingerprints(fn: Callable[[SpinLensSpace], object],
+                      reps: Sequence[SpinLensSpace], threads: int) -> list:
     if threads > 1 and len(reps) > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda x: fingerprint(x, backend), reps))
-    return [fingerprint(x, backend) for x in reps]
+            return list(pool.map(fn, reps))
+    return [fn(x) for x in reps]
+
+
+def _sketch(x: SpinLensSpace) -> tuple[tuple[int, int], ...]:
+    return reduced_prefix(lattice_of(x), _SKETCH_LEVELS)
 
 
 def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
                backend: Backend = "auto",
                threads: Optional[int] = None) -> tuple[CensusResult, ...]:
-    """Fingerprint every class for each q and collect the groups of >= 2
-    classes with matching spectra.
+    """Collect, for each q, the groups of >= 2 classes with matching
+    spectra.
 
     Oriented mode groups by exact table equality; unoriented mode also
     merges groups whose tables match after the parity swap (reflecting a
     representative swaps its table columns, so equality-up-to-swap is
     the orientation-free comparison).  Same-key grouping compares full
     tables, never digests alone.
+
+    Two phases.  The sketch buckets every class on its table rows
+    k <= _SKETCH_LEVELS (up to the swap, in unoriented mode): equal
+    tables have equal prefixes, so a class alone in its bucket is alone
+    in its spectrum and needs no full table.  Only classes sharing a
+    bucket get fingerprint() (with the given backend; the sketch is exact
+    whatever the backend), and CensusResult.fingerprints counts them.
     """
-    if threads is None:
-        threads = int(os.environ.get("LENSDIRAC_THREADS", "1"))
+    threads = census_threads(threads)
     m = (n + 1) // 2
     results: list[CensusResult] = []
     for q in q_range:
@@ -229,13 +275,16 @@ def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
                 n=n, q=q, mode=mode, families=(), classes=0, fingerprints=0,
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
-        tables = _map_fingerprints(reps, backend, threads)
+        buckets: dict[tuple, list[int]] = {}
+        for idx, rows in enumerate(_map_fingerprints(_sketch, reps, threads)):
+            buckets.setdefault(_group_key(rows, mode), []).append(idx)
+        survivors = sorted(i for idxs in buckets.values() if len(idxs) > 1
+                           for i in idxs)
+        tables = _map_fingerprints(lambda x: fingerprint(x, backend),
+                                   [reps[i] for i in survivors], threads)
         groups: dict[tuple, list[int]] = {}
-        for idx, table in enumerate(tables):
-            rows = table.rows
-            if mode == "unoriented":
-                rows = min(rows, _swap_rows(rows))
-            groups.setdefault(rows, []).append(idx)
+        for idx, table in zip(survivors, tables):
+            groups.setdefault(_group_key(table.rows, mode), []).append(idx)
         families = []
         for rows, idxs in groups.items():
             if len(idxs) < 2:
@@ -370,17 +419,45 @@ def _census_dict(res: CensusResult) -> dict:
     }
 
 
+def _write_atomically(path: str, write: Callable[[TextIO], None],
+                      newline: Optional[str] = None) -> None:
+    """Run write() on a fresh file beside path, then rename it over path,
+    so path holds either its old bytes or all of the new ones.  On any
+    failure the temporary file is removed and path is left untouched."""
+    directory, name = os.path.split(os.path.abspath(path))
+    try:
+        attempt = 0
+        while True:
+            tmp = os.path.join(directory, f".{name}.{os.getpid()}-{attempt}.tmp")
+            try:
+                fh = open(tmp, "x", newline=newline)
+                break
+            except FileExistsError:
+                attempt += 1
+        try:
+            with fh:
+                write(fh)
+                fh.flush()
+                os.fsync(fh.fileno())
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+
+
 def save_results(results: Sequence[CensusResult], path: str) -> None:
     """Write censuses as a versioned JSON document.  Keys are sorted and
     indentation fixed, so identical inputs produce identical bytes."""
     doc = {"format_version": FORMAT_VERSION,
            "censuses": [_census_dict(r) for r in results]}
-    try:
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+
+    def write(fh: TextIO) -> None:
+        json.dump(doc, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+    _write_atomically(path, write)
 
 
 def _load_member(obj: dict, q: int, m: int, where: str) -> SpinLensSpace:
@@ -465,18 +542,17 @@ def export_csv(results: Sequence[CensusResult], path: str) -> None:
     """One row per family member."""
     import csv
 
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["dimension", "q", "mode", "family", "digest",
-                             "member", "s", "spin", "trivial"])
-            for res in results:
-                for fi, fam in enumerate(res.families):
-                    trivial = any(fam.trivial_flags)
-                    for mi, x in enumerate(fam.members):
-                        writer.writerow([
-                            res.n, res.q, res.mode, fi, fam.digest, mi,
-                            " ".join(str(v) for v in x.lens.s),
-                            x.spin.tag, int(trivial)])
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    def write(fh: TextIO) -> None:
+        writer = csv.writer(fh)
+        writer.writerow(["dimension", "q", "mode", "family", "digest",
+                         "member", "s", "spin", "trivial"])
+        for res in results:
+            for fi, fam in enumerate(res.families):
+                trivial = any(fam.trivial_flags)
+                for mi, x in enumerate(fam.members):
+                    writer.writerow([
+                        res.n, res.q, res.mode, fi, fam.digest, mi,
+                        " ".join(str(v) for v in x.lens.s),
+                        x.spin.tag, int(trivial)])
+
+    _write_atomically(path, write, newline="")

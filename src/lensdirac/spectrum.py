@@ -52,14 +52,16 @@ class LevelMultiplicities:
 def sphere_multiplicity(n: int, k: int) -> int:
     """Multiplicity of each of +-(k + n/2) on the round sphere S^n,
     n odd: 2^((n-1)/2) * C(k + n - 1, n - 1)."""
-    assert n % 2 == 1 and n >= 3
+    if n % 2 == 0 or n < 3:
+        raise ValueError(f"sphere dimension must be odd and >= 3, got {n}")
     return (1 << ((n - 1) // 2)) * binomial(k + n - 1, n - 1)
 
 
 def multiplicity(x: SpinLensSpace, sign: int, k: int,
                  backend: Backend = "auto") -> int:
     """Multiplicity of sign * (k + m - 1/2) in the Dirac spectrum of x."""
-    assert sign in (1, -1)
+    if sign not in (1, -1):
+        raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if k < 0:
         return 0
     lat = lattice_of(x)

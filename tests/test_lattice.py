@@ -1,10 +1,14 @@
+import random
 from itertools import product
 
+import numpy as np
 import pytest
 
+from lensdirac import lattice
 from lensdirac.lattice import (
     CongruenceLattice,
     apply_norm_isometry,
+    clear_caches,
     contains,
     count,
     lattice_of,
@@ -13,8 +17,10 @@ from lensdirac.lattice import (
     point_norm2,
     reduced_counts,
     reduced_level_bound,
+    reduced_prefix,
 )
 from lensdirac.lens import find_isometry, spin_space
+from lensdirac.numtheory import units
 
 
 def brute_reduced_rows(lat):
@@ -174,4 +180,65 @@ def test_transport_preserves_lattice_membership():
 def test_mim_refuses_beyond_int64():
     lat = CongruenceLattice(200, tuple([1] * 10), 400, 200)
     with pytest.raises(OverflowError):
+        reduced_counts(lat, "mim")
+
+
+def test_reduced_prefix_matches_full_table():
+    """Capped half tables (enumerated for halves of <= 3 coordinates, DP
+    beyond) give exactly the leading rows of the full table; a prefix at
+    or past kmax is the whole table."""
+    rng = random.Random(1611)
+    qmax = {2: 40, 3: 30, 4: 24, 5: 12, 6: 10, 7: 7, 8: 6, 9: 5, 10: 5}
+    for m in range(2, 11):
+        for q, label in [(rng.randrange(3, qmax[m] + 1, 2), None),
+                         (rng.randrange(2, qmax[m] + 1, 2), "h0"),
+                         (rng.randrange(2, qmax[m] + 1, 2), "h1")]:
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            s = tuple(rng.choice(units(q)) for _ in range(m))
+            lat = lattice_of(spin_space(q, s, label))
+            rows = reduced_counts(lat).rows
+            kmax = len(rows) - 1
+            for levels in (0, 1, 16, rng.randrange(kmax + 1), kmax, kmax + 7):
+                got = reduced_prefix(lat, levels)
+                assert got == rows[: levels + 1], (q, s, label, levels)
+                assert all(type(v) is int for row in got for v in row)
+
+
+def test_reduced_prefix_past_int64_falls_back_to_full_table(monkeypatch):
+    lat = lattice_of(spin_space(6, (1, 5, 1, 5), "h1"))
+    expect = tuple(brute_reduced_rows(lat))
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+    assert reduced_prefix(lat, 3) == expect[:4]
+
+
+def test_reduced_prefix_rejects_negative_levels():
+    with pytest.raises(ValueError, match="levels"):
+        reduced_prefix(lattice_of(spin_space(5, (1, 2))), -1)
+
+
+def test_point_level_rejects_even_coordinates():
+    with pytest.raises(ValueError, match="even"):
+        point_level((2, 1))
+
+
+def test_mim_rejects_half_tables_of_the_wrong_size(monkeypatch):
+    real = lattice._half_table
+    monkeypatch.setattr(lattice, "_half_table",
+                        lambda q, mod, s_half, kcap=None:
+                        real(q, mod, s_half, kcap)[:, :-1])
+    lat = lattice_of(spin_space(11, (1, 2, 3, 5)))
+    clear_caches()
+    with pytest.raises(ArithmeticError, match="kmax"):
+        reduced_counts(lat, "mim")
+
+
+def test_mim_rejects_non_integer_float_counts(monkeypatch):
+    real = lattice._half_table
+    monkeypatch.setattr(lattice, "_half_table",
+                        lambda q, mod, s_half, kcap=None:
+                        real(q, mod, s_half, kcap) + np.float64(0.5))
+    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
+    clear_caches()
+    with pytest.raises(ArithmeticError, match="non-integer"):
         reduced_counts(lat, "mim")

@@ -4,6 +4,7 @@ from itertools import combinations_with_replacement, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from lensdirac import lens
 from lensdirac.lens import (
     DimensionTooSmall,
     IsometryWitness,
@@ -145,6 +146,26 @@ def test_witness_verify_rejects_tampering():
     assert not IsometryWitness(11, (0, 2, 3, 1), (-1, 1, 1, -1), 1).verify(h0, h1)
     assert not IsometryWitness(11, (2, 0, 3, 3), (-1, 1, 1, -1), 1).verify(h0, h1)
     assert not IsometryWitness(4, (2, 0, 3, 1), (-1, 1, 1, -1), 1).verify(h0, h1)
+
+
+def test_witness_with_broken_assignment_raises(monkeypatch):
+    # an assignment that does not send l*eps_j*s_j to the matched
+    # parameter mod q has no spin shift
+    real = lens._build_assignment
+
+    def shifted(v, sn_b, q):
+        sigma, eps = real(v, sn_b, q)
+        return sigma[1:] + sigma[:1], eps
+
+    monkeypatch.setattr(lens, "_build_assignment", shifted)
+    with pytest.raises(ArithmeticError, match="differ mod 7"):
+        find_isometry(spin_space(7, (1, 2)), spin_space(7, (2, 4)))
+
+
+def test_canonical_key_without_units_raises(monkeypatch):
+    monkeypatch.setattr(lens, "units", lambda q: [])
+    with pytest.raises(ArithmeticError, match="canonical candidate"):
+        canonical_key(spin_space(7, (1, 2)))
 
 
 def test_mismatch_raises():

@@ -1,9 +1,13 @@
 import json
+import os
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
 
+from lensdirac import search
+from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
     SpinLensSpace,
@@ -20,6 +24,7 @@ from lensdirac.search import (
     IoError,
     IsospectralFamily,
     VerificationFailed,
+    census_threads,
     enumerate_classes,
     export_csv,
     load_results,
@@ -121,6 +126,12 @@ def test_enumerate_agrees_with_canonical_keys():
             assert set(keys) == universe, (n, q, mode)
 
 
+def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
+    monkeypatch.setattr(search, "units", lambda q: [])
+    with pytest.raises(ArithmeticError, match="canonical form"):
+        enumerate_classes(7, 9, "oriented")
+
+
 def test_fingerprint_constant_on_oriented_class():
     # replacing a space by its oriented canonical representative must not
     # change the spectrum
@@ -185,6 +196,22 @@ def test_census_families_verify_from_scratch():
                           up_to_reflection=(mode == "unoriented"))
 
 
+def test_census_threads_validates_and_clamps(monkeypatch):
+    cpus = os.cpu_count() or 1
+    monkeypatch.delenv("LENSDIRAC_THREADS", raising=False)
+    assert census_threads() == 1
+    assert census_threads(10 ** 9) == cpus
+    monkeypatch.setenv("LENSDIRAC_THREADS", str(10 ** 9))
+    assert census_threads() == cpus
+    assert census_threads(1) == 1
+    for junk in ("many", "2.5", "", "0", "-3"):
+        monkeypatch.setenv("LENSDIRAC_THREADS", junk)
+        with pytest.raises(ValueError, match="LENSDIRAC_THREADS"):
+            census_threads()
+    with pytest.raises(ValueError, match="threads"):
+        census_threads(0)
+
+
 def test_census_dim5_small_sweep_is_empty():
     results = run_census(5, range(1, 30))
     for res in results:
@@ -214,6 +241,46 @@ def test_census_grouping_matches_spectrum_tables():
                 for fam in run_census(n, [q], mode)[0].families}
             assert {g for g in spec_partition if len(g) > 1} == census_partition, \
                 (n, q, mode)
+
+
+def _families_from_full_tables(n, q, mode):
+    """The one-phase census: group every class on its full table."""
+    reps = enumerate_classes(n, q, mode)
+    groups = {}
+    for x in reps:
+        rows = fingerprint(x).rows
+        if mode == "unoriented":
+            rows = min(rows, tuple((odd, even) for even, odd in rows))
+        groups.setdefault(rows, []).append(x)
+    m = (n + 1) // 2
+    return [(ReducedCountTable(q, m, rows).digest(), tuple(members),
+             tuple(find_isometry(a, b, "any") is not None
+                   for a, b in combinations(members, 2)))
+            for rows, members in groups.items() if len(members) > 1]
+
+
+@pytest.mark.parametrize("levels", [0, 1, search._SKETCH_LEVELS])
+def test_two_phase_census_matches_full_table_grouping(monkeypatch, levels):
+    """Sketch levels 0 and 1 make most classes collide in the first phase,
+    so the full tables of the second phase must separate them."""
+    monkeypatch.setattr(search, "_SKETCH_LEVELS", levels)
+    cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
+             if not (q % 2 == 0 and n % 4 == 1)]
+    cases += [(7, 32), (9, 23), (11, 24)]
+    found = 0
+    for n, q in cases:
+        for mode in ("oriented", "unoriented"):
+            res = run_census(n, [q], mode)[0]
+            got = [(f.digest, f.members, f.trivial_flags) for f in res.families]
+            assert got == _families_from_full_tables(n, q, mode), (n, q, mode)
+            assert res.fingerprints <= res.classes
+            found += len(got)
+    assert found == 8
+
+
+def test_census_counts_only_colliding_full_tables():
+    res = census(7, 49)
+    assert res.classes == 506 and res.fingerprints == 2
 
 
 # ---------------------------------------------------------------- generators
@@ -465,3 +532,42 @@ def test_export_csv(tmp_path):
     assert lines[0].startswith("dimension,q,mode,family")
     assert len(lines) == 3  # header + one family of two
     assert "1 6 8 20" in lines[1] + lines[2]
+
+
+def test_family_rejects_bad_shapes():
+    a, b = spin_space(49, (1, 6, 8, 20)), spin_space(49, (1, 6, 8, 22))
+    with pytest.raises(ValueError, match="two members"):
+        IsospectralFamily("d", (a,), ())
+    with pytest.raises(ValueError, match="flags"):
+        IsospectralFamily("d", (a, b), (False, False))
+
+
+class _Unwritable:
+    """A family member whose parameters raise once the CSV writer reaches
+    it."""
+
+    @property
+    def lens(self):
+        raise RuntimeError("member lost")
+
+
+def test_failed_writes_leave_the_old_file(tmp_path):
+    """A write that fails halfway keeps the old bytes and leaves no
+    temporary file behind."""
+    good = run_census(7, [49])
+    fam = good[0].families[0]
+    # json.dump has written the families when it reaches the note
+    unserializable = (replace(good[0], note=object()),)
+    broken = IsospectralFamily(fam.digest, (fam.members[0], _Unwritable()),
+                               fam.trivial_flags)
+    unwritable = (good[0], replace(good[0], families=(broken,)))
+    for writer, bad, exc in ((save_results, unserializable, TypeError),
+                             (export_csv, unwritable, RuntimeError)):
+        path = tmp_path / writer.__name__
+        writer(good, str(path))
+        before = path.read_bytes()
+        with pytest.raises(exc):
+            writer(bad, str(path))
+        assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["export_csv",
+                                                         "save_results"]

@@ -1,5 +1,7 @@
 from itertools import product
 
+import pytest
+
 from lensdirac.lens import find_isometry, find_lens_isometry, make_lens, spin_space
 from lensdirac.spectrum import (
     Eigenvalue,
@@ -21,6 +23,17 @@ def test_sphere_multiplicity_small():
     assert sphere_multiplicity(3, 0) == 2
     assert sphere_multiplicity(3, 1) == 6
     assert sphere_multiplicity(7, 0) == 8
+
+
+def test_sphere_multiplicity_rejects_even_or_small_dimension():
+    for n in (1, 4):
+        with pytest.raises(ValueError, match="odd and >= 3"):
+            sphere_multiplicity(n, 0)
+
+
+def test_multiplicity_rejects_bad_sign():
+    with pytest.raises(ValueError, match="sign"):
+        multiplicity(spin_space(5, (1, 2)), 0, 3)
 
 
 def test_trivial_quotient_matches_sphere():
