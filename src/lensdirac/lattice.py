@@ -34,7 +34,8 @@ spectrum.  Two independent backends compute Nred exactly:
     Every count in sight is bounded by the total number of reduced
     points in the lattice, which is exactly 2*(2q)^(m-1); the backend
     uses exact float64 BLAS when that bound is below 2^53, exact int64
-    otherwise, and refuses (falling back to "packed") beyond 2^63.
+    otherwise, and refuses (falling back to "packed") beyond 2^63.  A
+    full table whose total is not that number raises ArithmeticError.
 
 Both backends produce identical tables; tests compare them and a brute
 force enumeration on small cases.  reduced_prefix() returns only the
@@ -301,7 +302,9 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
     and summing down the rows finishes it.
 
     The caller picks use_float only when every count involved stays
-    below 2^53, where float64 sums of nonnegative integers are exact."""
+    below 2^53, where float64 sums of nonnegative integers are exact;
+    _reduced_mim checks the full table's total against the exact number
+    of reduced points."""
     mod, ka, _ = ta.shape
     kb = tb.shape[1]
     if use_float:
@@ -315,12 +318,7 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
             skew[:, :kb, (pa + pb) % 2] += left @ right[:, :, pb]
     skew = skew.reshape(ka * width, 2)[: ka * (width - 1)]
     out = skew.reshape(ka, width - 1, 2)[:, : levels + 1].sum(axis=0)
-    if use_float:
-        rounded = np.rint(out)
-        if not np.array_equal(out, rounded):
-            raise ArithmeticError("float64 contraction produced a non-integer count")
-        out = rounded.astype(np.int64)
-    return out
+    return out.astype(np.int64)
 
 
 def _reduced_mim(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> Optional[list[list[int]]]:
@@ -335,7 +333,13 @@ def _reduced_mim(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> Optional[li
         raise ArithmeticError(
             f"half tables reach e = {ta.shape[1] - 1} and {tb.shape[1] - 1}, "
             f"which do not add up to kmax = {kmax}")
-    return _contract(ta, tb, tgt, kmax, bound < _FLOAT_SAFE).tolist()
+    rows = _contract(ta, tb, tgt, kmax, bound < _FLOAT_SAFE).tolist()
+    total = sum(map(sum, rows))
+    if total != bound:
+        raise ArithmeticError(
+            f"mim table for q={q}, m={m} totals {total}, not the "
+            f"2(2q)^(m-1) = {bound} reduced points")
+    return rows
 
 
 # ------------------------------------------------------------ public API

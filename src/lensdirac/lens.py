@@ -417,25 +417,15 @@ class CanonicalKey:
         return spin_space(self.q, self.s, self.spin)
 
 
-def _oriented_candidates(v: list[int], q: int) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Minimal sorted value tuples achievable with an even number of sign
-    flips, together with the flip count parity actually used (always 0
-    mod 2 here; the second component is #flips mod 2 of the choice).
-
-    Yields one candidate when the all-folded choice is even, else the m
-    single-unfold candidates (flipping any extra pair only raises the
-    sorted tuple pointwise, so exactly-one-unfold dominates).
-    """
-    folded = [_fold(x, q) for x in v]
-    base_flips = sum(1 for x in v if 2 * x > q)
-    if base_flips % 2 == 0:
-        yield tuple(sorted(folded)), base_flips % 2
-    else:
-        for i in range(len(v)):
-            cand = list(folded)
-            cand[i] = q - folded[i]
-            flips = base_flips + (1 if 2 * v[i] <= q else -1)
-            yield tuple(sorted(cand)), flips % 2
+def _oriented_candidate(v: list[int], q: int) -> tuple[int, ...]:
+    """Minimal sorted value tuple reachable from v with an even number of
+    sign flips.  With an odd number of folds, unfold the largest folded
+    entry: q - g >= q/2 still sorts last, and dropping the maximum leaves
+    the smallest prefix, so this beats unfolding any other entry."""
+    folded = sorted(_fold(x, q) for x in v)
+    if sum(1 for x in v if 2 * x > q) % 2:
+        folded[-1] = q - folded[-1]
+    return tuple(folded)
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:
@@ -468,18 +458,14 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
         v = [(ell * xj) % q for xj in sn]
         floors = sum((ell * xj) // q for xj in sn)
         if mode == "unoriented":
-            flips = sum(1 for xj in v if 2 * xj > q)
-            cands = [(tuple(sorted(_fold(xj, q) for xj in v)), flips % 2)]
+            tup = tuple(sorted(_fold(xj, q) for xj in v))
+            flip_parity = sum(1 for xj in v if 2 * xj > q) % 2
         else:
-            cands = list(_oriented_candidates(v, q))
-        for tup, flip_parity in cands:
-            if h is None:
-                hval = 0
-            else:
-                hval = (h + floors + flip_parity) % 2
-            cand = (tup, hval)
-            if best is None or cand < best:
-                best = cand
+            tup, flip_parity = _oriented_candidate(v, q), 0
+        hval = 0 if h is None else (h + floors + flip_parity) % 2
+        cand = (tup, hval)
+        if best is None or cand < best:
+            best = cand
     if best is None:
         raise ArithmeticError(f"no unit of Z/{q} produced a canonical candidate")
     tup, hval = best

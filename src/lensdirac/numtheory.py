@@ -47,3 +47,37 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n:
         return 0
     return math.comb(n, k)
+
+
+# Miller-Rabin with the prime bases up to 41 is proven deterministic
+# below this bound (Sorenson and Webster, 2015).
+PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Deterministic primality for n < PRIME_TEST_LIMIT; ValueError at or
+    above it."""
+    if n >= PRIME_TEST_LIMIT:
+        raise ValueError(f"{n} is at or above the deterministic prime test "
+                         f"limit {PRIME_TEST_LIMIT}")
+    if n < 2:
+        return False
+    for b in _PRIME_BASES:
+        if n % b == 0:
+            return n == b
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for b in _PRIME_BASES:
+        x = pow(b, d, n)
+        if x in (1, n - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True

@@ -2,34 +2,29 @@
 
 Two separate recomputations of the spectrum live here: the classical
 generating function for Dirac eigenvalue multiplicities on cyclic
-sphere quotients, evaluated in floating-point complex arithmetic
-(machine doubles by default, mpmath working precision on request),
-and a naive enumeration of lattice points.  Both exist to catch
-mistakes in the exact integer code; neither is ever the source of
+sphere quotients (a Bar/Ikeda-type average of half-spin characters over
+the deck group), and a naive enumeration of lattice points.  Both exist
+to catch mistakes in the lattice code; neither is ever the source of
 truth.
+
+The series is evaluated exactly in a prime field GF(p) with
+p == 1 (mod 2q), where e^(i pi/q) becomes a primitive 2q-th root of
+unity zeta.  Each averaged coefficient is a rational integer in
+Z[zeta][1/2q], so every ring map to GF(p) returns it unchanged mod p,
+and p is chosen above the sphere multiplicity bound, which no lens
+multiplicity exceeds: the residues are the multiplicities themselves.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-import mpmath
 import numpy as np
 
 from .lens import SpinLensSpace, h_shift
 from .lattice import CongruenceLattice
-from .spectrum import multiplicity
-
-# Which series feeds which sign of the spectrum.  Calibrated empirically:
-# on the 7-sphere quotient L(2;1,1,1,1) with spin label h0 the exact code
-# gives mult(-lambda_0) = 8 and mult(+lambda_0) = 0, and the series pair
-# below comes out with F-minus constant term 8, F-plus constant term 0.
-# So the face-value pairing (F-plus <-> +, F-minus <-> -) is correct and
-# no global swap is applied.  oracle_compare still tries both pairings
-# and reports when only the swapped one fits.
-SIGN_CONVENTION = "direct"
+from .numtheory import is_prime
+from .spectrum import multiplicity, sphere_multiplicity
 
 DEFAULT_ENUM_LIMIT = 10_000_000
 
@@ -44,173 +39,108 @@ class TooLarge(Exception):
 
 
 class OracleMismatch(Exception):
-    """Neither sign pairing matches the exact multiplicities."""
+    """The series and the exact multiplicities differ at some level."""
 
 
-@dataclass(frozen=True)
-class ComplexSeries:
-    """Truncated power series with double-precision complex coefficients."""
-
-    coefficients: tuple[complex, ...]
-
-    def __len__(self) -> int:
-        return len(self.coefficients)
-
-    def __getitem__(self, k: int) -> complex:
-        return self.coefficients[k]
-
-
-@dataclass(frozen=True)
-class OracleReport:
-    space: SpinLensSpace
-    k_max: int
-    tol: float
-    max_abs_delta: float
-    max_imag: float
-    swapped: bool
+def _series_field(q: int, bound: int) -> tuple[int, int]:
+    """(p, zeta): the smallest prime p == 1 (mod 2q) with p > bound, and
+    a primitive 2q-th root of unity zeta mod p.  Raises ValueError when
+    that prime would reach numtheory.PRIME_TEST_LIMIT."""
+    two_q = 2 * q
+    p = ((bound - 1) // two_q + 1) * two_q + 1
+    while not is_prime(p):  # ValueError once p reaches PRIME_TEST_LIMIT
+        p += two_q
+    cofactor = (p - 1) // two_q
+    for g in range(2, p):
+        zeta = pow(g, cofactor, p)
+        # zeta^(2q) == 1; the order is exactly 2q iff its powers are distinct
+        if len({pow(zeta, t, p) for t in range(two_q)}) == two_q:
+            return p, zeta
 
 
-def half_spin_characters(m: int, thetas: Sequence[float]) -> tuple[complex, complex]:
-    """Character pair (chi-plus, chi-minus) of the two half-spinor
-    representations of Spin(2m) at a maximal-torus element with the
-    given m angles.
-
-    chi-plus sums exp(i * sum a_j theta_j) over sign vectors a with an
-    even number of -1 entries, chi-minus over those with an odd number;
-    the product form used here is the standard factorization of that sum.
-    """
-    assert m >= 2 and len(thetas) == m
-    prod_cos = complex(1.0)
-    prod_sin = complex(1.0)
-    for th in thetas:
-        prod_cos *= 2.0 * math.cos(th)
-        prod_sin *= 2.0j * math.sin(th)
-    return (prod_cos + prod_sin) / 2.0, (prod_cos - prod_sin) / 2.0
-
-
-def _poly_mul(p: list[float], q3: tuple[float, float, float]) -> list[float]:
-    out = [0.0] * (len(p) + 2)
-    for i, c in enumerate(p):
+def _poly_mul(a: list[int], q3: tuple[int, int, int], p: int) -> list[int]:
+    out = [0] * (len(a) + 2)
+    for i, c in enumerate(a):
         out[i] += c * q3[0]
         out[i + 1] += c * q3[1]
         out[i + 2] += c * q3[2]
-    return out
+    return [c % p for c in out]
 
 
-def _series_div(num: Sequence[complex], den: Sequence[float], k_max: int) -> list[complex]:
-    """Coefficients 0..k_max of num(z)/den(z); den[0] must be 1."""
-    assert abs(den[0] - 1.0) < 1e-12
-    out: list[complex] = []
+def _series_div(num: Sequence[int], den: Sequence[int], k_max: int,
+                p: int) -> list[int]:
+    """Coefficients 0..k_max of num(z)/den(z) mod p; den[0] is 1."""
+    out: list[int] = []
     for k in range(k_max + 1):
-        c = num[k] if k < len(num) else complex(0.0)
+        c = num[k] if k < len(num) else 0
         for i in range(1, min(k, len(den) - 1) + 1):
             c -= den[i] * out[k - i]
-        out.append(c)
+        out.append(c % p)
     return out
 
 
-def _coeff_loop(q: int, s: Sequence[int], m: int, sign_exp: int, k_max: int, ns):
-    """Accumulate the per-group-element series for j = 0..q-1.
-
-    ns supplies pi, cos and sin: pass the math module for doubles or
-    mpmath for extended precision (both expose those three names).
-    """
-    two_q = 2 * q
-    acc_plus = [complex(0.0)] * (k_max + 1)
-    acc_minus = [complex(0.0)] * (k_max + 1)
-    for j in range(q):
-        if q % 2 == 1:
-            tnum = [((q + 1) * j * sl) % two_q for sl in s]
-        else:
-            tnum = [(j * sl) % two_q for sl in s]
-        # same product factorization as half_spin_characters, but in
-        # whichever arithmetic ns provides
-        prod_cos = complex(1.0)
-        prod_sin = complex(1.0)
-        for t in tnum:
-            th = ns.pi * t / q
-            prod_cos = prod_cos * (2.0 * ns.cos(th))
-            prod_sin = prod_sin * (2.0j * ns.sin(th))
-        chi_plus = (prod_cos + prod_sin) / 2.0
-        chi_minus = (prod_cos - prod_sin) / 2.0
-        if sign_exp and j % 2 == 1:
-            chi_plus, chi_minus = -chi_plus, -chi_minus
-
-        den = [1.0]
-        for t in tnum:
-            cos2 = ns.cos(2.0 * ns.pi * (t % q) / q)
-            den = _poly_mul(den, (1.0, -2.0 * cos2, 1.0))
-        assert len(den) == 2 * m + 1
-
-        for c, acc in ((_series_div((chi_minus, -chi_plus), den, k_max), acc_plus),
-                       (_series_div((chi_plus, -chi_minus), den, k_max), acc_minus)):
-            for k in range(k_max + 1):
-                acc[k] = acc[k] + c[k]
-    return acc_plus, acc_minus
-
-
-def generating_coeffs(x: SpinLensSpace, k_max: int,
-                      dps: Optional[int] = None) -> tuple[ComplexSeries, ComplexSeries]:
+def generating_coeffs(x: SpinLensSpace,
+                      k_max: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Coefficients 0..k_max of the multiplicity generating functions
     (F-plus, F-minus), averaged over the deck transformation group.
 
     The group element at index j rotates the l-th coordinate plane by
     2*pi*j*s_l/q; its spin lifts act through the half-spin characters at
-    half those angles.  For odd q the unique lift inserts the factor
-    (q+1); for even q the label h enters through a global sign on the
-    j-th summand.  Angle arguments are reduced exactly mod 2q before any
-    floating-point work so large q stays accurate.
-
-    With dps=None the arithmetic is machine doubles.  The division
-    recurrence then amplifies roundoff roughly like k**(2m-1) because
-    every denominator root sits on the unit circle: by m=4, k=40 the
-    absolute error can reach 1e-5 on coefficients of size 1e7.  Passing
-    dps (decimal digits; 40 is ample for k <= 100) reruns the same sums
-    under mpmath, after which coefficients below 2**53 convert to exact
-    doubles.
+    half those angles, (prod 2cos(pi t/q) +- prod 2i sin(pi t/q)) / 2
+    with t the angle numerators mod 2q.  For odd q the unique lift
+    inserts the factor (q+1); for even q the label h enters through a
+    global sign on the j-th summand.  In GF(p) the cosines and sines
+    become zeta^t + zeta^-t and zeta^t - zeta^-t, and the j-th summand
+    has denominator prod (1 - (zeta^2t + zeta^-2t) z + z^2).
     """
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     lens = x.lens
     q, s, m = lens.q, lens.s, lens.m
-    assert k_max >= 0
+    p, zeta = _series_field(q, sphere_multiplicity(2 * m - 1, k_max))
     sign_exp = 0
     if q % 2 == 0:
         sign_exp = (x.spin.h + h_shift(lens)) % 2
+    two_q = 2 * q
+    powers = [pow(zeta, t, p) for t in range(two_q)]
+    lift = q + 1 if q % 2 == 1 else 1
 
-    if dps is None:
-        acc_plus, acc_minus = _coeff_loop(q, s, m, sign_exp, k_max, math)
-        scale = 1.0 / q
-        plus = tuple(c * scale for c in acc_plus)
-        minus = tuple(c * scale for c in acc_minus)
-    else:
-        assert dps >= 15
-        with mpmath.workdps(dps):
-            acc_plus, acc_minus = _coeff_loop(q, s, m, sign_exp, k_max, mpmath)
-            plus = tuple(complex(c / q) for c in acc_plus)
-            minus = tuple(complex(c / q) for c in acc_minus)
-    return ComplexSeries(plus), ComplexSeries(minus)
+    # summands with the same denominator are added before dividing
+    numerators: dict[tuple[int, ...], list[int]] = {}
+    for j in range(q):
+        tnum = [(lift * j * sl) % two_q for sl in s]
+        prod_cos = prod_sin = 1
+        den = [1]
+        for t in tnum:
+            prod_cos = prod_cos * (powers[t] + powers[-t]) % p
+            prod_sin = prod_sin * (powers[t] - powers[-t]) % p
+            cos2 = powers[2 * t % two_q] + powers[-2 * t % two_q]
+            den = _poly_mul(den, (1, -cos2, 1), p)
+        chi_plus, chi_minus = prod_cos + prod_sin, prod_cos - prod_sin
+        if sign_exp and j % 2 == 1:
+            chi_plus, chi_minus = -chi_plus, -chi_minus
+        acc = numerators.setdefault(tuple(den), [0, 0])
+        acc[0] += chi_plus
+        acc[1] += chi_minus
+
+    plus = [0] * (k_max + 1)
+    minus = [0] * (k_max + 1)
+    for den, (chi_plus, chi_minus) in numerators.items():
+        for acc, num in ((plus, (chi_minus, -chi_plus)),
+                         (minus, (chi_plus, -chi_minus))):
+            for k, c in enumerate(_series_div(num, den, k_max, p)):
+                acc[k] += c
+    # the half in each character and the 1/q of the average
+    scale = pow(two_q, -1, p)
+    return tuple(c * scale % p for c in plus), tuple(c * scale % p for c in minus)
 
 
-def snap_to_integers(series: ComplexSeries, tol: float = 1e-6) -> tuple[int, ...]:
-    """Round coefficients to integers, refusing anything further than tol
-    from a non-negative integer."""
-    out = []
-    for k, c in enumerate(series.coefficients):
-        n = round(c.real)
-        if abs(c - n) > tol or n < 0:
-            raise ValueError(f"coefficient {k} = {c!r} is not near a count")
-        out.append(int(n))
-    return tuple(out)
-
-
-def series_multiplicities(x: SpinLensSpace, k_max: int, tol: float = 1e-6,
-                          dps: Optional[int] = None) -> tuple[tuple[int, int], ...]:
-    """Integer multiplicity table [(mult(-), mult(+)) for k <= k_max]
-    read off the generating functions alone.  A second, slower route to
-    the numbers spectrum.spectrum_table produces exactly."""
-    f_plus, f_minus = generating_coeffs(x, k_max, dps=dps)
-    plus = snap_to_integers(f_plus, tol)
-    minus = snap_to_integers(f_minus, tol)
-    return tuple(zip(minus, plus))
+def series_multiplicities(x: SpinLensSpace, k_max: int) -> tuple[tuple[int, int], ...]:
+    """Multiplicity table [(mult(-), mult(+)) for k <= k_max] read off
+    the generating functions alone.  A second, independent route to the
+    numbers spectrum.spectrum_table produces."""
+    f_plus, f_minus = generating_coeffs(x, k_max)
+    return tuple(zip(f_minus, f_plus))
 
 
 _POINT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -254,44 +184,15 @@ def brute_counts(lat: CongruenceLattice, k_max: int,
     return tuple((int(rows[0, k]), int(rows[1, k])) for k in range(k_max + 1))
 
 
-def oracle_compare(x: SpinLensSpace, k_max: int, tol: float = 1e-6,
-                   dps: Optional[int] = None) -> OracleReport:
-    """Compare the generating-function coefficients against the exact
-    multiplicities for every k <= k_max.
-
-    Tries the direct sign pairing first, then the globally swapped one,
-    and raises OracleMismatch when neither fits within tol.  The report
-    records which pairing fit and the worst deviations seen.  dps picks
-    the series arithmetic precision as in generating_coeffs; leave it
-    None for doubles, set it when tol is tighter than doubles can hit.
-    """
-    f_plus, f_minus = generating_coeffs(x, k_max, dps=dps)
-    exact_minus = [multiplicity(x, -1, k) for k in range(k_max + 1)]
-    exact_plus = [multiplicity(x, +1, k) for k in range(k_max + 1)]
-
-    max_imag = max(max(abs(c.imag) for c in f_plus.coefficients),
-                   max(abs(c.imag) for c in f_minus.coefficients))
-    delta_direct = 0.0
-    delta_swapped = 0.0
-    for k in range(k_max + 1):
-        delta_direct = max(delta_direct,
-                           abs(f_plus[k] - exact_plus[k]),
-                           abs(f_minus[k] - exact_minus[k]))
-        delta_swapped = max(delta_swapped,
-                            abs(f_plus[k] - exact_minus[k]),
-                            abs(f_minus[k] - exact_plus[k]))
-
-    if delta_direct <= tol:
-        swapped = False
-        max_abs_delta = delta_direct
-    elif delta_swapped <= tol:
-        swapped = True
-        max_abs_delta = delta_swapped
-    else:
-        raise OracleMismatch(
-            f"series and exact multiplicities disagree for {x.lens.q};{x.lens.s} "
-            f"{x.spin.tag}: direct {delta_direct:.3e}, swapped {delta_swapped:.3e}, "
-            f"tol {tol:.1e}")
-    return OracleReport(space=x, k_max=k_max, tol=tol,
-                        max_abs_delta=max_abs_delta, max_imag=max_imag,
-                        swapped=swapped)
+def oracle_compare(x: SpinLensSpace, k_max: int) -> None:
+    """Check the generating-function coefficients against the exact
+    multiplicities for every k <= k_max; raise OracleMismatch naming the
+    first k where the series pair differs from (mult(-), mult(+))."""
+    series = series_multiplicities(x, k_max)
+    for k, pair in enumerate(series):
+        exact = (multiplicity(x, -1, k), multiplicity(x, +1, k))
+        if pair != exact:
+            raise OracleMismatch(
+                f"series and exact multiplicities disagree for {x.lens.q};"
+                f"{x.lens.s} {x.spin.tag} at k={k}: series (minus, plus) "
+                f"{pair}, exact {exact}")

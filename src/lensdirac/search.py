@@ -104,10 +104,10 @@ def _folded_units(q: int) -> list[int]:
     return [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
 
 
-def _lex_update(best: np.ndarray, cand: np.ndarray, mask: np.ndarray) -> None:
-    """Rowwise best = min(best, cand) lexicographically, on masked rows."""
+def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
+    """Rowwise best = min(best, cand) lexicographically."""
     less = np.zeros(len(best), dtype=bool)
-    tie = mask.copy()
+    tie = np.ones(len(best), dtype=bool)
     for j in range(best.shape[1]):
         col_c, col_b = cand[:, j], best[:, j]
         less |= tie & (col_c < col_b)
@@ -129,12 +129,11 @@ def _canonical_tuples(q: int, m: int, mode: KeyMode) -> list[tuple[int, ...]]:
 
     if mode == "unoriented":
         best = np.full_like(A, q)
-        everything = np.ones(len(A), dtype=bool)
         for ell in ells:
             B = (ell * A) % q
             np.minimum(B, q - B, out=B)
             B.sort(axis=1)
-            _lex_update(best, B, everything)
+            _lex_update(best, B)
         keep = np.all(A == best, axis=1)
         return [tuple(map(int, row)) for row in A[keep]]
 
@@ -149,17 +148,12 @@ def _canonical_tuples(q: int, m: int, mode: KeyMode) -> list[tuple[int, ...]]:
         B = (ell * U) % q
         G = np.minimum(B, q - B)
         odd = ((B != G).sum(axis=1) % 2).astype(bool)
-        even = ~odd
         Gs = np.sort(G, axis=1)
-        _lex_update(best, Gs, even)
-        if odd.any():
-            # an odd number of folds reverses orientation; leave exactly
-            # one coordinate unfolded (every position is a candidate)
-            for i in range(U.shape[1]):
-                Ci = G.copy()
-                Ci[:, i] = q - G[:, i]
-                Ci.sort(axis=1)
-                _lex_update(best, Ci, odd)
+        # an odd number of folds reverses orientation; unfold the largest
+        # folded entry: q - g >= q/2 still sorts last, and dropping the
+        # maximum leaves the smallest prefix
+        Gs[odd, -1] = q - Gs[odd, -1]
+        _lex_update(best, Gs)
     if not (best < q).all():
         raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
     uniq = np.unique(best, axis=0)

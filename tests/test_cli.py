@@ -274,32 +274,44 @@ def test_oracle_q49(capsys):
     code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20",
                        "-k", "30")
     assert code == 0
-    assert "max |delta|" in out
+    assert out == "ok: L(49; 1,6,8,20) k <= 30\n"
 
 
-def test_oracle_tight_tolerance_fails(capsys):
-    code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20",
-                       "--tol", "1e-15")
+def test_oracle_tight_tolerance_fails(capsys, monkeypatch):
+    """The comparison is exact: one count off by one at a single level
+    fails it."""
+    from lensdirac import oracle
+    real = oracle.multiplicity
+    monkeypatch.setattr(
+        oracle, "multiplicity",
+        lambda x, sign, k: real(x, sign, k) + (1 if (sign, k) == (-1, 9) else 0))
+    code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20")
     assert code == 1
-    assert "disagree" in out
+    assert "disagree" in out and "k=9" in out
 
 
 def test_oracle_dps_meets_tight_tolerance(capsys):
+    """--dps is accepted and ignored: the exact run prints the same line."""
     code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20",
-                       "--tol", "1e-15", "--dps", "40")
+                       "--dps", "40")
     assert code == 0
-    assert out.startswith("ok:")
+    assert (code, out) == run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20")[:2]
+    assert out == "ok: L(49; 1,6,8,20) k <= 25\n"
 
 
 def test_oracle_usage_errors(capsys):
     code, _, err = run(capsys, "oracle", "-q", "6", "-s", "1,2")
     assert code == 2
     assert "coprime" in err
-    code, _, err = run(capsys, "oracle", "-q", "7", "-s", "1,2", "--tol", "0")
+    code, _, err = run(capsys, "oracle", "-q", "7", "-s", "1,2", "-k", "-1")
     assert code == 2
-    code, _, err = run(capsys, "oracle", "-q", "7", "-s", "1,2", "--dps", "8")
+    code, _, err = run(capsys, "oracle", "-q", "7", "-s", "1,2,3,4",
+                       "-k", "30000")
     assert code == 2
-    assert "dps" in err
+    assert "prime test limit" in err
+    with pytest.raises(SystemExit) as info:
+        main(["oracle", "-q", "7", "-s", "1,2", "--tol", "1e-6"])
+    assert info.value.code == 2
 
 
 def test_unknown_subcommand_exits_two():

@@ -240,5 +240,20 @@ def test_mim_rejects_non_integer_float_counts(monkeypatch):
                         real(q, mod, s_half, kcap) + np.float64(0.5))
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     clear_caches()
-    with pytest.raises(ArithmeticError, match="non-integer"):
+    with pytest.raises(ArithmeticError, match="reduced points"):
+        reduced_counts(lat, "mim")
+
+
+@pytest.mark.parametrize("float_safe", [lattice._FLOAT_SAFE, 0])
+def test_mim_rejects_integer_corruption(monkeypatch, float_safe):
+    """An integer error in a half table leaves every count an integer;
+    the table total still catches it, on the float64 and int64 paths."""
+    real = lattice._half_table
+    monkeypatch.setattr(lattice, "_half_table",
+                        lambda q, mod, s_half, kcap=None:
+                        real(q, mod, s_half, kcap) + 1)
+    monkeypatch.setattr(lattice, "_FLOAT_SAFE", float_safe)
+    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
+    clear_caches()
+    with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat, "mim")

@@ -305,6 +305,25 @@ def test_canonical_key_representative_is_in_orbit():
             assert canonical_key(rep, mode) == key
 
 
+def test_oriented_key_is_the_brute_force_minimum():
+    """The oriented canonical tuple is the lexicographic minimum of
+    sorted((eps_j * l * s_j) mod q) over units l and sign vectors eps
+    with an even number of -1 entries."""
+    for m in (2, 3, 4):
+        for q in range(3, 16 if m < 4 else 12):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            even_signs = [e for e in product((1, -1), repeat=m)
+                          if e.count(-1) % 2 == 0]
+            for s in combinations_with_replacement(units(q), m):
+                want = min(tuple(sorted((e * ell * sj) % q
+                                        for e, sj in zip(eps, s)))
+                           for ell in units(q) for eps in even_signs)
+                for label in spin_structures(make_lens(q, s)):
+                    key = canonical_key(spin_space(q, s, label), "oriented")
+                    assert key.s == want, (q, s, label)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_canonical_key_separates_orbits(data):

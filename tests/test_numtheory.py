@@ -1,9 +1,17 @@
 import math
+from itertools import takewhile
 
 import pytest
 from hypothesis import given, strategies as st
 
-from lensdirac.numtheory import NotInvertible, binomial, mod_inverse, units
+from lensdirac.numtheory import (
+    PRIME_TEST_LIMIT,
+    NotInvertible,
+    binomial,
+    is_prime,
+    mod_inverse,
+    units,
+)
 
 
 def test_mod_inverse_known_values():
@@ -63,3 +71,24 @@ def test_binomial_values():
 @given(st.integers(min_value=0, max_value=80), st.integers(min_value=-5, max_value=85))
 def test_binomial_pascal(n, k):
     assert binomial(n + 1, k) == binomial(n, k) + binomial(n, k - 1)
+
+
+def test_is_prime_matches_trial_division():
+    primes = []
+    for n in range(100_000):
+        trial = n >= 2 and all(n % p for p in takewhile(lambda p: p * p <= n, primes))
+        if trial:
+            primes.append(n)
+        assert is_prime(n) == trial, n
+
+
+def test_is_prime_large_values():
+    # strong pseudoprimes to many small bases, and known primes
+    assert not is_prime(3_215_031_751)                      # bases 2, 3, 5, 7
+    assert not is_prime(3_825_123_056_546_413_051)          # bases up to 23
+    assert not is_prime(318_665_857_834_031_151_167_461)    # bases up to 37
+    assert is_prime((1 << 31) - 1)
+    assert is_prime((1 << 61) - 1)
+    assert not is_prime(((1 << 31) - 1) ** 2)
+    with pytest.raises(ValueError, match="limit"):
+        is_prime(PRIME_TEST_LIMIT)

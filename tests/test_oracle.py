@@ -1,133 +1,108 @@
-import cmath
-import math
 import random
-from itertools import product
 
 import pytest
 
+from lensdirac import oracle
 from lensdirac.lens import spin_space
 from lensdirac.lattice import count, lattice_of
-from lensdirac.numtheory import binomial, units
+from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial, is_prime, units
 from lensdirac.oracle import (
-    SIGN_CONVENTION,
-    ComplexSeries,
     OracleMismatch,
     TooLarge,
     brute_counts,
     generating_coeffs,
-    half_spin_characters,
     oracle_compare,
     series_multiplicities,
-    snap_to_integers,
 )
-from lensdirac.spectrum import spectrum_table
-
-
-def test_characters_at_identity():
-    for m in range(2, 7):
-        cp, cm = half_spin_characters(m, [0.0] * m)
-        assert abs(cp - 2 ** (m - 1)) < 1e-12
-        assert abs(cm - 2 ** (m - 1)) < 1e-12
-
-
-def test_characters_quarter_turns():
-    cp, cm = half_spin_characters(2, [math.pi / 2, math.pi / 2])
-    assert abs(cp - (-2)) < 1e-12
-    assert abs(cm - 2) < 1e-12
-
-
-def test_characters_match_sign_pattern_sum():
-    rng = random.Random(311)
-    for m in range(2, 7):
-        for _ in range(10):
-            thetas = [rng.uniform(-math.pi, math.pi) for _ in range(m)]
-            want = [complex(0.0), complex(0.0)]
-            for signs in product((1, -1), repeat=m):
-                negatives = sum(1 for e in signs if e < 0)
-                term = cmath.exp(1j * sum(e * t for e, t in zip(signs, thetas)))
-                want[negatives % 2] += term
-            cp, cm = half_spin_characters(m, thetas)
-            assert abs(cp - want[0]) < 1e-12
-            assert abs(cm - want[1]) < 1e-12
+from lensdirac.spectrum import multiplicity, spectrum_table, sphere_multiplicity
 
 
 def test_sphere_series_closed_form():
     for m in (2, 3, 4):
         x = spin_space(1, (1,) * m)
         f_plus, f_minus = generating_coeffs(x, 50)
-        for k in range(51):
-            want = 2 ** (m - 1) * binomial(k + 2 * m - 2, 2 * m - 2)
-            assert abs(f_plus[k] - want) < 1e-9
-            assert abs(f_minus[k] - want) < 1e-9
+        want = tuple(2 ** (m - 1) * binomial(k + 2 * m - 2, 2 * m - 2)
+                     for k in range(51))
+        assert f_plus == want
+        assert f_minus == want
 
 
 def test_sign_convention_calibration_datum():
-    # The asymmetric example that froze SIGN_CONVENTION: the h0 spin
-    # structure on the 7-dimensional projective space puts all 8 bottom
-    # modes on the minus side.
-    assert SIGN_CONVENTION == "direct"
-    f_plus, f_minus = generating_coeffs(spin_space(2, (1, 1, 1, 1), "h0"), 1)
-    assert abs(f_minus[0] - 8) < 1e-9
-    assert abs(f_plus[0]) < 1e-9
-    f_plus, f_minus = generating_coeffs(spin_space(2, (1, 1, 1, 1), "h1"), 1)
-    assert abs(f_plus[0] - 8) < 1e-9
-    assert abs(f_minus[0]) < 1e-9
+    # The asymmetric example that fixes the pairing F-plus <-> +,
+    # F-minus <-> -: the h0 spin structure on the 7-dimensional
+    # projective space puts all 8 bottom modes on the minus side.
+    h0 = spin_space(2, (1, 1, 1, 1), "h0")
+    h1 = spin_space(2, (1, 1, 1, 1), "h1")
+    assert generating_coeffs(h0, 1) == ((0, 56), (8, 0))
+    assert generating_coeffs(h1, 1) == ((8, 0), (0, 56))
+    assert (multiplicity(h0, -1, 0), multiplicity(h0, +1, 0)) == (8, 0)
+
+
+def test_series_field_is_a_large_enough_prime_field():
+    for q, m, k_max in ((1, 2, 0), (2, 4, 1), (7, 3, 40), (49, 4, 40),
+                        (100, 4, 12), (30, 6, 200)):
+        bound = sphere_multiplicity(2 * m - 1, k_max)
+        p, zeta = oracle._series_field(q, bound)
+        assert is_prime(p) and p % (2 * q) == 1 and p > bound
+        assert all(not is_prime(c) for c in range(p - 2 * q, bound, -2 * q))
+        powers = [pow(zeta, t, p) for t in range(1, 2 * q + 1)]
+        assert powers.index(1) == 2 * q - 1  # primitive 2q-th root
+
+
+def test_series_field_past_the_prime_test_limit_raises_before_the_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("series work started")
+
+    monkeypatch.setattr(oracle, "_series_div", no_series)
+    monkeypatch.setattr(oracle, "_poly_mul", no_series)
+    x = spin_space(49, (1, 8, 15, 29))
+    k_big = 30_000
+    assert sphere_multiplicity(7, k_big) >= PRIME_TEST_LIMIT
+    with pytest.raises(ValueError, match="prime test limit"):
+        generating_coeffs(x, k_big)
+    with pytest.raises(ValueError, match="k_max"):
+        generating_coeffs(x, -1)
 
 
 def test_compare_sphere():
-    report = oracle_compare(spin_space(1, (1, 1)), 50)
-    assert not report.swapped
-    assert report.max_abs_delta < 1e-9
-    assert report.max_imag < 1e-12
+    assert oracle_compare(spin_space(1, (1, 1)), 50) is None
 
 
 def test_compare_q49_family_member():
-    report = oracle_compare(spin_space(49, (1, 8, 15, 29)), 40)
-    assert not report.swapped
-    assert report.max_abs_delta < 1e-6
+    assert oracle_compare(spin_space(49, (1, 8, 15, 29)), 40) is None
 
 
 def test_compare_even_q_both_labels():
     for q, s in ((12, (1, 5, 7, 11)), (16, (1, 3, 5, 7))):
         for tag in ("h0", "h1"):
-            report = oracle_compare(spin_space(q, s, tag), 25)
-            assert not report.swapped
-            assert report.max_abs_delta < 1e-8
+            assert oracle_compare(spin_space(q, s, tag), 25) is None
 
 
 def test_compare_raw_parameters():
     # same space written with out-of-range parameters; the spin shift
     # bookkeeping must keep both routes aligned
-    report = oracle_compare(spin_space(12, (13, 5, 7, 23), "h0"), 20)
-    assert not report.swapped
-    assert report.max_abs_delta < 1e-8
+    assert oracle_compare(spin_space(12, (13, 5, 7, 23), "h0"), 20) is None
 
 
-def test_compare_rejects_absurd_tolerance():
-    with pytest.raises(OracleMismatch):
-        oracle_compare(spin_space(49, (1, 8, 15, 29)), 40, tol=1e-18)
+def _off_by_one_at(monkeypatch, k_bad):
+    real = oracle.multiplicity
+    monkeypatch.setattr(
+        oracle, "multiplicity",
+        lambda x, sign, k: real(x, sign, k) + (1 if (sign, k) == (1, k_bad) else 0))
 
 
-def test_high_precision_rescues_tight_tolerance():
-    # the double-precision division recurrence drifts past 1e-6 by
-    # m=4, k=40 on small q (coefficients near 1e7); the mpmath route
-    # has to land the same integers essentially exactly
+def test_compare_reports_the_first_wrong_level(monkeypatch):
+    _off_by_one_at(monkeypatch, 17)
+    with pytest.raises(OracleMismatch, match="k=17"):
+        oracle_compare(spin_space(49, (1, 8, 15, 29)), 40)
+    assert oracle_compare(spin_space(49, (1, 8, 15, 29)), 16) is None
+
+
+def test_exact_series_where_doubles_drifted():
+    # machine doubles missed these counts (near 1e7) by more than 1e-6
     x = spin_space(11, (1, 1, 1, 1))
-    with pytest.raises(OracleMismatch):
-        oracle_compare(x, 40, tol=1e-6)
-    report = oracle_compare(x, 40, tol=1e-9, dps=40)
-    assert not report.swapped
-    assert report.max_abs_delta < 1e-20
-    assert report.max_imag < 1e-20
-
-
-def test_high_precision_agrees_with_doubles():
-    x = spin_space(13, (1, 3, 4))
-    for fast, slow in zip(generating_coeffs(x, 30),
-                          generating_coeffs(x, 30, dps=40)):
-        gap = max(abs(a - b) for a, b in
-                  zip(fast.coefficients, slow.coefficients))
-        assert gap < 1e-7
+    assert series_multiplicities(x, 40) == tuple(
+        (row.minus, row.plus) for row in spectrum_table(x, 40))
 
 
 def test_compare_random_sample():
@@ -141,9 +116,7 @@ def test_compare_random_sample():
         pool = units(q) if q > 1 else [1]
         s = tuple(rng.choice(pool) for _ in range(m))
         tag = None if q % 2 == 1 else rng.choice(("h0", "h1"))
-        report = oracle_compare(spin_space(q, s, tag), 25)
-        assert not report.swapped
-        assert report.max_imag < 1e-8
+        assert oracle_compare(spin_space(q, s, tag), 25) is None
         done += 1
 
 
@@ -168,16 +141,6 @@ def test_brute_counts_guard():
     lat = lattice_of(spin_space(5, (1, 1, 2, 3)))
     with pytest.raises(TooLarge):
         brute_counts(lat, 144)
-
-
-def test_snap_rejects_non_counts():
-    with pytest.raises(ValueError):
-        snap_to_integers(ComplexSeries((0.5 + 0j,)))
-    with pytest.raises(ValueError):
-        snap_to_integers(ComplexSeries((-1.0 + 0j,)))
-    with pytest.raises(ValueError):
-        snap_to_integers(ComplexSeries((3.0 + 1e-3j,)))
-    assert snap_to_integers(ComplexSeries((2.0 + 0j, 5.0 - 1e-9j))) == (2, 5)
 
 
 def test_series_multiplicities_match_exact_table():
