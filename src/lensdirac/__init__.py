@@ -1,48 +1,27 @@
-"""Exact spin Dirac spectra of lens spaces via affine congruence lattices."""
+"""Exact spin Dirac spectra of lens spaces via affine congruence lattices.
 
-from .numtheory import NotInvertible, binomial, mod_inverse, units
+The names below are the documented library API (README, "Library");
+everything else lives in the submodules."""
+
 from .lens import (
     CanonicalKey,
     DimensionTooSmall,
     IsometryWitness,
-    LensParams,
     Mismatch,
     NoSpinStructure,
     NotCoprime,
-    SpinLabel,
     SpinLensSpace,
     canonical_key,
     find_isometry,
-    find_lens_isometry,
-    format_spin_lens,
-    h_shift,
-    make_lens,
     spin_space,
-    spin_structures,
 )
-from .lattice import (
-    CongruenceLattice,
-    ReducedCountTable,
-    apply_norm_isometry,
-    clear_caches,
-    contains,
-    count,
-    lattice_of,
-    point_level,
-    point_neg_parity,
-    point_norm2,
-    reduced_counts,
-    reduced_level_bound,
-)
+from .lattice import ReducedCountTable
 from .spectrum import (
-    Eigenvalue,
     LevelMultiplicities,
     dirac_isospectral,
     fingerprint,
     inverse_isospectral,
-    multiplicity,
     spectrum_table,
-    sphere_multiplicity,
 )
 from .oracle import (
     OracleMismatch,
@@ -53,14 +32,12 @@ from .oracle import (
     series_multiplicities,
 )
 from .search import (
-    FORMAT_VERSION,
     CensusResult,
     FormatError,
     IoError,
     IsospectralFamily,
     VerificationFailed,
     VerificationReport,
-    enumerate_classes,
     export_csv,
     load_results,
     mirror_pair,
@@ -74,61 +51,34 @@ from .search import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "NotInvertible",
-    "binomial",
-    "mod_inverse",
-    "units",
     "CanonicalKey",
     "DimensionTooSmall",
     "IsometryWitness",
-    "LensParams",
     "Mismatch",
     "NoSpinStructure",
     "NotCoprime",
-    "SpinLabel",
     "SpinLensSpace",
     "canonical_key",
     "find_isometry",
-    "find_lens_isometry",
-    "format_spin_lens",
-    "h_shift",
-    "make_lens",
     "spin_space",
-    "spin_structures",
-    "CongruenceLattice",
     "ReducedCountTable",
-    "apply_norm_isometry",
-    "clear_caches",
-    "contains",
-    "count",
-    "lattice_of",
-    "point_level",
-    "point_neg_parity",
-    "point_norm2",
-    "reduced_counts",
-    "reduced_level_bound",
-    "Eigenvalue",
     "LevelMultiplicities",
     "dirac_isospectral",
     "fingerprint",
     "inverse_isospectral",
-    "multiplicity",
     "spectrum_table",
-    "sphere_multiplicity",
     "OracleMismatch",
     "TooLarge",
     "brute_counts",
     "generating_coeffs",
     "oracle_compare",
     "series_multiplicities",
-    "FORMAT_VERSION",
     "CensusResult",
     "FormatError",
     "IoError",
     "IsospectralFamily",
     "VerificationFailed",
     "VerificationReport",
-    "enumerate_classes",
     "export_csv",
     "load_results",
     "mirror_pair",
@@ -137,5 +87,4 @@ __all__ = [
     "spin_pair",
     "tower_family",
     "verify_family",
-    "__version__",
 ]

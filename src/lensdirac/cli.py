@@ -26,7 +26,6 @@ from .search import (
     FORMAT_VERSION,
     IoError,
     VerificationFailed,
-    census_threads,
     export_csv,
     mirror_pair,
     run_census,
@@ -136,12 +135,8 @@ def cmd_search(args) -> int:
             f"need 1 <= q-min <= q-max, got {args.q_min}..{args.q_max}")
     if args.dimension < 3 or args.dimension % 2 == 0:
         raise UsageError(f"dimension must be odd and >= 3, got {args.dimension}")
-    try:
-        threads = census_threads(args.threads)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     results = run_census(args.dimension, range(args.q_min, args.q_max + 1),
-                         args.mode, threads=threads)
+                         args.mode)
     found = 0
     for res in results:
         for fam in res.families:
@@ -251,9 +246,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="unoriented")
     p.add_argument("--out", help="write results as structured JSON")
     p.add_argument("--csv", help="write one CSV row per family member")
-    p.add_argument("--threads", type=int,
-                   help="worker threads, clamped to the CPU count "
-                        "(default: LENSDIRAC_THREADS, else 1)")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("family", help="known isospectral families")

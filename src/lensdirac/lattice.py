@@ -20,44 +20,34 @@ preserving signs, residues and sign parity, so
     N(eps, k) = sum_{beta >= 0} C(beta + m - 1, m - 1) * Nred(eps, k - beta*q)
 
 and the finite table Nred (zero above k = m(q-1)) determines the whole
-spectrum.  Two independent backends compute Nred exactly:
+spectrum.
 
-  * "packed": coordinate-by-coordinate dynamic programming over residues,
-    with the counts for every k packed into one big integer per
-    (residue, sign parity) at a fixed bit width.  Pure Python ints, no
-    overflow by construction, moderately slow.
-
-  * "mim": meet in the middle with numpy.  Each half of the coordinates
-    gets a dense table H[residue, e, parity] built by vectorized DP (or
-    direct enumeration for short halves), and the halves are contracted
-    by matrix products over residues plus an antidiagonal fold over e.
-    Every count in sight is bounded by the total number of reduced
-    points in the lattice, which is exactly 2*(2q)^(m-1); the backend
-    uses exact float64 BLAS when that bound is below 2^53, exact int64
-    otherwise, and refuses (falling back to "packed") beyond 2^63.  A
-    full table whose total is not that number raises ArithmeticError.
-
-Both backends produce identical tables; tests compare them and a brute
-force enumeration on small cases.  reduced_prefix() returns only the
-rows k <= K, from the same mim contraction over half tables capped at
-e <= K; a census buckets classes on such prefixes before it computes
-any full table.
+One routine computes it exactly, meet in the middle: each half of the
+coordinates gets a dense table H[residue, e, parity] built by vectorized
+DP (or direct enumeration for short halves), and the halves are
+contracted by matrix products over residues plus an antidiagonal fold
+over e.  Rows k <= K only read half-table entries with e <= K, so
+reduced_prefix() caps the half tables there; a census buckets classes on
+such prefixes before it computes any full table.  The arithmetic follows
+from a bound on every count in sight (at most the 2*(2q)^(m-1) reduced
+points of the lattice): exact float64 BLAS below 2^53, exact int64 below
+2^63, and beyond that a coordinate-by-coordinate DP over residues that
+packs the counts for every k into one big Python integer per (residue,
+sign parity).  A full table whose total is not 2*(2q)^(m-1) raises
+ArithmeticError, whichever arithmetic produced it.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from hashlib import sha256
-from typing import Literal, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from .lens import IsometryWitness, SpinLensSpace, h_shift
 from .numtheory import binomial
-
-Backend = Literal["auto", "packed", "mim"]
 
 _FLOAT_SAFE = 1 << 53
 _INT64_SAFE = (1 << 63) - 1
@@ -202,12 +192,7 @@ def _reduced_packed(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> list[lis
     return out
 
 
-# -------------------------------------------------------------------- mim
-
-_HALF_CACHE: OrderedDict[tuple, np.ndarray] = OrderedDict()
-_HALF_CACHE_LIMIT = 256
-_HALF_CACHE_LOCK = threading.Lock()
-
+# -------------------------------------------------------- meet in the middle
 
 def _half_table(q: int, mod: int, s_half: tuple[int, ...],
                 kcap: Optional[int] = None) -> np.ndarray:
@@ -215,28 +200,20 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...],
     the coordinates s_half: |a_j| = 2 e_j + 1 <= 2q - 1, e = sum e_j,
     parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  With
     kcap only e <= kcap is kept; a cap at or above the largest e is the
-    full table.  Full and capped tables share one bounded LRU.
-
-    The LRU bookkeeping mutates an OrderedDict, so it is guarded; a
-    cache miss computes outside the lock (worst case two threads build
-    the same table, both results are identical)."""
+    full table, so both share one cache entry."""
     if kcap is not None and kcap >= len(s_half) * (q - 1):
         kcap = None
-    key = (q, mod, s_half, kcap)
-    with _HALF_CACHE_LOCK:
-        hit = _HALF_CACHE.get(key)
-        if hit is not None:
-            _HALF_CACHE.move_to_end(key)
-            return hit
+    return _cached_half_table(q, mod, s_half, kcap)
+
+
+@lru_cache(maxsize=256)
+def _cached_half_table(q: int, mod: int, s_half: tuple[int, ...],
+                       kcap: Optional[int]) -> np.ndarray:
     if len(s_half) <= 3:
         table = _half_by_enumeration(q, mod, s_half, kcap)
     else:
         table = _half_by_dp(q, mod, s_half, kcap)
     table.flags.writeable = False
-    with _HALF_CACHE_LOCK:
-        _HALF_CACHE[key] = table
-        if len(_HALF_CACHE) > _HALF_CACHE_LIMIT:
-            _HALF_CACHE.popitem(last=False)
     return table
 
 
@@ -303,8 +280,8 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
 
     The caller picks use_float only when every count involved stays
     below 2^53, where float64 sums of nonnegative integers are exact;
-    _reduced_mim checks the full table's total against the exact number
-    of reduced points."""
+    _rows checks a full table's total against the exact number of
+    reduced points."""
     mod, ka, _ = ta.shape
     kb = tb.shape[1]
     if use_float:
@@ -321,83 +298,67 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
     return out.astype(np.int64)
 
 
-def _reduced_mim(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> Optional[list[list[int]]]:
+def _rows(q: int, mod: int, tgt: int, sn: tuple[int, ...],
+          levels: int) -> tuple[tuple[int, int], ...]:
+    """Rows k = 0..levels (at most m(q-1)) of the reduced table of the
+    normalized lattice (q, mod, tgt, sn)."""
     m = len(sn)
-    bound = 2 * (2 * q) ** (m - 1)  # exact total of reduced points
-    if bound > _INT64_SAFE:
-        return None
-    ta = _half_table(q, mod, sn[: m // 2])
-    tb = _half_table(q, mod, sn[m // 2:])
     kmax = reduced_level_bound(q, m)
-    if ta.shape[1] + tb.shape[1] - 2 != kmax:
-        raise ArithmeticError(
-            f"half tables reach e = {ta.shape[1] - 1} and {tb.shape[1] - 1}, "
-            f"which do not add up to kmax = {kmax}")
-    rows = _contract(ta, tb, tgt, kmax, bound < _FLOAT_SAFE).tolist()
-    total = sum(map(sum, rows))
-    if total != bound:
-        raise ArithmeticError(
-            f"mim table for q={q}, m={m} totals {total}, not the "
-            f"2(2q)^(m-1) = {bound} reduced points")
-    return rows
+    total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
+    # every entry of a contraction capped at levels counts lattice points
+    # of level <= 2*levels, and there are 2^m C(2 levels + m, m) such odd
+    # vectors in all
+    bound = min(total, (1 << m) * binomial(2 * levels + m, m))
+    if bound > _INT64_SAFE:
+        rows = _reduced_packed(q, mod, tgt, sn)[: levels + 1]
+    else:
+        ta = _half_table(q, mod, sn[: m // 2], levels)
+        tb = _half_table(q, mod, sn[m // 2:], levels)
+        if levels == kmax and ta.shape[1] + tb.shape[1] - 2 != kmax:
+            raise ArithmeticError(
+                f"half tables reach e = {ta.shape[1] - 1} and {tb.shape[1] - 1}, "
+                f"which do not add up to kmax = {kmax}")
+        rows = _contract(ta, tb, tgt, levels, bound < _FLOAT_SAFE).tolist()
+    if levels == kmax:
+        got = sum(map(sum, rows))
+        if got != total:
+            raise ArithmeticError(
+                f"table for q={q}, m={m} totals {got}, not the "
+                f"2(2q)^(m-1) = {total} reduced points")
+    return tuple((even, odd) for even, odd in rows)
 
 
 # ------------------------------------------------------------ public API
 
-_TABLE_CACHE: dict[tuple, ReducedCountTable] = {}
+@lru_cache(maxsize=256)
+def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCountTable:
+    kmax = reduced_level_bound(q, len(sn))
+    return ReducedCountTable(q, len(sn), _rows(q, mod, tgt, sn, kmax))
 
 
-def reduced_counts(lat: CongruenceLattice, backend: Backend = "auto") -> ReducedCountTable:
+def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
     """Exact table of Nred(parity, k) for k = 0..m(q-1)."""
-    q, mod, tgt, sn = _norm_key(lat)
-    cache_key = (q, mod, tgt, sn, backend)
-    hit = _TABLE_CACHE.get(cache_key)
-    if hit is not None:
-        return hit
-    rows: Optional[list[list[int]]] = None
-    if backend in ("auto", "mim"):
-        rows = _reduced_mim(q, mod, tgt, sn)
-        if rows is None and backend == "mim":
-            raise OverflowError(
-                f"mim backend refuses q={q}, m={len(sn)}: counts exceed int64")
-    if rows is None:
-        rows = _reduced_packed(q, mod, tgt, sn)
-    table = ReducedCountTable(q, len(sn), tuple((r[0], r[1]) for r in rows))
-    _TABLE_CACHE[cache_key] = table
-    return table
+    return _full_table(*_norm_key(lat))
 
 
 def reduced_prefix(lat: CongruenceLattice, levels: int) -> tuple[tuple[int, int], ...]:
     """Rows k = 0..levels of the reduced table, equal to
     reduced_counts(lat).rows[:levels + 1] (the whole table once levels
-    reaches m(q-1)).  Level k <= levels only reads half-table entries
-    with e <= levels, so the half tables are capped there and the
+    reaches m(q-1)).  The half tables are capped at levels, so the
     contraction costs O(mod * levels^2) instead of O(mod * q^2).  The
     result is not cached."""
     if levels < 0:
         raise ValueError(f"levels must be >= 0, got {levels}")
     q, mod, tgt, sn = _norm_key(lat)
-    m = len(sn)
-    levels = min(levels, reduced_level_bound(q, m))
-    # every entry of the capped contraction counts lattice points of
-    # level <= 2*levels, and there are 2^m C(2 levels + m, m) such
-    # odd vectors in all
-    bound = min(2 * (2 * q) ** (m - 1), (1 << m) * binomial(2 * levels + m, m))
-    if bound > _INT64_SAFE:
-        return reduced_counts(lat).rows[: levels + 1]
-    ta = _half_table(q, mod, sn[: m // 2], levels)
-    tb = _half_table(q, mod, sn[m // 2:], levels)
-    out = _contract(ta, tb, tgt, levels, bound < _FLOAT_SAFE)
-    return tuple((even, odd) for even, odd in out.tolist())
+    return _rows(q, mod, tgt, sn, min(levels, reduced_level_bound(q, len(sn))))
 
 
-def count(lat: CongruenceLattice, parity: int, k: int,
-          backend: Backend = "auto") -> int:
+def count(lat: CongruenceLattice, parity: int, k: int) -> int:
     """N(parity, k): lattice points with sum |a_j| = 2k + m and sign
     parity as given.  Exact for every k via the reduction to Nred."""
     if k < 0:
         return 0
-    table = reduced_counts(lat, backend)
+    table = reduced_counts(lat)
     m = lat.m
     total = 0
     beta = 0
@@ -410,5 +371,5 @@ def count(lat: CongruenceLattice, parity: int, k: int,
 def clear_caches() -> None:
     """Drop memoized half tables and count tables (mostly for tests and
     long multi-census runs)."""
-    _HALF_CACHE.clear()
-    _TABLE_CACHE.clear()
+    _cached_half_table.cache_clear()
+    _full_table.cache_clear()

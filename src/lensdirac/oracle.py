@@ -17,6 +17,7 @@ multiplicity exceeds: the residues are the multiplicities themselves.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -143,16 +144,10 @@ def series_multiplicities(x: SpinLensSpace, k_max: int) -> tuple[tuple[int, int]
     return tuple(zip(f_minus, f_plus))
 
 
-_POINT_CACHE: dict[tuple[int, int], tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-
-
+@lru_cache(maxsize=8)
 def _odd_points(m: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """All odd integer vectors with sum |a_j| <= 2*k_max + m, plus their
     levels and sign parities."""
-    key = (m, k_max)
-    hit = _POINT_CACHE.get(key)
-    if hit is not None:
-        return hit
     vals = np.arange(-(2 * k_max + 1), 2 * k_max + 2, 2, dtype=np.int64)
     grids = np.meshgrid(*([vals] * m), indexing="ij")
     a = np.stack([g.ravel() for g in grids], axis=1)
@@ -161,9 +156,8 @@ def _odd_points(m: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     a = a[keep]
     level = (norm[keep] - m) // 2
     parity = (a < 0).sum(axis=1) % 2
-    if len(_POINT_CACHE) >= 8:
-        _POINT_CACHE.clear()
-    _POINT_CACHE[key] = (a, level, parity)
+    for arr in (a, level, parity):
+        arr.flags.writeable = False  # cached: every caller shares them
     return a, level, parity
 
 

@@ -6,10 +6,9 @@ families, a from-scratch family verifier, and result persistence.
 Class enumeration is vectorized: all candidate parameter multisets are
 canonicalized in bulk with numpy, one lexicographic-minimum update per
 unit of the residue ring.  Fingerprinting runs in two phases, each a
-plain map over the representatives (optionally threaded,
-LENSDIRAC_THREADS): a sketch of the first _SKETCH_LEVELS + 1 table rows
-for every class, then the full table only for classes whose sketch
-collides with another's.  Grouping is a single-threaded reduction in
+plain loop over the representatives: a sketch of the first
+_SKETCH_LEVELS + 1 table rows for every class, then the full table only
+for classes whose sketch collides with another's.  Grouping follows
 enumeration order, so output is deterministic.
 """
 
@@ -19,7 +18,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
 from typing import Callable, Iterable, Optional, Sequence, TextIO
@@ -35,7 +33,7 @@ from .lens import (
     self_transport_pairs,
     spin_space,
 )
-from .lattice import Backend, ReducedCountTable, lattice_of, reduced_prefix
+from .lattice import ReducedCountTable, lattice_of, reduced_prefix
 from .numtheory import units
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
@@ -201,22 +199,6 @@ def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[Spi
 _SKETCH_LEVELS = 16
 
 
-def census_threads(threads: Optional[int] = None) -> int:
-    """Worker threads for a census: the given count, or else
-    LENSDIRAC_THREADS (default 1), clamped to the number of CPUs."""
-    source, value = "threads", threads
-    if threads is None:
-        source = "LENSDIRAC_THREADS"
-        value = os.environ.get(source, "1")
-    try:
-        count = int(value)
-    except ValueError:
-        count = 0
-    if count < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return min(count, os.cpu_count() or 1)
-
-
 def _swap_rows(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
     return tuple((odd, even) for even, odd in rows)
 
@@ -226,21 +208,8 @@ def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
     return min(rows, _swap_rows(rows)) if mode == "unoriented" else rows
 
 
-def _map_fingerprints(fn: Callable[[SpinLensSpace], object],
-                      reps: Sequence[SpinLensSpace], threads: int) -> list:
-    if threads > 1 and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, reps))
-    return [fn(x) for x in reps]
-
-
-def _sketch(x: SpinLensSpace) -> tuple[tuple[int, int], ...]:
-    return reduced_prefix(lattice_of(x), _SKETCH_LEVELS)
-
-
-def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
-               backend: Backend = "auto",
-               threads: Optional[int] = None) -> tuple[CensusResult, ...]:
+def run_census(n: int, q_range: Iterable[int],
+               mode: KeyMode = "unoriented") -> tuple[CensusResult, ...]:
     """Collect, for each q, the groups of >= 2 classes with matching
     spectra.
 
@@ -254,10 +223,8 @@ def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
     k <= _SKETCH_LEVELS (up to the swap, in unoriented mode): equal
     tables have equal prefixes, so a class alone in its bucket is alone
     in its spectrum and needs no full table.  Only classes sharing a
-    bucket get fingerprint() (with the given backend; the sketch is exact
-    whatever the backend), and CensusResult.fingerprints counts them.
+    bucket get fingerprint(), and CensusResult.fingerprints counts them.
     """
-    threads = census_threads(threads)
     m = (n + 1) // 2
     results: list[CensusResult] = []
     for q in q_range:
@@ -270,15 +237,15 @@ def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
         buckets: dict[tuple, list[int]] = {}
-        for idx, rows in enumerate(_map_fingerprints(_sketch, reps, threads)):
-            buckets.setdefault(_group_key(rows, mode), []).append(idx)
+        for idx, x in enumerate(reps):
+            sketch = reduced_prefix(lattice_of(x), _SKETCH_LEVELS)
+            buckets.setdefault(_group_key(sketch, mode), []).append(idx)
         survivors = sorted(i for idxs in buckets.values() if len(idxs) > 1
                            for i in idxs)
-        tables = _map_fingerprints(lambda x: fingerprint(x, backend),
-                                   [reps[i] for i in survivors], threads)
         groups: dict[tuple, list[int]] = {}
-        for idx, table in zip(survivors, tables):
-            groups.setdefault(_group_key(table.rows, mode), []).append(idx)
+        for idx in survivors:
+            rows = fingerprint(reps[idx]).rows
+            groups.setdefault(_group_key(rows, mode), []).append(idx)
         families = []
         for rows, idxs in groups.items():
             if len(idxs) < 2:
@@ -290,7 +257,7 @@ def run_census(n: int, q_range: Iterable[int], mode: KeyMode = "unoriented",
             families.append(IsospectralFamily(digest, members, flags))
         results.append(CensusResult(
             n=n, q=q, mode=mode, families=tuple(families), classes=len(reps),
-            fingerprints=len(tables), seconds=time.perf_counter() - started))
+            fingerprints=len(survivors), seconds=time.perf_counter() - started))
     return tuple(results)
 
 
@@ -345,7 +312,6 @@ def mirror_pair(r: int, t: int = 1) -> tuple[tuple[SpinLensSpace, SpinLensSpace]
 
 def verify_family(members: Sequence[SpinLensSpace],
                   expect_nonisometric: bool = True,
-                  backend: Backend = "auto",
                   up_to_reflection: bool = False) -> VerificationReport:
     """Recheck a claimed family from scratch: every pair must be strictly
     isospectral (tables equal entrywise), and with expect_nonisometric no
@@ -366,10 +332,10 @@ def verify_family(members: Sequence[SpinLensSpace],
 
     checks: list[str] = []
     for a, b in combinations(members, 2):
-        if dirac_isospectral(a, b, backend):
+        if dirac_isospectral(a, b):
             checks.append(
                 f"isospectral  {format_spin_lens(a)} == {format_spin_lens(b)}")
-        elif up_to_reflection and inverse_isospectral(a, b, backend):
+        elif up_to_reflection and inverse_isospectral(a, b):
             checks.append(
                 f"isospectral after reflection  "
                 f"{format_spin_lens(a)} ~ {format_spin_lens(b)}")

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .lattice import Backend, ReducedCountTable, count, lattice_of, reduced_counts
+from .lattice import ReducedCountTable, count, lattice_of, reduced_counts
 from .lens import SpinLensSpace
 from .numtheory import binomial
 
@@ -57,8 +57,7 @@ def sphere_multiplicity(n: int, k: int) -> int:
     return (1 << ((n - 1) // 2)) * binomial(k + n - 1, n - 1)
 
 
-def multiplicity(x: SpinLensSpace, sign: int, k: int,
-                 backend: Backend = "auto") -> int:
+def multiplicity(x: SpinLensSpace, sign: int, k: int) -> int:
     """Multiplicity of sign * (k + m - 1/2) in the Dirac spectrum of x."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
@@ -70,16 +69,15 @@ def multiplicity(x: SpinLensSpace, sign: int, k: int,
     total = 0
     for r in range(k + 1):
         w = binomial(r + m - 2, m - 2)
-        total += w * count(lat, (r + offset) % 2, k - r, backend)
+        total += w * count(lat, (r + offset) % 2, k - r)
     return total
 
 
-def spectrum_table(x: SpinLensSpace, kmax: int,
-                   backend: Backend = "auto") -> list[LevelMultiplicities]:
+def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
     """Multiplicities of every eigenvalue pair for k = 0..kmax."""
     lat = lattice_of(x)
     m = x.m
-    counts = [[count(lat, p, k, backend) for p in (0, 1)] for k in range(kmax + 1)]
+    counts = [[count(lat, p, k) for p in (0, 1)] for k in range(kmax + 1)]
     out = []
     for k in range(kmax + 1):
         minus = plus = 0
@@ -91,29 +89,27 @@ def spectrum_table(x: SpinLensSpace, kmax: int,
     return out
 
 
-def fingerprint(x: SpinLensSpace, backend: Backend = "auto") -> ReducedCountTable:
+def fingerprint(x: SpinLensSpace) -> ReducedCountTable:
     """The finite exact invariant deciding Dirac isospectrality: the
     reduced count table of the space's congruence lattice."""
-    return reduced_counts(lattice_of(x), backend)
+    return reduced_counts(lattice_of(x))
 
 
-def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace,
-                      backend: Backend = "auto") -> bool:
+def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     """Exact decision; spaces of different q or dimension are never
     Dirac isospectral (growth and spacing of the spectrum already
     determine q and m), so no counting happens in that case."""
     if a.q != b.q or a.m != b.m:
         return False
-    return fingerprint(a, backend).rows == fingerprint(b, backend).rows
+    return fingerprint(a).rows == fingerprint(b).rows
 
 
-def inverse_isospectral(a: SpinLensSpace, b: SpinLensSpace,
-                        backend: Backend = "auto") -> bool:
+def inverse_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     """True when the spectrum of a matches the spectrum of b with the
     sign of every eigenvalue flipped (multiplicity of +lambda in a equals
     that of -lambda in b): the parity columns swap."""
     if a.q != b.q or a.m != b.m:
         return False
-    ra = fingerprint(a, backend).rows
-    rb = fingerprint(b, backend).rows
+    ra = fingerprint(a).rows
+    rb = fingerprint(b).rows
     return all(x == (y[1], y[0]) for x, y in zip(ra, rb))

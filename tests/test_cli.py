@@ -197,18 +197,6 @@ def test_search_rejects_bad_range(capsys):
     assert "odd" in err
 
 
-def test_search_threads(monkeypatch, capsys):
-    code, out, _ = run(capsys, "search", "-n", "7", "--q-min", "32",
-                       "--q-max", "32", "--threads", "2")
-    assert code == 0 and "1 families found" in out
-    code, _, err = run(capsys, "search", "-n", "7", "--q-max", "5",
-                       "--threads", "0")
-    assert code == 2 and "threads" in err
-    monkeypatch.setenv("LENSDIRAC_THREADS", "lots")
-    code, _, err = run(capsys, "search", "-n", "7", "--q-max", "5")
-    assert code == 2 and "LENSDIRAC_THREADS" in err
-
-
 def test_family_tower_verify(capsys):
     code, out, _ = run(capsys, "family", "51", "-r", "2", "--verify")
     assert code == 0

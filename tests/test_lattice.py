@@ -6,7 +6,6 @@ import pytest
 
 from lensdirac import lattice
 from lensdirac.lattice import (
-    CongruenceLattice,
     apply_norm_isometry,
     clear_caches,
     contains,
@@ -21,6 +20,7 @@ from lensdirac.lattice import (
 )
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import units
+from lensdirac.search import tower_family
 
 
 def brute_reduced_rows(lat):
@@ -84,12 +84,16 @@ def test_membership_example_q32():
     assert point_level((9, 1, 1, 1)) == 4
 
 
+def packed_rows(lat):
+    """Reference table from the packed big-integer DP alone."""
+    return tuple(map(tuple, lattice._reduced_packed(*lattice._norm_key(lat))))
+
+
 def test_reduced_rows_match_brute_force():
     for lat in sample_lattices():
-        expect = brute_reduced_rows(lat)
-        for backend in ("packed", "mim"):
-            table = reduced_counts(lat, backend)
-            assert list(table.rows) == expect, (lat, backend)
+        expect = tuple(brute_reduced_rows(lat))
+        assert reduced_counts(lat).rows == expect, lat
+        assert packed_rows(lat) == expect, lat
 
 
 def test_backends_agree_on_larger_cases():
@@ -102,10 +106,7 @@ def test_backends_agree_on_larger_cases():
     ]
     for x in cases:
         lat = lattice_of(x)
-        a = reduced_counts(lat, "packed")
-        b = reduced_counts(lat, "mim")
-        assert a.rows == b.rows
-        assert a.digest() == b.digest()
+        assert reduced_counts(lat).rows == packed_rows(lat), x
 
 
 def test_reduced_total_is_exact():
@@ -177,10 +178,30 @@ def test_transport_preserves_lattice_membership():
     assert moved > 0
 
 
-def test_mim_refuses_beyond_int64():
-    lat = CongruenceLattice(200, tuple([1] * 10), 400, 200)
-    with pytest.raises(OverflowError):
-        reduced_counts(lat, "mim")
+def test_prefix_on_float64_matches_packed_table_past_int64():
+    """A tower member (q = 40, m = 14) has 2*80^13 reduced points, past
+    int64, so its full table comes from the packed DP; short prefixes
+    stay below 2^53 and run on float64 products."""
+    lat = lattice_of(tower_family(3)[1])
+    full = reduced_counts(lat)
+    assert full.total() == 2 * 80 ** 13
+    for levels in (3, 8, 12):
+        assert reduced_prefix(lat, levels) == full.rows[: levels + 1]
+
+
+def test_packed_table_total_is_checked(monkeypatch):
+    real = lattice._reduced_packed
+
+    def off_by_one(q, mod, tgt, sn):
+        rows = real(q, mod, tgt, sn)
+        rows[q][1] += 1
+        return rows
+
+    monkeypatch.setattr(lattice, "_reduced_packed", off_by_one)
+    lat = lattice_of(tower_family(3)[0])
+    clear_caches()
+    with pytest.raises(ArithmeticError, match="reduced points"):
+        reduced_counts(lat)
 
 
 def test_reduced_prefix_matches_full_table():
@@ -230,7 +251,7 @@ def test_mim_rejects_half_tables_of_the_wrong_size(monkeypatch):
     lat = lattice_of(spin_space(11, (1, 2, 3, 5)))
     clear_caches()
     with pytest.raises(ArithmeticError, match="kmax"):
-        reduced_counts(lat, "mim")
+        reduced_counts(lat)
 
 
 def test_mim_rejects_non_integer_float_counts(monkeypatch):
@@ -241,7 +262,7 @@ def test_mim_rejects_non_integer_float_counts(monkeypatch):
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
-        reduced_counts(lat, "mim")
+        reduced_counts(lat)
 
 
 @pytest.mark.parametrize("float_safe", [lattice._FLOAT_SAFE, 0])
@@ -256,4 +277,4 @@ def test_mim_rejects_integer_corruption(monkeypatch, float_safe):
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
-        reduced_counts(lat, "mim")
+        reduced_counts(lat)

@@ -1,5 +1,4 @@
 import json
-import os
 import random
 from dataclasses import replace
 from itertools import combinations, product
@@ -24,7 +23,6 @@ from lensdirac.search import (
     IoError,
     IsospectralFamily,
     VerificationFailed,
-    census_threads,
     enumerate_classes,
     export_csv,
     load_results,
@@ -178,14 +176,6 @@ def test_census_q81_three_families():
     }
 
 
-def test_census_determinism_across_threads():
-    a = run_census(7, [49], threads=1)[0]
-    b = run_census(7, [49], threads=2)[0]
-    strip = lambda r: (r.n, r.q, r.mode, r.families, r.classes,
-                       r.fingerprints, r.note)
-    assert strip(a) == strip(b)
-
-
 def test_census_families_verify_from_scratch():
     for q, mode in [(49, "unoriented"), (49, "oriented"), (81, "unoriented")]:
         res = census(7, q, mode)
@@ -194,22 +184,6 @@ def test_census_families_verify_from_scratch():
             verify_family(fam.members,
                           expect_nonisometric=not any(fam.trivial_flags),
                           up_to_reflection=(mode == "unoriented"))
-
-
-def test_census_threads_validates_and_clamps(monkeypatch):
-    cpus = os.cpu_count() or 1
-    monkeypatch.delenv("LENSDIRAC_THREADS", raising=False)
-    assert census_threads() == 1
-    assert census_threads(10 ** 9) == cpus
-    monkeypatch.setenv("LENSDIRAC_THREADS", str(10 ** 9))
-    assert census_threads() == cpus
-    assert census_threads(1) == 1
-    for junk in ("many", "2.5", "", "0", "-3"):
-        monkeypatch.setenv("LENSDIRAC_THREADS", junk)
-        with pytest.raises(ValueError, match="LENSDIRAC_THREADS"):
-            census_threads()
-    with pytest.raises(ValueError, match="threads"):
-        census_threads(0)
 
 
 def test_census_dim5_small_sweep_is_empty():
@@ -407,7 +381,7 @@ def test_verify_family_up_to_reflection():
 # -------------------------------------------------------------- persistence
 
 def test_save_load_round_trip(tmp_path):
-    results = run_census(7, [49], threads=1) + run_census(9, [4])
+    results = run_census(7, [49]) + run_census(9, [4])
     path = tmp_path / "census.json"
     save_results(results, str(path))
     loaded = load_results(str(path))
