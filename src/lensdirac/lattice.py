@@ -23,17 +23,18 @@ and the finite table Nred (zero above k = m(q-1)) determines the whole
 spectrum.
 
 One routine computes it exactly, meet in the middle: each half of the
-coordinates gets a dense table H[residue, e, parity] built by vectorized
-DP (or direct enumeration for short halves), and the halves are
-contracted by matrix products over residues plus an antidiagonal fold
-over e.  Rows k <= K only read half-table entries with e <= K, so
-reduced_prefix() caps the half tables there; a census buckets classes on
-such prefixes before it computes any full table.  The arithmetic follows
-from a bound on every count in sight (at most the 2*(2q)^(m-1) reduced
-points of the lattice): exact float64 BLAS below 2^53, exact int64 below
-2^63, and beyond that a coordinate-by-coordinate DP over residues that
-packs the counts for every k into one big Python integer per (residue,
-sign parity).  A full table whose total is not 2*(2q)^(m-1) raises
+coordinates gets a dense table H[residue, e, parity], which counts the
+first two coordinates' choices outright and adds each further coordinate
+as a window sum over levels, and the halves are contracted by matrix
+products over residues plus an antidiagonal fold over e.  Rows k <= K
+only read half-table entries with e <= K, so reduced_prefix() caps the
+half tables there; a census buckets classes on such prefixes before it
+computes any full table.  The arithmetic follows from a bound on every
+count in sight (at most the 2*(2q)^(m-1) reduced points of the
+lattice): exact float64 BLAS below 2^53, exact int64 below 2^63, and
+beyond that a coordinate-by-coordinate DP over residues that packs the
+counts for every k into one big Python integer per (residue, sign
+parity).  A full table whose total is not 2*(2q)^(m-1) raises
 ArithmeticError, whichever arithmetic produced it.
 """
 
@@ -200,7 +201,9 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...],
     the coordinates s_half: |a_j| = 2 e_j + 1 <= 2q - 1, e = sum e_j,
     parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  With
     kcap only e <= kcap is kept; a cap at or above the largest e is the
-    full table, so both share one cache entry."""
+    full table, so both share one cache entry.  Capped or full, every
+    table comes from enumerating the first two coordinates and adding
+    each further one as a window sum over levels."""
     if kcap is not None and kcap >= len(s_half) * (q - 1):
         kcap = None
     return _cached_half_table(q, mod, s_half, kcap)
@@ -209,59 +212,40 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...],
 @lru_cache(maxsize=256)
 def _cached_half_table(q: int, mod: int, s_half: tuple[int, ...],
                        kcap: Optional[int]) -> np.ndarray:
-    if len(s_half) <= 3:
-        table = _half_by_enumeration(q, mod, s_half, kcap)
-    else:
-        table = _half_by_dp(q, mod, s_half, kcap)
-    table.flags.writeable = False
-    return table
-
-
-def _half_by_enumeration(q: int, mod: int, s_half: tuple[int, ...],
-                         kcap: Optional[int] = None) -> np.ndarray:
-    n = len(s_half)
-    esize = q if kcap is None else min(q, kcap + 1)
-    width = n * (esize - 1) + 1
-    vals = 2 * np.arange(esize, dtype=np.int64) + 1
-    grids = np.meshgrid(*([vals] * n), indexing="ij")
-    esum = sum((g - 1) // 2 for g in grids).ravel()
-    table = np.zeros(mod * width * 2, dtype=np.int64)
-    for signs in np.ndindex(*([2] * n)):
-        acc = np.zeros_like(grids[0], dtype=np.int64)
-        parity = 0
-        for g, s, neg in zip(grids, s_half, signs):
-            acc = acc + (-g if neg else g) * s
-            parity ^= neg
-        res = np.mod(acc.ravel(), mod)
-        flat = (res * width + esum) * 2 + parity
-        table += np.bincount(flat, minlength=mod * width * 2).astype(np.int64)
-    table = table.reshape(mod, width, 2)
-    return table if kcap is None else table[:, : kcap + 1].copy()
-
-
-def _half_by_dp(q: int, mod: int, s_half: tuple[int, ...],
-                kcap: Optional[int] = None) -> np.ndarray:
-    table = np.zeros((mod, 1, 2), dtype=np.int64)
-    table[0, 0, 0] = 1
-    rows = np.arange(mod)
-    for s in s_half:
-        kold = table.shape[1]
-        width = kold + q - 1
-        if kcap is not None:
-            width = min(width, kcap + 1)
-        new = np.zeros((mod, width, 2), dtype=np.int64)
-        for e in range(min(q, width)):
-            span = min(kold, width - e)
-            v = (2 * e + 1) * s
-            for sign in (1, -1):
-                d = (sign * v) % mod
-                rolled_rows = (rows + d) % mod
-                if sign == 1:
-                    new[rolled_rows, e:e + span, :] += table[:, :span]
-                else:
-                    new[rolled_rows, e:e + span, 0] += table[:, :span, 1]
-                    new[rolled_rows, e:e + span, 1] += table[:, :span, 0]
+    width = len(s_half) * (q - 1) + 1 if kcap is None else kcap + 1
+    # the first two coordinates: every (size, sign) choice of each, summed
+    # outright and counted by one bincount
+    e1 = np.arange(min(q, width))
+    a1 = np.concatenate([2 * e1 + 1, -2 * e1 - 1])
+    e1, p1 = np.tile(e1, 2), np.repeat([0, 1], len(e1))
+    res = e = par = np.zeros(1, dtype=np.int64)
+    for s in s_half[:2]:
+        res = np.add.outer(res, a1 * s).ravel()
+        e = np.add.outer(e, e1).ravel()
+        par = np.add.outer(par, p1).ravel()
+    keep = e < width
+    flat = ((res[keep] % mod) * width + e[keep]) * 2 + par[keep] % 2
+    table = np.bincount(flat, minlength=mod * width * 2).reshape(mod * width, 2)
+    # each further coordinate s: a choice of size e' and sign moves
+    # (r, e) to (r + sign (2e' + 1) s, e + e').  Read at row
+    # r - 2 sign s e on level e, every choice of e' lands on the same row
+    # (shifted by sign s), so the q sizes are a window of q consecutive
+    # levels: one cumsum and one difference.  The cumsums never exceed
+    # the half table's total, at most 2^n C(width - 1 + n, n) capped or
+    # (2q)^n in full, which the bound in _rows keeps below 2^63.
+    rows, lev = np.arange(mod)[:, None], np.arange(width)
+    for s in s_half[2:]:
+        new = np.zeros_like(table)
+        for sign in (1, -1):
+            skew = table.take((rows + 2 * sign * s * lev) % mod * width + lev, axis=0)
+            acc = np.cumsum(skew, axis=1)
+            acc[:, q:] -= acc[:, :-q].copy()
+            back = (rows - sign * s * (2 * lev + 1)) % mod * width + lev
+            acc = acc.reshape(-1, 2).take(back.ravel(), axis=0)
+            new += acc if sign == 1 else acc[:, ::-1]
         table = new
+    table = table.reshape(mod, width, 2)
+    table.flags.writeable = False
     return table
 
 

@@ -291,8 +291,7 @@ def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
     if q == 2:
         # every normalized parameter is 1; eps is free and each flip
         # toggles orientation and transport parity together
-        for ell in (1,):
-            yield ell, frozenset(((0, 0), (1, 1)))
+        yield 1, frozenset(((0, 0), (1, 1)))
         return
     fb = sorted(_fold(u, q) for u in sn_b)
     u_high = sum(1 for u in sn_b if 2 * u > q)
@@ -392,14 +391,12 @@ def _find_witness(a: LensParams, b: LensParams, mode: IsoMode,
         else:
             v = [(ell * x) % q for x in sn_a]
             sigma, eps = _build_assignment(v, sn_b, q)
-        ell_rep = ell if q == 1 else ell % q
-        witness = IsometryWitness(
-            ell=ell_rep,
+        return IsometryWitness(
+            ell=ell,
             sigma=tuple(sigma),
             eps=tuple(eps),
-            spin_shift=_raw_spin_shift(ell_rep, sigma, eps, a, b),
+            spin_shift=_raw_spin_shift(ell, sigma, eps, a, b),
         )
-        return witness
     return None
 
 

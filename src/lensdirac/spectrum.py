@@ -76,13 +76,19 @@ def multiplicity(x: SpinLensSpace, sign: int, k: int) -> int:
 def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
     """Multiplicities of every eigenvalue pair for k = 0..kmax."""
     lat = lattice_of(x)
-    m = x.m
-    counts = [[count(lat, p, k) for p in (0, 1)] for k in range(kmax + 1)]
+    table = reduced_counts(lat)
+    m, q = x.m, lat.q
+    # N(p, k) from the reduced table, as in lattice.count
+    lift = [binomial(beta + m - 1, m - 1) for beta in range(kmax // q + 1)]
+    counts = [[sum(lift[beta] * table.get(p, k - beta * q)
+                   for beta in range(k // q + 1)) for p in (0, 1)]
+              for k in range(kmax + 1)]
+    weights = [binomial(r + m - 2, m - 2) for r in range(kmax + 1)]
     out = []
     for k in range(kmax + 1):
         minus = plus = 0
         for r in range(k + 1):
-            w = binomial(r + m - 2, m - 2)
+            w = weights[r]
             minus += w * counts[k - r][r % 2]
             plus += w * counts[k - r][(r + 1) % 2]
         out.append(LevelMultiplicities(k, Eigenvalue(k, m).value2, minus, plus))

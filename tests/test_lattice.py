@@ -204,10 +204,40 @@ def test_packed_table_total_is_checked(monkeypatch):
         reduced_counts(lat)
 
 
+def brute_half_table(q, mod, s_half):
+    """H[residue, e, parity] by trying every (size, sign) choice of every
+    coordinate."""
+    n = len(s_half)
+    table = np.zeros((mod, n * (q - 1) + 1, 2), dtype=np.int64)
+    for choice in product(product(range(q), (1, -1)), repeat=n):
+        res = sum(sg * (2 * e + 1) * sj for (e, sg), sj in zip(choice, s_half))
+        neg = sum(1 for _, sg in choice if sg < 0)
+        table[res % mod, sum(e for e, _ in choice), neg % 2] += 1
+    return table
+
+
+def test_half_tables_match_brute_force():
+    rng = random.Random(2024)
+    qs = {1: (13, 12), 2: (9, 10), 3: (7, 6), 4: (5, 4), 5: (3, 4), 6: (3, 2)}
+    for n, (q_odd, q_even) in qs.items():
+        for q, mod in ((q_odd, q_odd), (q_even, 2 * q_even)):
+            s_half = tuple(sorted(rng.randrange(q) for _ in range(n)))
+            full = brute_half_table(q, mod, s_half)
+            emax = n * (q - 1)
+            for kcap in (None, 0, 1, 16, rng.randrange(emax + 1), emax + 5):
+                got = lattice._half_table(q, mod, s_half, kcap)
+                width = emax + 1 if kcap is None else min(kcap, emax) + 1
+                assert got.dtype == np.int64
+                assert np.array_equal(got, full[:, :width]), (q, mod, s_half, kcap)
+                assert not got.flags.writeable
+                with pytest.raises(ValueError):
+                    got[0, 0, 0] = 1
+
+
 def test_reduced_prefix_matches_full_table():
-    """Capped half tables (enumerated for halves of <= 3 coordinates, DP
-    beyond) give exactly the leading rows of the full table; a prefix at
-    or past kmax is the whole table."""
+    """Capped half tables, from the same builder as full ones at every
+    half size (one to five coordinates here), give exactly the leading
+    rows of the full table; a prefix at or past kmax is the whole table."""
     rng = random.Random(1611)
     qmax = {2: 40, 3: 30, 4: 24, 5: 12, 6: 10, 7: 7, 8: 6, 9: 5, 10: 5}
     for m in range(2, 11):
