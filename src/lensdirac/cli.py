@@ -179,7 +179,7 @@ def cmd_family(args) -> int:
         else:
             if args.r is None:
                 raise UsageError("mirror family needs -r")
-            groups = list(mirror_pair(args.r, args.t if args.t else 1))
+            groups = list(mirror_pair(args.r, 1 if args.t is None else args.t))
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

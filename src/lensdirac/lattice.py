@@ -26,16 +26,14 @@ One routine computes it exactly, meet in the middle: each half of the
 coordinates gets a dense table H[residue, e, parity], which counts the
 first two coordinates' choices outright and adds each further coordinate
 as a window sum over levels, and the halves are contracted by matrix
-products over residues plus an antidiagonal fold over e.  Rows k <= K
-only read half-table entries with e <= K, so reduced_prefix() caps the
-half tables there; a census buckets classes on such prefixes before it
-computes any full table.  The arithmetic follows from a bound on every
-count in sight (at most the 2*(2q)^(m-1) reduced points of the
-lattice): exact float64 BLAS below 2^53, exact int64 below 2^63, and
-beyond that a coordinate-by-coordinate DP over residues that packs the
-counts for every k into one big Python integer per (residue, sign
-parity).  A full table whose total is not 2*(2q)^(m-1) raises
-ArithmeticError, whichever arithmetic produced it.
+products over residues plus an antidiagonal fold over e.  The arithmetic
+follows from the 2*(2q)^(m-1) reduced points of the lattice, which bound
+every count in sight: exact float64 BLAS below 2^53, exact int64 below
+2^63, and beyond that a coordinate-by-coordinate DP over residues that
+packs the counts for every k into one big Python integer per (residue,
+sign parity).  Whichever arithmetic produced it, a table with the wrong
+number of rows, a total other than 2*(2q)^(m-1) or rows that are not
+symmetric under k -> m(q-1) - k raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -43,12 +41,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .lens import IsometryWitness, SpinLensSpace, h_shift
-from .numtheory import binomial
+from .numtheory import binomial, series_field
 
 _FLOAT_SAFE = 1 << 53
 _INT64_SAFE = (1 << 63) - 1
@@ -153,11 +151,9 @@ def _norm_key(lat: CongruenceLattice) -> tuple[int, int, int, tuple[int, ...]]:
     target shift (counts are symmetric under coordinate permutation)."""
     q, mod = lat.q, lat.modulus
     sn = tuple(sorted(sj % q for sj in lat.s))
-    if mod == q:
-        tgt = lat.target % mod
-    else:
-        shift = sum(sj // q for sj in lat.s) % 2
-        tgt = (lat.target - q * shift) % mod
+    # every a_j is odd, so reducing s_j mod q moves sum a_j s_j by
+    # s_j - (s_j mod q), a multiple of q, modulo 2q
+    tgt = (lat.target - sum(lat.s) + sum(sn)) % mod
     return (q, mod, tgt, sn)
 
 
@@ -186,53 +182,38 @@ def _reduced_packed(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> list[lis
                     dst_flip[(r - d) % mod] += y
         state = new
     mask = (1 << width) - 1
-    out = []
-    for k in range(kmax + 1):
-        sh = k * width
-        out.append([(state[0][tgt] >> sh) & mask, (state[1][tgt] >> sh) & mask])
-    return out
+    return [[(state[p][tgt] >> (k * width)) & mask for p in (0, 1)]
+            for k in range(kmax + 1)]
 
 
 # -------------------------------------------------------- meet in the middle
 
-def _half_table(q: int, mod: int, s_half: tuple[int, ...],
-                kcap: Optional[int] = None) -> np.ndarray:
+@lru_cache(maxsize=256)
+def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
     """Dense table H[residue, e, parity] counting sign/size choices for
     the coordinates s_half: |a_j| = 2 e_j + 1 <= 2q - 1, e = sum e_j,
-    parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  With
-    kcap only e <= kcap is kept; a cap at or above the largest e is the
-    full table, so both share one cache entry.  Capped or full, every
-    table comes from enumerating the first two coordinates and adding
-    each further one as a window sum over levels."""
-    if kcap is not None and kcap >= len(s_half) * (q - 1):
-        kcap = None
-    return _cached_half_table(q, mod, s_half, kcap)
-
-
-@lru_cache(maxsize=256)
-def _cached_half_table(q: int, mod: int, s_half: tuple[int, ...],
-                       kcap: Optional[int]) -> np.ndarray:
-    width = len(s_half) * (q - 1) + 1 if kcap is None else kcap + 1
+    parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  The
+    first two coordinates are enumerated, each further one is added as a
+    window sum over levels."""
+    width = len(s_half) * (q - 1) + 1
     # the first two coordinates: every (size, sign) choice of each, summed
     # outright and counted by one bincount
-    e1 = np.arange(min(q, width))
+    e1 = np.arange(q)
     a1 = np.concatenate([2 * e1 + 1, -2 * e1 - 1])
-    e1, p1 = np.tile(e1, 2), np.repeat([0, 1], len(e1))
+    e1, p1 = np.tile(e1, 2), np.repeat([0, 1], q)
     res = e = par = np.zeros(1, dtype=np.int64)
     for s in s_half[:2]:
         res = np.add.outer(res, a1 * s).ravel()
         e = np.add.outer(e, e1).ravel()
         par = np.add.outer(par, p1).ravel()
-    keep = e < width
-    flat = ((res[keep] % mod) * width + e[keep]) * 2 + par[keep] % 2
+    flat = ((res % mod) * width + e) * 2 + par % 2
     table = np.bincount(flat, minlength=mod * width * 2).reshape(mod * width, 2)
     # each further coordinate s: a choice of size e' and sign moves
     # (r, e) to (r + sign (2e' + 1) s, e + e').  Read at row
     # r - 2 sign s e on level e, every choice of e' lands on the same row
     # (shifted by sign s), so the q sizes are a window of q consecutive
     # levels: one cumsum and one difference.  The cumsums never exceed
-    # the half table's total, at most 2^n C(width - 1 + n, n) capped or
-    # (2q)^n in full, which the bound in _rows keeps below 2^63.
+    # the half table's total (2q)^n, which _full_table keeps below 2^63.
     rows, lev = np.arange(mod)[:, None], np.arange(width)
     for s in s_half[2:]:
         new = np.zeros_like(table)
@@ -249,9 +230,9 @@ def _cached_half_table(q: int, mod: int, s_half: tuple[int, ...],
     return table
 
 
-def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
+def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int,
               use_float: bool) -> np.ndarray:
-    """Rows k = 0..levels, as an int64 array of shape (levels + 1, 2), of
+    """Every row k, as an int64 array of shape (ka + kb - 1, 2), of
 
         out[k, p] = sum ta[r, ea, pa] * tb[tgt - r, eb, pb]
                     over residues r, ea + eb = k, pa + pb == p (mod 2).
@@ -264,7 +245,7 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
 
     The caller picks use_float only when every count involved stays
     below 2^53, where float64 sums of nonnegative integers are exact;
-    _rows checks a full table's total against the exact number of
+    _full_table checks the table's total against the exact number of
     reduced points."""
     mod, ka, _ = ta.shape
     kb = tb.shape[1]
@@ -278,46 +259,37 @@ def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, levels: int,
         for pb in (0, 1):
             skew[:, :kb, (pa + pb) % 2] += left @ right[:, :, pb]
     skew = skew.reshape(ka * width, 2)[: ka * (width - 1)]
-    out = skew.reshape(ka, width - 1, 2)[:, : levels + 1].sum(axis=0)
-    return out.astype(np.int64)
-
-
-def _rows(q: int, mod: int, tgt: int, sn: tuple[int, ...],
-          levels: int) -> tuple[tuple[int, int], ...]:
-    """Rows k = 0..levels (at most m(q-1)) of the reduced table of the
-    normalized lattice (q, mod, tgt, sn)."""
-    m = len(sn)
-    kmax = reduced_level_bound(q, m)
-    total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
-    # every entry of a contraction capped at levels counts lattice points
-    # of level <= 2*levels, and there are 2^m C(2 levels + m, m) such odd
-    # vectors in all
-    bound = min(total, (1 << m) * binomial(2 * levels + m, m))
-    if bound > _INT64_SAFE:
-        rows = _reduced_packed(q, mod, tgt, sn)[: levels + 1]
-    else:
-        ta = _half_table(q, mod, sn[: m // 2], levels)
-        tb = _half_table(q, mod, sn[m // 2:], levels)
-        if levels == kmax and ta.shape[1] + tb.shape[1] - 2 != kmax:
-            raise ArithmeticError(
-                f"half tables reach e = {ta.shape[1] - 1} and {tb.shape[1] - 1}, "
-                f"which do not add up to kmax = {kmax}")
-        rows = _contract(ta, tb, tgt, levels, bound < _FLOAT_SAFE).tolist()
-    if levels == kmax:
-        got = sum(map(sum, rows))
-        if got != total:
-            raise ArithmeticError(
-                f"table for q={q}, m={m} totals {got}, not the "
-                f"2(2q)^(m-1) = {total} reduced points")
-    return tuple((even, odd) for even, odd in rows)
+    return skew.reshape(ka, width - 1, 2).sum(axis=0).astype(np.int64)
 
 
 # ------------------------------------------------------------ public API
 
 @lru_cache(maxsize=256)
 def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCountTable:
-    kmax = reduced_level_bound(q, len(sn))
-    return ReducedCountTable(q, len(sn), _rows(q, mod, tgt, sn, kmax))
+    """The reduced table of the normalized lattice (q, mod, tgt, sn)."""
+    m = len(sn)
+    kmax = reduced_level_bound(q, m)
+    total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
+    if total > _INT64_SAFE:
+        rows = _reduced_packed(q, mod, tgt, sn)
+    else:
+        ta = _half_table(q, mod, sn[: m // 2])
+        tb = _half_table(q, mod, sn[m // 2:])
+        rows = _contract(ta, tb, tgt, total < _FLOAT_SAFE).tolist()
+    if len(rows) != kmax + 1:
+        raise ArithmeticError(
+            f"table for q={q}, m={m} has {len(rows)} rows, not kmax + 1 = {kmax + 1}")
+    got = sum(map(sum, rows))
+    if got != total:
+        raise ArithmeticError(
+            f"table for q={q}, m={m} totals {got}, not the "
+            f"2(2q)^(m-1) = {total} reduced points")
+    # a_j -> sign(a_j) 2q - a_j keeps signs, sends level k to kmax - k and
+    # the target to -target: a spin lens space's table is a palindrome
+    if 2 * tgt % mod == 0 and rows != rows[::-1]:
+        raise ArithmeticError(
+            f"table for q={q}, m={m} is not symmetric under k -> kmax - k")
+    return ReducedCountTable(q, m, tuple((even, odd) for even, odd in rows))
 
 
 def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
@@ -325,16 +297,47 @@ def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
     return _full_table(*_norm_key(lat))
 
 
-def reduced_prefix(lat: CongruenceLattice, levels: int) -> tuple[tuple[int, int], ...]:
-    """Rows k = 0..levels of the reduced table, equal to
-    reduced_counts(lat).rows[:levels + 1] (the whole table once levels
-    reaches m(q-1)).  The half tables are capped at levels, so the
-    contraction costs O(mod * levels^2) instead of O(mod * q^2).  The
-    result is not cached."""
-    if levels < 0:
-        raise ValueError(f"levels must be >= 0, got {levels}")
-    q, mod, tgt, sn = _norm_key(lat)
-    return _rows(q, mod, tgt, sn, min(levels, reduced_level_bound(q, len(sn))))
+# sketches() evaluates at z0 = _SKETCH_POINT (any residue below 2^30
+# works) and takes _SKETCH_BLOCK lattices at a time to bound its memory.
+_SKETCH_POINT = 0x2545F491
+_SKETCH_BLOCK = 1024
+
+
+def sketches(lats: Sequence[CongruenceLattice]) -> tuple[tuple[int, int], ...]:
+    """For lattices of one q and m, 2 mod (P0(z0), P1(z0)) mod p with
+    P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30) and
+    z0 = _SKETCH_POINT, from the character sum (w a mod-th root of 1)
+
+        mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
+        T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
+
+    p < 2^31 for any q whose T table fits in memory, so products of two
+    residues stay below 2^62 and int64 is exact."""
+    if not lats:
+        return ()
+    keys = [_norm_key(lat) for lat in lats]
+    q, mod, _, sn = keys[0]
+    if any(key[:2] != (q, mod) or len(key[3]) != len(sn) for key in keys):
+        raise ValueError("sketches() needs lattices of one q, modulus and m")
+    p, zeta = series_field(q, 1 << 30)
+    omega = pow(zeta, 2 * q // mod, p)
+    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
+    z = np.array([pow(_SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
+    j = np.arange(mod)
+    exps = j[:, None] * (2 * np.arange(q) + 1) % mod
+    fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
+    tables = np.stack([fwd + bwd, fwd - bwd]).sum(axis=2) % p  # T+, T-
+    s = np.array([key[3] for key in keys], dtype=np.int64)
+    tgt = np.array([key[2] for key in keys], dtype=np.int64)
+    sums = np.empty((2, len(keys)), dtype=np.int64)
+    for start in range(0, len(keys), _SKETCH_BLOCK):
+        block = slice(start, start + _SKETCH_BLOCK)
+        acc = w[-tgt[block, None] * j % mod]
+        for col in s[block].T:
+            acc = acc * tables[:, col[:, None] * j % mod] % p
+        sums[:, block] = acc.sum(axis=2) % p
+    plus, minus = sums
+    return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
 
 
 def count(lat: CongruenceLattice, parity: int, k: int) -> int:
@@ -343,17 +346,14 @@ def count(lat: CongruenceLattice, parity: int, k: int) -> int:
     if k < 0:
         return 0
     table = reduced_counts(lat)
-    m = lat.m
-    total = 0
-    beta = 0
-    while k - beta * lat.q >= 0:
+    m, total = lat.m, 0
+    for beta in range(k // lat.q + 1):
         total += binomial(beta + m - 1, m - 1) * table.get(parity, k - beta * lat.q)
-        beta += 1
     return total
 
 
 def clear_caches() -> None:
     """Drop memoized half tables and count tables (mostly for tests and
     long multi-census runs)."""
-    _cached_half_table.cache_clear()
+    _half_table.cache_clear()
     _full_table.cache_clear()

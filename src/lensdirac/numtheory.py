@@ -1,4 +1,4 @@
-"""Exact integer helpers shared by the lattice and spectrum code.
+"""Exact integer helpers and the prime fields shared by the package.
 
 Everything here is arbitrary-precision: multiplicity counts grow like
 k^(2m-2) and overflow any fixed-width type long before the ranges the
@@ -81,3 +81,19 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
+
+
+def series_field(q: int, bound: int) -> tuple[int, int]:
+    """(p, zeta): the smallest prime p == 1 (mod 2q) with p > bound, and
+    a primitive 2q-th root of unity zeta mod p.  Raises ValueError when
+    that prime would reach PRIME_TEST_LIMIT."""
+    two_q = 2 * q
+    p = ((bound - 1) // two_q + 1) * two_q + 1
+    while not is_prime(p):  # ValueError once p reaches PRIME_TEST_LIMIT
+        p += two_q
+    cofactor = (p - 1) // two_q
+    for g in range(2, p):
+        zeta = pow(g, cofactor, p)
+        # zeta^(2q) == 1; the order is exactly 2q iff its powers are distinct
+        if len({pow(zeta, t, p) for t in range(two_q)}) == two_q:
+            return p, zeta

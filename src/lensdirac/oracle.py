@@ -24,7 +24,7 @@ import numpy as np
 
 from .lens import SpinLensSpace, h_shift
 from .lattice import CongruenceLattice
-from .numtheory import is_prime
+from .numtheory import series_field
 from .spectrum import multiplicity, sphere_multiplicity
 
 DEFAULT_ENUM_LIMIT = 10_000_000
@@ -41,22 +41,6 @@ class TooLarge(Exception):
 
 class OracleMismatch(Exception):
     """The series and the exact multiplicities differ at some level."""
-
-
-def _series_field(q: int, bound: int) -> tuple[int, int]:
-    """(p, zeta): the smallest prime p == 1 (mod 2q) with p > bound, and
-    a primitive 2q-th root of unity zeta mod p.  Raises ValueError when
-    that prime would reach numtheory.PRIME_TEST_LIMIT."""
-    two_q = 2 * q
-    p = ((bound - 1) // two_q + 1) * two_q + 1
-    while not is_prime(p):  # ValueError once p reaches PRIME_TEST_LIMIT
-        p += two_q
-    cofactor = (p - 1) // two_q
-    for g in range(2, p):
-        zeta = pow(g, cofactor, p)
-        # zeta^(2q) == 1; the order is exactly 2q iff its powers are distinct
-        if len({pow(zeta, t, p) for t in range(two_q)}) == two_q:
-            return p, zeta
 
 
 def _poly_mul(a: list[int], q3: tuple[int, int, int], p: int) -> list[int]:
@@ -98,7 +82,7 @@ def generating_coeffs(x: SpinLensSpace,
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     lens = x.lens
     q, s, m = lens.q, lens.s, lens.m
-    p, zeta = _series_field(q, sphere_multiplicity(2 * m - 1, k_max))
+    p, zeta = series_field(q, sphere_multiplicity(2 * m - 1, k_max))
     sign_exp = 0
     if q % 2 == 0:
         sign_exp = (x.spin.h + h_shift(lens)) % 2

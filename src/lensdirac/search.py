@@ -5,11 +5,11 @@ families, a from-scratch family verifier, and result persistence.
 
 Class enumeration is vectorized: all candidate parameter multisets are
 canonicalized in bulk with numpy, one lexicographic-minimum update per
-unit of the residue ring.  Fingerprinting runs in two phases, each a
-plain loop over the representatives: a sketch of the first
-_SKETCH_LEVELS + 1 table rows for every class, then the full table only
-for classes whose sketch collides with another's.  Grouping follows
-enumeration order, so output is deterministic.
+unit of the residue ring.  Fingerprinting runs in two phases: one
+vectorized sketch of every class's table (lattice.sketches, the table's
+generating polynomials at one point of a prime field), then the full
+table only for classes whose sketch collides with another's.  Grouping
+follows enumeration order, so output is deterministic.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .lens import (
     self_transport_pairs,
     spin_space,
 )
-from .lattice import ReducedCountTable, lattice_of, reduced_prefix
+from .lattice import ReducedCountTable, lattice_of, sketches
 from .numtheory import units
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
@@ -77,8 +77,8 @@ class IsospectralFamily:
 @dataclass(frozen=True)
 class CensusResult:
     """One q of a census.  classes counts the isometry classes;
-    fingerprints counts the full tables computed, i.e. the classes whose
-    sketch collided with another class's."""
+    fingerprints counts the sketch collisions: the classes whose sketch
+    equals another class's, each of which gets a full table."""
 
     n: int
     q: int
@@ -194,18 +194,11 @@ def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[Spi
     return tuple(out)
 
 
-# Rows k = 0.._SKETCH_LEVELS of the reduced table are the sketch on
-# which a census buckets its classes before any full table is computed.
-_SKETCH_LEVELS = 16
-
-
-def _swap_rows(rows: tuple[tuple[int, int], ...]) -> tuple[tuple[int, int], ...]:
-    return tuple((odd, even) for even, odd in rows)
-
-
 def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
     """Rows as compared by a census: up to the parity swap when unoriented."""
-    return min(rows, _swap_rows(rows)) if mode == "unoriented" else rows
+    if mode == "unoriented":
+        return min(rows, tuple((odd, even) for even, odd in rows))
+    return rows
 
 
 def run_census(n: int, q_range: Iterable[int],
@@ -219,11 +212,11 @@ def run_census(n: int, q_range: Iterable[int],
     the orientation-free comparison).  Same-key grouping compares full
     tables, never digests alone.
 
-    Two phases.  The sketch buckets every class on its table rows
-    k <= _SKETCH_LEVELS (up to the swap, in unoriented mode): equal
-    tables have equal prefixes, so a class alone in its bucket is alone
-    in its spectrum and needs no full table.  Only classes sharing a
-    bucket get fingerprint(), and CensusResult.fingerprints counts them.
+    Two phases.  The first buckets every class on its lattice.sketches
+    pair (up to the swap, in unoriented mode), a ring image of its table:
+    equal tables have equal sketches, so a class alone in its bucket is
+    alone in its spectrum.  Only classes sharing a bucket get
+    fingerprint(), and CensusResult.fingerprints counts them.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []
@@ -237,9 +230,8 @@ def run_census(n: int, q_range: Iterable[int],
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
         buckets: dict[tuple, list[int]] = {}
-        for idx, x in enumerate(reps):
-            sketch = reduced_prefix(lattice_of(x), _SKETCH_LEVELS)
-            buckets.setdefault(_group_key(sketch, mode), []).append(idx)
+        for idx, sketch in enumerate(sketches([lattice_of(x) for x in reps])):
+            buckets.setdefault(_group_key((sketch,), mode), []).append(idx)
         survivors = sorted(i for idxs in buckets.values() if len(idxs) > 1
                            for i in idxs)
         groups: dict[tuple, list[int]] = {}
@@ -430,14 +422,22 @@ def _load_member(obj: dict, q: int, m: int, where: str) -> SpinLensSpace:
     if not isinstance(s, list) or len(s) != m:
         raise FormatError(f"{where}: parameter list has length "
                           f"{len(s) if isinstance(s, list) else '?'}, want {m}")
-    if q % 2 == 1 and spin != "unique":
-        raise FormatError(f"{where}: spin {spin!r} invalid for odd q")
-    if q % 2 == 0 and spin not in ("h0", "h1"):
-        raise FormatError(f"{where}: spin {spin!r} invalid for even q")
+    if spin not in (("unique",) if q % 2 else ("h0", "h1")):
+        raise FormatError(f"{where}: spin {spin!r} invalid for q={q}")
     try:
         return spin_space(q, tuple(s), None if spin == "unique" else spin)
     except Exception as exc:
         raise FormatError(f"{where}: {exc}") from exc
+
+
+def _field(obj: dict, key: str, kinds, where: str, default=None,
+           ok: Callable[..., bool] = lambda value: True):
+    """obj[key] (default when absent), checked to be one of kinds, not a
+    bool, and to pass ok."""
+    value = obj.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, kinds) or not ok(value):
+        raise FormatError(f"{where}: bad {key} {value!r}")
+    return value
 
 
 def load_results(path: str) -> tuple[CensusResult, ...]:
@@ -456,27 +456,26 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
         raise FormatError(f"{path}: missing or unsupported format_version")
 
     results = []
-    for ci, cobj in enumerate(doc.get("censuses", ())):
+    for ci, cobj in enumerate(_field(doc, "censuses", list, path, [])):
         where = f"{path}: census[{ci}]"
-        try:
-            n, q, mode = cobj["dimension"], cobj["q"], cobj["mode"]
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"{where}: missing field {exc}") from exc
-        if not (isinstance(n, int) and n >= 3 and n % 2 == 1):
-            raise FormatError(f"{where}: bad dimension {n!r}")
-        if mode not in ("oriented", "unoriented"):
-            raise FormatError(f"{where}: bad mode {mode!r}")
+        if not isinstance(cobj, dict):
+            raise FormatError(f"{where}: not an object")
+        n = _field(cobj, "dimension", int, where, ok=lambda v: v >= 3 and v % 2 == 1)
+        q = _field(cobj, "q", int, where, ok=lambda v: v >= 1)
+        mode = _field(cobj, "mode", str, where, ok=lambda v: v in ("oriented", "unoriented"))
         m = (n + 1) // 2
         families = []
-        for fi, fobj in enumerate(cobj.get("families", ())):
+        for fi, fobj in enumerate(_field(cobj, "families", list, where, [])):
             fwhere = f"{where}.families[{fi}]"
+            if not isinstance(fobj, dict):
+                raise FormatError(f"{fwhere}: not an object")
             members = tuple(_load_member(mo, q, m, fwhere)
-                            for mo in fobj.get("members", ()))
+                            for mo in _field(fobj, "members", list, fwhere, []))
             if len(members) < 2:
                 raise FormatError(f"{fwhere}: fewer than two members")
             npairs = len(members) * (len(members) - 1) // 2
             if "trivial_flags" in fobj:
-                flags = tuple(bool(v) for v in fobj["trivial_flags"])
+                flags = tuple(map(bool, _field(fobj, "trivial_flags", list, fwhere)))
             elif npairs == 1:
                 flags = (bool(fobj.get("trivial", False)),)
             else:
@@ -491,9 +490,9 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
             families.append(IsospectralFamily(digest, members, flags))
         results.append(CensusResult(
             n=n, q=q, mode=mode, families=tuple(families),
-            classes=int(cobj.get("classes", 0)),
-            fingerprints=int(cobj.get("fingerprints", 0)),
-            seconds=float(cobj.get("seconds", 0.0)),
+            classes=_field(cobj, "classes", int, where, 0),
+            fingerprints=_field(cobj, "fingerprints", int, where, 0),
+            seconds=float(_field(cobj, "seconds", (int, float), where, 0.0)),
             note=str(cobj.get("note", ""))))
     return tuple(results)
 

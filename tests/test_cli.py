@@ -250,6 +250,10 @@ def test_family_usage_errors(capsys):
     assert code == 2
     code, _, err = run(capsys, "family", "53", "-r", "6")
     assert code == 2
+    for t in ("0", "-1"):
+        code, _, err = run(capsys, "family", "mirror", "-r", "7", "-t", t)
+        assert code == 2, t
+        assert "t must be >= 1" in err
 
 
 def test_oracle_sphere(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from lensdirac import lattice
 from lensdirac.lattice import (
+    CongruenceLattice,
     apply_norm_isometry,
     clear_caches,
     contains,
@@ -16,10 +18,10 @@ from lensdirac.lattice import (
     point_norm2,
     reduced_counts,
     reduced_level_bound,
-    reduced_prefix,
+    sketches,
 )
 from lensdirac.lens import find_isometry, spin_space
-from lensdirac.numtheory import units
+from lensdirac.numtheory import series_field, units
 from lensdirac.search import tower_family
 
 
@@ -178,15 +180,24 @@ def test_transport_preserves_lattice_membership():
     assert moved > 0
 
 
-def test_prefix_on_float64_matches_packed_table_past_int64():
+def sketch_of_table(lat):
+    """2 mod (P0(z0), P1(z0)) mod p from the rows of the full table."""
+    q, mod, _, _ = lattice._norm_key(lat)
+    p, _ = series_field(q, 1 << 30)
+    rows = reduced_counts(lat).rows
+    return tuple(
+        2 * mod * sum(row[par] * pow(lattice._SKETCH_POINT, k, p)
+                      for k, row in enumerate(rows)) % p
+        for par in (0, 1))
+
+
+def test_sketch_matches_packed_table_past_int64():
     """A tower member (q = 40, m = 14) has 2*80^13 reduced points, past
-    int64, so its full table comes from the packed DP; short prefixes
-    stay below 2^53 and run on float64 products."""
+    int64, so its full table comes from the packed DP; the sketch needs
+    no table and has no such limit."""
     lat = lattice_of(tower_family(3)[1])
-    full = reduced_counts(lat)
-    assert full.total() == 2 * 80 ** 13
-    for levels in (3, 8, 12):
-        assert reduced_prefix(lat, levels) == full.rows[: levels + 1]
+    assert reduced_counts(lat).total() == 2 * 80 ** 13
+    assert sketches([lat]) == (sketch_of_table(lat),)
 
 
 def test_packed_table_total_is_checked(monkeypatch):
@@ -222,22 +233,18 @@ def test_half_tables_match_brute_force():
     for n, (q_odd, q_even) in qs.items():
         for q, mod in ((q_odd, q_odd), (q_even, 2 * q_even)):
             s_half = tuple(sorted(rng.randrange(q) for _ in range(n)))
-            full = brute_half_table(q, mod, s_half)
-            emax = n * (q - 1)
-            for kcap in (None, 0, 1, 16, rng.randrange(emax + 1), emax + 5):
-                got = lattice._half_table(q, mod, s_half, kcap)
-                width = emax + 1 if kcap is None else min(kcap, emax) + 1
-                assert got.dtype == np.int64
-                assert np.array_equal(got, full[:, :width]), (q, mod, s_half, kcap)
-                assert not got.flags.writeable
-                with pytest.raises(ValueError):
-                    got[0, 0, 0] = 1
+            got = lattice._half_table(q, mod, s_half)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, brute_half_table(q, mod, s_half)), \
+                (q, mod, s_half)
+            assert not got.flags.writeable
+            with pytest.raises(ValueError):
+                got[0, 0, 0] = 1
 
 
-def test_reduced_prefix_matches_full_table():
-    """Capped half tables, from the same builder as full ones at every
-    half size (one to five coordinates here), give exactly the leading
-    rows of the full table; a prefix at or past kmax is the whole table."""
+def test_sketches_match_full_tables():
+    """The character sum equals the generating polynomials of the full
+    table at z0, for one to five coordinates per half, odd and even q."""
     rng = random.Random(1611)
     qmax = {2: 40, 3: 30, 4: 24, 5: 12, 6: 10, 7: 7, 8: 6, 9: 5, 10: 5}
     for m in range(2, 11):
@@ -248,24 +255,45 @@ def test_reduced_prefix_matches_full_table():
                 continue
             s = tuple(rng.choice(units(q)) for _ in range(m))
             lat = lattice_of(spin_space(q, s, label))
-            rows = reduced_counts(lat).rows
-            kmax = len(rows) - 1
-            for levels in (0, 1, 16, rng.randrange(kmax + 1), kmax, kmax + 7):
-                got = reduced_prefix(lat, levels)
-                assert got == rows[: levels + 1], (q, s, label, levels)
-                assert all(type(v) is int for row in got for v in row)
+            got = sketches([lat])
+            assert got == (sketch_of_table(lat),), (q, s, label)
+            assert all(type(v) is int for v in got[0])
 
 
-def test_reduced_prefix_past_int64_falls_back_to_full_table(monkeypatch):
-    lat = lattice_of(spin_space(6, (1, 5, 1, 5), "h1"))
-    expect = tuple(brute_reduced_rows(lat))
-    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
-    assert reduced_prefix(lat, 3) == expect[:4]
+def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
+    """Blocks of the class axis (here 3 lattices) change nothing."""
+    rng = random.Random(77)
+    lats = [lattice_of(spin_space(20, tuple(rng.choice(units(20)) for _ in range(4)),
+                                  rng.choice(("h0", "h1"))))
+            for _ in range(10)]
+    one_by_one = tuple(sketches([lat])[0] for lat in lats)
+    monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
+    assert sketches(lats) == one_by_one
+    assert one_by_one == tuple(sketch_of_table(lat) for lat in lats)
+    assert sketches([]) == ()
 
 
-def test_reduced_prefix_rejects_negative_levels():
-    with pytest.raises(ValueError, match="levels"):
-        reduced_prefix(lattice_of(spin_space(5, (1, 2))), -1)
+def test_sketch_memory_is_bounded_by_the_block():
+    """10,000 dimension-7 classes at q = 199: one unblocked pass would hold
+    about 94 MB of int64 arrays; blocks keep the peak under 32 MB."""
+    rng, pool = random.Random(7), units(199)
+    lats = [CongruenceLattice(199, tuple(rng.choice(pool) for _ in range(4)), 199, 0)
+            for _ in range(10_000)]
+    tracemalloc.start()
+    try:
+        sketches(lats)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 << 20
+
+
+def test_sketches_need_one_q_and_m():
+    a = lattice_of(spin_space(5, (1, 2)))
+    with pytest.raises(ValueError, match="one q"):
+        sketches([a, lattice_of(spin_space(7, (1, 2)))])
+    with pytest.raises(ValueError, match="one q"):
+        sketches([a, lattice_of(spin_space(5, (1, 2, 2)))])
 
 
 def test_point_level_rejects_even_coordinates():
@@ -274,23 +302,23 @@ def test_point_level_rejects_even_coordinates():
 
 
 def test_mim_rejects_half_tables_of_the_wrong_size(monkeypatch):
+    clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half, kcap=None:
-                        real(q, mod, s_half, kcap)[:, :-1])
+                        lambda q, mod, s_half:
+                        real(q, mod, s_half)[:, :-1])
     lat = lattice_of(spin_space(11, (1, 2, 3, 5)))
-    clear_caches()
     with pytest.raises(ArithmeticError, match="kmax"):
         reduced_counts(lat)
 
 
 def test_mim_rejects_non_integer_float_counts(monkeypatch):
+    clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half, kcap=None:
-                        real(q, mod, s_half, kcap) + np.float64(0.5))
+                        lambda q, mod, s_half:
+                        real(q, mod, s_half) + np.float64(0.5))
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
-    clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat)
 
@@ -299,12 +327,48 @@ def test_mim_rejects_non_integer_float_counts(monkeypatch):
 def test_mim_rejects_integer_corruption(monkeypatch, float_safe):
     """An integer error in a half table leaves every count an integer;
     the table total still catches it, on the float64 and int64 paths."""
+    clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half, kcap=None:
-                        real(q, mod, s_half, kcap) + 1)
+                        lambda q, mod, s_half:
+                        real(q, mod, s_half) + 1)
     monkeypatch.setattr(lattice, "_FLOAT_SAFE", float_safe)
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
-    clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
+        reduced_counts(lat)
+
+
+def _move_one_count_up(table):
+    """A copy of a half table with one count moved from level e to e + 1
+    at the same residue and parity: every residue keeps its total."""
+    out = table.copy()
+    r, e, par = np.argwhere(out[:, :-1] > 0)[0]
+    out[r, e, par] -= 1
+    out[r, e + 1, par] += 1
+    return out
+
+
+def test_asymmetric_tables_are_rejected(monkeypatch):
+    """Moving a count between levels keeps the table total, so only the
+    k -> kmax - k symmetry catches it, on the matrix product and the
+    packed paths."""
+    clear_caches()  # before _half_table is replaced
+    real = lattice._half_table
+    monkeypatch.setattr(lattice, "_half_table",
+                        lambda q, mod, s_half: _move_one_count_up(real(q, mod, s_half)))
+    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
+    with pytest.raises(ArithmeticError, match="symmetric"):
+        reduced_counts(lat)
+
+    real_packed = lattice._reduced_packed
+
+    def moved(q, mod, tgt, sn):
+        rows = real_packed(q, mod, tgt, sn)
+        rows[2][0] -= 1
+        rows[3][0] += 1
+        return rows
+
+    monkeypatch.setattr(lattice, "_reduced_packed", moved)
+    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+    with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)

@@ -10,8 +10,10 @@ from lensdirac.numtheory import (
     binomial,
     is_prime,
     mod_inverse,
+    series_field,
     units,
 )
+from lensdirac.spectrum import sphere_multiplicity
 
 
 def test_mod_inverse_known_values():
@@ -92,3 +94,14 @@ def test_is_prime_large_values():
     assert not is_prime(((1 << 31) - 1) ** 2)
     with pytest.raises(ValueError, match="limit"):
         is_prime(PRIME_TEST_LIMIT)
+
+
+def test_series_field_is_a_large_enough_prime_field():
+    for q, m, k_max in ((1, 2, 0), (2, 4, 1), (7, 3, 40), (49, 4, 40),
+                        (100, 4, 12), (30, 6, 200)):
+        bound = sphere_multiplicity(2 * m - 1, k_max)
+        p, zeta = series_field(q, bound)
+        assert is_prime(p) and p % (2 * q) == 1 and p > bound
+        assert all(not is_prime(c) for c in range(p - 2 * q, bound, -2 * q))
+        powers = [pow(zeta, t, p) for t in range(1, 2 * q + 1)]
+        assert powers.index(1) == 2 * q - 1  # primitive 2q-th root

@@ -5,7 +5,7 @@ import pytest
 from lensdirac import oracle
 from lensdirac.lens import spin_space
 from lensdirac.lattice import count, lattice_of
-from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial, is_prime, units
+from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial, units
 from lensdirac.oracle import (
     OracleMismatch,
     TooLarge,
@@ -36,17 +36,6 @@ def test_sign_convention_calibration_datum():
     assert generating_coeffs(h0, 1) == ((0, 56), (8, 0))
     assert generating_coeffs(h1, 1) == ((8, 0), (0, 56))
     assert (multiplicity(h0, -1, 0), multiplicity(h0, +1, 0)) == (8, 0)
-
-
-def test_series_field_is_a_large_enough_prime_field():
-    for q, m, k_max in ((1, 2, 0), (2, 4, 1), (7, 3, 40), (49, 4, 40),
-                        (100, 4, 12), (30, 6, 200)):
-        bound = sphere_multiplicity(2 * m - 1, k_max)
-        p, zeta = oracle._series_field(q, bound)
-        assert is_prime(p) and p % (2 * q) == 1 and p > bound
-        assert all(not is_prime(c) for c in range(p - 2 * q, bound, -2 * q))
-        powers = [pow(zeta, t, p) for t in range(1, 2 * q + 1)]
-        assert powers.index(1) == 2 * q - 1  # primitive 2q-th root
 
 
 def test_series_field_past_the_prime_test_limit_raises_before_the_series(monkeypatch):

@@ -233,11 +233,12 @@ def _families_from_full_tables(n, q, mode):
             for rows, members in groups.items() if len(members) > 1]
 
 
-@pytest.mark.parametrize("levels", [0, 1, search._SKETCH_LEVELS])
-def test_two_phase_census_matches_full_table_grouping(monkeypatch, levels):
-    """Sketch levels 0 and 1 make most classes collide in the first phase,
-    so the full tables of the second phase must separate them."""
-    monkeypatch.setattr(search, "_SKETCH_LEVELS", levels)
+@pytest.mark.parametrize("constant", [False, True], ids=["sketch", "constant"])
+def test_two_phase_census_matches_full_table_grouping(monkeypatch, constant):
+    """A constant sketch makes every class collide in the first phase, so
+    the full tables of the second phase alone must separate them."""
+    if constant:
+        monkeypatch.setattr(search, "sketches", lambda lats: ((0, 0),) * len(lats))
     cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
              if not (q % 2 == 0 and n % 4 == 1)]
     cases += [(7, 32), (9, 23), (11, 24)]
@@ -248,6 +249,8 @@ def test_two_phase_census_matches_full_table_grouping(monkeypatch, levels):
             got = [(f.digest, f.members, f.trivial_flags) for f in res.families]
             assert got == _families_from_full_tables(n, q, mode), (n, q, mode)
             assert res.fingerprints <= res.classes
+            if constant and res.classes > 1:
+                assert res.fingerprints == res.classes
             found += len(got)
     assert found == 8
 
@@ -489,6 +492,25 @@ def test_load_rejects_flag_and_member_miscounts(tmp_path):
     doc = _census_doc()
     del doc["censuses"][0]["families"][0]["digest"]
     with pytest.raises(FormatError, match="digest"):
+        load_results(_write_doc(tmp_path, doc))
+
+
+def _with_family(**fields):
+    doc = _census_doc()
+    doc["censuses"][0]["families"][0].update(fields)
+    return doc
+
+
+@pytest.mark.parametrize("doc", [
+    _census_doc(classes="many"),
+    _census_doc(seconds=None),
+    {"format_version": FORMAT_VERSION, "censuses": 5},
+    _with_family(trivial_flags=3),
+    _census_doc(families=["not an object"]),
+    _census_doc(q="x", families=[]),
+], ids=["classes", "seconds", "censuses", "trivial_flags", "family", "q"])
+def test_load_rejects_fields_of_the_wrong_type(tmp_path, doc):
+    with pytest.raises(FormatError):
         load_results(_write_doc(tmp_path, doc))
 
 
