@@ -233,12 +233,16 @@ def _families_from_full_tables(n, q, mode):
             for rows, members in groups.items() if len(members) > 1]
 
 
-@pytest.mark.parametrize("constant", [False, True], ids=["sketch", "constant"])
-def test_two_phase_census_matches_full_table_grouping(monkeypatch, constant):
-    """A constant sketch makes every class collide in the first phase, so
-    the full tables of the second phase alone must separate them."""
-    if constant:
-        monkeypatch.setattr(search, "sketches", lambda lats: ((0, 0),) * len(lats))
+@pytest.mark.parametrize("bits", [0, 1, None], ids=["0", "1", "sketch"])
+def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
+    """Keeping only 0 or 1 low bits of each sketch value makes every or
+    many classes collide in the first phase, so the full tables of the
+    second phase must separate them."""
+    if bits is not None:
+        mask, full = (1 << bits) - 1, search.sketches
+        monkeypatch.setattr(search, "sketches", lambda lats: tuple(
+            (a & mask, b & mask) for a, b in full(lats)))
+    constant = bits == 0
     cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
              if not (q % 2 == 0 and n % 4 == 1)]
     cases += [(7, 32), (9, 23), (11, 24)]
