@@ -34,6 +34,14 @@ orientation parity and transport parity are forced:
 with normalized parameters (each rho_j changes by exactly 1 when a
 coordinate is matched across the fold, since -x = -(floor(x/q)+1)*q + ...).
 That collapses the (sigma, eps) search to a multiset comparison per l.
+
+Candidate units.  For q > 2 only l = +-b_1 * a_j^-1 (mod q), at most 2m
+units, can matter: a unit relating a to b sends some a_j to +-b_1, and
+a unit minimising a canonical form sends some a_j to +-1, the smallest
+folded value.  l and -l fold alike, but their fold counts add up to m,
+so for odd m they differ in orientation and both signs are needed.  The
+transported spin label moves by sum_j a_j (+ m when oriented), which is
+even whenever there are two labels (q even, so m even and a_j odd).
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator, Literal, Optional, Sequence
 
-from .numtheory import units
+import numpy as np
 
 
 class NotCoprime(ValueError):
@@ -275,7 +283,8 @@ def _mode_parities(mode: IsoMode) -> frozenset[int]:
 
 def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
                    ) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
-    """For each unit l with matching folded multisets, yield
+    """For each candidate unit l (module docstring) with matching folded
+    multisets, in increasing order, yield
     (l, achievable {(orientation parity, transport parity)}).
 
     Parameters must be normalized to [0, q).  For q > 2 exactly one pair
@@ -295,7 +304,9 @@ def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
         return
     fb = sorted(_fold(u, q) for u in sn_b)
     u_high = sum(1 for u in sn_b if 2 * u > q)
-    for ell in units(q):
+    # Python ints: exact at any q, and cheaper than numpy for one pair
+    b1 = sn_b[0]
+    for ell in sorted({e * b1 * pow(x, -1, q) % q for x in sn_a for e in (1, -1)}):
         v = [(ell * x) % q for x in sn_a]
         fa = sorted(_fold(x, q) for x in v)
         if fa != fb:
@@ -414,15 +425,52 @@ class CanonicalKey:
         return spin_space(self.q, self.s, self.spin)
 
 
-def _oriented_candidate(v: list[int], q: int) -> tuple[int, ...]:
-    """Minimal sorted value tuple reachable from v with an even number of
-    sign flips.  With an odd number of folds, unfold the largest folded
-    entry: q - g >= q/2 still sorts last, and dropping the maximum leaves
-    the smallest prefix, so this beats unfolding any other entry."""
-    folded = sorted(_fold(x, q) for x in v)
-    if sum(1 for x in v if 2 * x > q) % 2:
-        folded[-1] = q - folded[-1]
-    return tuple(folded)
+def _candidate_ells(S: np.ndarray, q: int) -> np.ndarray:
+    """(rows, 2m) array of the units +-S[:, j]^-1 mod q."""
+    if q * q >= 2**63:
+        raise OverflowError(f"q = {q}: products of residues would overflow int64")
+    values, where = np.unique(S, return_inverse=True)
+    inv = np.array([pow(int(v), -1, q) for v in values])[where].reshape(S.shape)
+    return np.hstack([inv, q - inv])
+
+
+def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
+    """Rowwise best = min(best, cand) lexicographically."""
+    first = (cand != best).argmax(axis=1)
+    rows = np.arange(len(best))
+    less = cand[rows, first] < best[rows, first]
+    best[less] = cand[less]
+
+
+def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
+                    h: Optional[Sequence[int]] = None) -> np.ndarray:
+    """Canonical form of every row of normalized parameters S, q > 2: the
+    lexicographic minimum of (sorted folded tuple, transported label h[i],
+    0 when h is None) over the candidate units l = +-S[i, j]^-1.  Oriented
+    tuples take only even numbers of sign flips: after an odd number of
+    folds the largest entry is unfolded, as q - g >= q/2 still sorts last.
+    """
+    S = np.asarray(S, dtype=np.int64)
+    spin = np.zeros(len(S), dtype=np.int64) if h is None else np.asarray(h)
+    best = np.full((len(S), S.shape[1] + 1), q, dtype=np.int64)
+    for ell in _candidate_ells(S, q).T:
+        prod = ell[:, None] * S
+        v = prod % q
+        tup = np.minimum(v, q - v)
+        folds = (tup != v).sum(axis=1)
+        tup.sort(axis=1)
+        # each sign flip moves the transport parity by one, and the
+        # oriented tuple always carries an even number of them
+        label = spin + (prod // q).sum(axis=1)
+        if mode == "unoriented":
+            label += folds
+        else:
+            odd = folds % 2 == 1
+            tup[odd, -1] = q - tup[odd, -1]
+        _lex_update(best, np.column_stack([tup, label % 2]))
+    if not (best < q).all():
+        raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
+    return best
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:
@@ -436,7 +484,6 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
         raise ValueError(f"unknown mode {mode!r}")
     q, m = x.q, x.m
     h = x.spin.h
-    sn = x.lens.normalized()
     if q == 1:
         return CanonicalKey(1, (0,) * m, "unique", mode)
     if q == 2:
@@ -449,25 +496,9 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
         else:
             spin_tag = f"h{h}"
         return CanonicalKey(2, (1,) * m, spin_tag, mode)
-
-    best: Optional[tuple[tuple[int, ...], int]] = None
-    for ell in units(q):
-        v = [(ell * xj) % q for xj in sn]
-        floors = sum((ell * xj) // q for xj in sn)
-        if mode == "unoriented":
-            tup = tuple(sorted(_fold(xj, q) for xj in v))
-            flip_parity = sum(1 for xj in v if 2 * xj > q) % 2
-        else:
-            tup, flip_parity = _oriented_candidate(v, q), 0
-        hval = 0 if h is None else (h + floors + flip_parity) % 2
-        cand = (tup, hval)
-        if best is None or cand < best:
-            best = cand
-    if best is None:
-        raise ArithmeticError(f"no unit of Z/{q} produced a canonical candidate")
-    tup, hval = best
+    *tup, hval = _canonical_rows([x.lens.normalized()], q, mode, [h or 0])[0].tolist()
     spin_tag = "unique" if h is None else f"h{hval}"
-    return CanonicalKey(q, tup, spin_tag, mode)
+    return CanonicalKey(q, tuple(tup), spin_tag, mode)
 
 
 def self_transport_pairs(params: tuple[int, ...], q: int) -> frozenset[tuple[int, int]]:

@@ -3,9 +3,10 @@ fixed dimension and group order, fingerprint every class, and partition
 into isospectral families.  Also: generators for the known infinite
 families, a from-scratch family verifier, and result persistence.
 
-Class enumeration is vectorized: all candidate parameter multisets are
-canonicalized in bulk with numpy, one lexicographic-minimum update per
-unit of the residue ring.  Fingerprinting runs in two phases: one
+Class enumeration is vectorized: every sorted folded tuple that starts
+with 1 (and, when oriented, its mirror) is canonicalized in bulk by
+lens._canonical_rows, and the tuples that are their own canonical form
+are the classes.  Fingerprinting runs in two phases: one
 vectorized sketch of every class's table (lattice.sketches, the table's
 generating polynomials at one point of a prime field), then the full
 table only for classes whose sketch collides with another's.  Grouping
@@ -28,13 +29,13 @@ from .lens import (
     KeyMode,
     NoSpinStructure,
     SpinLensSpace,
+    _canonical_rows,
     find_isometry,
     format_spin_lens,
     self_transport_pairs,
     spin_space,
 )
 from .lattice import ReducedCountTable, lattice_of, sketches
-from .numtheory import units
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
 
@@ -98,64 +99,25 @@ class VerificationReport:
         return "\n".join(self.checks)
 
 
-def _folded_units(q: int) -> list[int]:
-    return [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
-
-
-def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
-    """Rowwise best = min(best, cand) lexicographically."""
-    less = np.zeros(len(best), dtype=bool)
-    tie = np.ones(len(best), dtype=bool)
-    for j in range(best.shape[1]):
-        col_c, col_b = cand[:, j], best[:, j]
-        less |= tie & (col_c < col_b)
-        tie &= col_c == col_b
-    if less.any():
-        best[less] = cand[less]
-
-
 def _canonical_tuples(q: int, m: int, mode: KeyMode) -> list[tuple[int, ...]]:
     """All canonical parameter tuples for the given mode, lexicographically
-    sorted.  Matches lens.canonical_key exactly (property-tested)."""
+    sorted.  Matches lens.canonical_key exactly (property-tested).  Each
+    is a sorted folded tuple (1, ...) or, when oriented, its mirror, so
+    only those rows are built; the ones equal to their canonical form stay.
+    """
     if q == 1:
         return [(0,) * m]
     if q == 2:
         return [(1,) * m]
-    F = _folded_units(q)
-    A = np.array(list(combinations_with_replacement(F, m)), dtype=np.int64)
-    ells = units(q)
-
-    if mode == "unoriented":
-        best = np.full_like(A, q)
-        for ell in ells:
-            B = (ell * A) % q
-            np.minimum(B, q - B, out=B)
-            B.sort(axis=1)
-            _lex_update(best, B)
-        keep = np.all(A == best, axis=1)
-        return [tuple(map(int, row)) for row in A[keep]]
-
-    # Oriented: folded multisets only reach the classes that contain an
-    # all-folded representative; each chiral partner is reached from the
-    # mirror row (one coordinate reflected).
-    mirror = A.copy()
-    mirror[:, -1] = q - mirror[:, -1]
-    U = np.vstack([A, mirror])
-    best = np.full_like(U, q)
-    for ell in ells:
-        B = (ell * U) % q
-        G = np.minimum(B, q - B)
-        odd = ((B != G).sum(axis=1) % 2).astype(bool)
-        Gs = np.sort(G, axis=1)
-        # an odd number of folds reverses orientation; unfold the largest
-        # folded entry: q - g >= q/2 still sorts last, and dropping the
-        # maximum leaves the smallest prefix
-        Gs[odd, -1] = q - Gs[odd, -1]
-        _lex_update(best, Gs)
-    if not (best < q).all():
-        raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
-    uniq = np.unique(best, axis=0)
-    return [tuple(map(int, row)) for row in uniq]
+    folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
+    A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
+                 dtype=np.int64)
+    if mode == "oriented":
+        mirror = A.copy()
+        mirror[:, -1] = q - mirror[:, -1]
+        A = np.vstack([A, mirror])
+    keep = np.all(_canonical_rows(A, q, mode)[:, :-1] == A, axis=1)
+    return sorted(map(tuple, A[keep].tolist()))
 
 
 def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[SpinLensSpace, ...]:
@@ -475,24 +437,26 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
                 raise FormatError(f"{fwhere}: fewer than two members")
             npairs = len(members) * (len(members) - 1) // 2
             if "trivial_flags" in fobj:
-                flags = tuple(map(bool, _field(fobj, "trivial_flags", list, fwhere)))
+                flags = tuple(_field(fobj, "trivial_flags", list, fwhere))
             elif npairs == 1:
-                flags = (bool(fobj.get("trivial", False)),)
+                flags = (fobj.get("trivial", False),)
             else:
                 raise FormatError(f"{fwhere}: trivial_flags required for "
                                   f"{len(members)} members")
-            if len(flags) != npairs:
-                raise FormatError(f"{fwhere}: {len(flags)} flags for "
-                                  f"{npairs} pairs")
+            if len(flags) != npairs or not all(isinstance(f, bool) for f in flags):
+                raise FormatError(f"{fwhere}: want {npairs} boolean trivial "
+                                  f"flags, got {list(flags)!r}")
             digest = fobj.get("digest")
             if not isinstance(digest, str):
                 raise FormatError(f"{fwhere}: missing digest")
             families.append(IsospectralFamily(digest, members, flags))
         results.append(CensusResult(
             n=n, q=q, mode=mode, families=tuple(families),
-            classes=_field(cobj, "classes", int, where, 0),
-            fingerprints=_field(cobj, "fingerprints", int, where, 0),
-            seconds=float(_field(cobj, "seconds", (int, float), where, 0.0)),
+            classes=_field(cobj, "classes", int, where, 0, ok=lambda v: v >= 0),
+            fingerprints=_field(cobj, "fingerprints", int, where, 0,
+                                ok=lambda v: v >= 0),
+            seconds=float(_field(cobj, "seconds", (int, float), where, 0.0,
+                                 ok=lambda v: v >= 0)),
             note=str(cobj.get("note", ""))))
     return tuple(results)
 

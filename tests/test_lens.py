@@ -1,6 +1,7 @@
 import random
 from itertools import combinations_with_replacement, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -163,9 +164,21 @@ def test_witness_with_broken_assignment_raises(monkeypatch):
 
 
 def test_canonical_key_without_units_raises(monkeypatch):
-    monkeypatch.setattr(lens, "units", lambda q: [])
-    with pytest.raises(ArithmeticError, match="canonical candidate"):
+    # with no candidate unit the canonical form is never set
+    monkeypatch.setattr(lens, "_candidate_ells",
+                        lambda S, q: np.empty((len(S), 0), dtype=np.int64))
+    with pytest.raises(ArithmeticError, match="canonical form"):
         canonical_key(spin_space(7, (1, 2)))
+
+
+def test_huge_q_keys_raise_instead_of_wrapping():
+    # canonical forms multiply residues in int64; witnesses use Python ints
+    q = 2**61 - 1
+    with pytest.raises(OverflowError):
+        canonical_key(spin_space(q, (1, 2)))
+    assert canonical_key(spin_space(3037000493, (1, 2))).s == (1, 2)
+    w = find_isometry(spin_space(q, (1, 2)), spin_space(q, (2, 4)))
+    assert w.ell == 2 and w.verify(spin_space(q, (1, 2)), spin_space(q, (2, 4)))
 
 
 def test_mismatch_raises():
@@ -322,6 +335,63 @@ def test_oriented_key_is_the_brute_force_minimum():
                 for label in spin_structures(make_lens(q, s)):
                     key = canonical_key(spin_space(q, s, label), "oriented")
                     assert key.s == want, (q, s, label)
+
+
+def test_unoriented_key_is_the_brute_force_minimum():
+    """The unoriented canonical key is the lexicographic minimum of
+    (sorted folded l*s, transported label) over every unit l; sign
+    flips are free, and each moves the label by one."""
+    for m in (2, 3, 4):
+        for q in range(3, 22 if m < 4 else 14):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            for s in combinations_with_replacement(units(q), m):
+                for label in spin_structures(make_lens(q, s)):
+                    h = label.h or 0
+                    want = min(
+                        (tuple(sorted(min(v, q - v) for v in vs)),
+                         (h + sum((ell * sj) // q for sj in s)
+                          + sum(2 * v > q for v in vs)) % 2)
+                        for ell in units(q)
+                        for vs in [[(ell * sj) % q for sj in s]])
+                    key = canonical_key(spin_space(q, s, label), "unoriented")
+                    spin = "unique" if label.h is None else f"h{want[1]}"
+                    assert (key.s, key.spin) == (want[0], spin), (q, s, label)
+
+
+def test_ell_relations_match_a_loop_over_every_unit():
+    """Trying only l = +-b_1 * a_j^-1 yields the same (l, pairs)
+    sequence as trying every unit, on related and unrelated pairs."""
+
+    def every_unit(sn_a, sn_b, q):
+        fb = sorted(min(u, q - u) for u in sn_b)
+        u_high = sum(2 * u > q for u in sn_b)
+        for ell in units(q):
+            v = [(ell * x) % q for x in sn_a]
+            if sorted(min(x, q - x) for x in v) != fb:
+                continue
+            parity = (sum(2 * x > q for x in v) + u_high) % 2
+            rho = (sum((ell * x) // q for x in sn_a) + parity) % 2
+            yield ell, frozenset(((parity, rho),))
+
+    rng = random.Random(2024)
+    related = 0
+    for i in range(1500):
+        q = rng.randrange(3, 201)
+        m = rng.randrange(2, 10)
+        us = units(q)
+        sn_a = tuple(rng.choice(us) for _ in range(m))
+        if i % 2:
+            ell = rng.choice(us)
+            sn_b = [(ell * rng.choice((1, -1)) * x) % q for x in sn_a]
+            rng.shuffle(sn_b)
+            sn_b = tuple(sn_b)
+        else:
+            sn_b = tuple(rng.choice(us) for _ in range(m))
+        got = list(lens._ell_relations(sn_a, sn_b, q))
+        assert got == list(every_unit(sn_a, sn_b, q)), (q, sn_a, sn_b)
+        related += bool(got)
+    assert related >= 750
 
 
 @settings(max_examples=150, deadline=None)

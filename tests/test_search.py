@@ -3,9 +3,10 @@ import random
 from dataclasses import replace
 from itertools import combinations, product
 
+import numpy as np
 import pytest
 
-from lensdirac import search
+from lensdirac import lens, search
 from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
@@ -125,7 +126,9 @@ def test_enumerate_agrees_with_canonical_keys():
 
 
 def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
-    monkeypatch.setattr(search, "units", lambda q: [])
+    # with no candidate unit the canonical form is never set
+    monkeypatch.setattr(lens, "_candidate_ells",
+                        lambda S, q: np.empty((len(S), 0), dtype=np.int64))
     with pytest.raises(ArithmeticError, match="canonical form"):
         enumerate_classes(7, 9, "oriented")
 
@@ -512,9 +515,23 @@ def _with_family(**fields):
     _with_family(trivial_flags=3),
     _census_doc(families=["not an object"]),
     _census_doc(q="x", families=[]),
-], ids=["classes", "seconds", "censuses", "trivial_flags", "family", "q"])
+    _census_doc(classes=-5),
+    _census_doc(fingerprints=-1),
+    _census_doc(seconds=-0.5),
+], ids=["classes", "seconds", "censuses", "trivial_flags", "family", "q",
+        "negative-classes", "negative-fingerprints", "negative-seconds"])
 def test_load_rejects_fields_of_the_wrong_type(tmp_path, doc):
     with pytest.raises(FormatError):
+        load_results(_write_doc(tmp_path, doc))
+
+
+@pytest.mark.parametrize("doc", [
+    _with_family(trivial_flags=["no"]),
+    _with_family(trivial_flags=[1]),
+    _with_family(trivial="false"),
+], ids=["string-flag", "integer-flag", "string-trivial"])
+def test_load_rejects_trivial_flags_that_are_not_booleans(tmp_path, doc):
+    with pytest.raises(FormatError, match="trivial flags"):
         load_results(_write_doc(tmp_path, doc))
 
 
