@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 from typing import Optional, Sequence
 
 from .lens import (
@@ -216,7 +217,9 @@ def cmd_oracle(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: it costs far more than a parse."""
     parser = argparse.ArgumentParser(
         prog="lensdirac",
         description="Exact spin Dirac spectra of lens spaces.")
@@ -270,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except UsageError as exc:

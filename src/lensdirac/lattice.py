@@ -25,15 +25,15 @@ spectrum.
 One routine computes it exactly, meet in the middle: each half of the
 coordinates gets a dense table H[residue, e, parity], which counts the
 first two coordinates' choices outright and adds each further coordinate
-as a window sum over levels, and the halves are contracted by matrix
-products over residues plus an antidiagonal fold over e.  The arithmetic
-follows from the 2*(2q)^(m-1) reduced points of the lattice, which bound
-every count in sight: exact float64 BLAS below 2^53, exact int64 below
-2^63, and beyond that a coordinate-by-coordinate DP over residues that
-packs the counts for every k into one big Python integer per (residue,
-sign parity).  Whichever arithmetic produced it, a table with the wrong
-number of rows, a total other than 2*(2q)^(m-1) or rows that are not
-symmetric under k -> m(q-1) - k raises ArithmeticError.
+as a window sum over levels (int64 while its total (2q)^n fits, Python
+integers beyond), and the halves are contracted by float64 matrix
+products over residues plus an int64 antidiagonal fold over e.  Below
+2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum in sight is
+exact in float64; beyond, the half tables are cut into w-bit limbs, w
+chosen so that each product entry stays below 2^53 and each fold below
+2^63, and the limb products are joined by shifts of Python integers.  A
+table with the wrong number of rows, a total other than 2*(2q)^(m-1) or
+rows that are not symmetric under k -> m(q-1) - k raises ArithmeticError.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from hashlib import sha256
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -49,7 +49,7 @@ from .lens import IsometryWitness, SpinLensSpace, h_shift
 from .numtheory import binomial, series_field
 
 _FLOAT_SAFE = 1 << 53
-_INT64_SAFE = (1 << 63) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 @dataclass(frozen=True)
@@ -157,35 +157,6 @@ def _norm_key(lat: CongruenceLattice) -> tuple[int, int, int, tuple[int, ...]]:
     return (q, mod, tgt, sn)
 
 
-# ----------------------------------------------------------------- packed
-
-def _reduced_packed(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> list[list[int]]:
-    m = len(sn)
-    kmax = reduced_level_bound(q, m)
-    width = ((2 * q) ** m).bit_length() + 1
-    state = [[0] * mod, [0] * mod]  # [parity][residue] -> packed counts by e
-    state[0][0] = 1
-    for s in sn:
-        new = [[0] * mod, [0] * mod]
-        steps = [((2 * e + 1) * s % mod, e * width) for e in range(q)]
-        for p in (0, 1):
-            row = state[p]
-            dst_same = new[p]
-            dst_flip = new[p ^ 1]
-            for r in range(mod):
-                x = row[r]
-                if not x:
-                    continue
-                for d, shift in steps:
-                    y = x << shift
-                    dst_same[(r + d) % mod] += y
-                    dst_flip[(r - d) % mod] += y
-        state = new
-    mask = (1 << width) - 1
-    return [[(state[p][tgt] >> (k * width)) & mask for p in (0, 1)]
-            for k in range(kmax + 1)]
-
-
 # -------------------------------------------------------- meet in the middle
 
 @lru_cache(maxsize=256)
@@ -208,12 +179,15 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
         par = np.add.outer(par, p1).ravel()
     flat = ((res % mod) * width + e) * 2 + par % 2
     table = np.bincount(flat, minlength=mod * width * 2).reshape(mod * width, 2)
+    # the cumsums below never exceed the half table's total (2q)^n; past
+    # int64, the same code runs on Python integers
+    if (2 * q) ** len(s_half) > _INT64_MAX:
+        table = table.astype(object)
     # each further coordinate s: a choice of size e' and sign moves
     # (r, e) to (r + sign (2e' + 1) s, e + e').  Read at row
     # r - 2 sign s e on level e, every choice of e' lands on the same row
     # (shifted by sign s), so the q sizes are a window of q consecutive
-    # levels: one cumsum and one difference.  The cumsums never exceed
-    # the half table's total (2q)^n, which _full_table keeps below 2^63.
+    # levels: one cumsum and one difference.
     rows, lev = np.arange(mod)[:, None], np.arange(width)
     for s in s_half[2:]:
         new = np.zeros_like(table)
@@ -230,36 +204,59 @@ def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
     return table
 
 
-def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int,
-              use_float: bool) -> np.ndarray:
-    """Every row k, as an int64 array of shape (ka + kb - 1, 2), of
+def _limb_width(mod: int, ka: int, total: int) -> int:
+    """Bits per limb in _contract.  A table whose total is below 2^53 is
+    one limb: every partial sum of its products counts reduced points, so
+    float64 adds it exactly.  Beyond, each entry of a product of w-bit
+    limbs sums 2 mod terms below 4^w, which the width keeps below 2^53,
+    and each antidiagonal sums ka of those, which it keeps below 2^63."""
+    if total < _FLOAT_SAFE:
+        return total.bit_length()
+    cap = min(_FLOAT_SAFE, _INT64_MAX // ka) // (2 * mod)
+    w = (cap.bit_length() - 1) // 2  # the largest w with 4^w <= cap
+    if w < 1:
+        raise ArithmeticError(f"no limb width keeps products over {mod} "
+                              f"residues and {ka} levels exact")
+    return w
+
+
+def _limbs(t: np.ndarray, w: int) -> Iterator[np.ndarray]:
+    """The w-bit limbs of a nonnegative integer table, least significant
+    first, as many as its largest entry needs."""
+    n = -(-int(t.max()).bit_length() // w)
+    yield from [t] if n <= 1 else ((t >> w * i) & ((1 << w) - 1) for i in range(n))
+
+
+def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, total: int) -> list[list[int]]:
+    """Every row k, as ka + kb - 1 pairs of Python integers, of
 
         out[k, p] = sum ta[r, ea, pa] * tb[tgt - r, eb, pb]
                     over residues r, ea + eb = k, pa + pb == p (mod 2).
 
-    A matrix product over residues per parity pair gives the (ea, eb)
-    blocks, each stored in a row of ka + kb entries of which the last ka
+    Both tables are cut into w-bit limbs (_limb_width).  For each pair of
+    limbs one float64 product, of the rows [A_even | A_odd] against
+    [[B_even, B_odd], [B_odd, B_even]], sums the parity pairs and writes
+    the (ea, eb) blocks into rows of ka + kb entries of which the last ka
     stay zero.  Rereading that buffer with rows one entry shorter shifts
     row ea right by ea, so the antidiagonal ea + eb = k becomes column k
-    and summing down the rows finishes it.
-
-    The caller picks use_float only when every count involved stays
-    below 2^53, where float64 sums of nonnegative integers are exact;
-    _full_table checks the table's total against the exact number of
-    reduced points."""
+    and an int64 sum down the rows finishes it.  Limbs i and j add that
+    sum shifted left by w (i + j)."""
     mod, ka, _ = ta.shape
     kb = tb.shape[1]
-    if use_float:
-        ta, tb = ta.astype(np.float64), tb.astype(np.float64)
-    right = tb[(tgt - np.arange(mod)) % mod]
-    width = ka + kb
-    skew = np.zeros((ka, width, 2), dtype=ta.dtype)
-    for pa in (0, 1):
-        left = ta[:, :, pa].T
-        for pb in (0, 1):
-            skew[:, :kb, (pa + pb) % 2] += left @ right[:, :, pb]
-    skew = skew.reshape(ka * width, 2)[: ka * (width - 1)]
-    return skew.reshape(ka, width - 1, 2).sum(axis=0).astype(np.int64)
+    w = _limb_width(mod, ka, total)
+    left = [limb.transpose(1, 2, 0).astype(np.float64, order="C").reshape(ka, 2 * mod)
+            for limb in _limbs(ta, w)]
+    right = np.empty((2, mod, kb, 2))  # [pa, r, eb, pa + pb mod 2]
+    skew = np.zeros((ka, ka + kb, 2))
+    fold = skew.reshape(-1, 2)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1, 2)
+    out = 0
+    for j, limb in enumerate(_limbs(tb[(tgt - np.arange(mod)) % mod], w)):
+        right[0], right[1] = limb, limb[:, :, ::-1]
+        for i, la in enumerate(left):
+            np.matmul(la, right.reshape(2 * mod, 2 * kb),
+                      out=skew.reshape(ka, -1)[:, : 2 * kb])
+            out = out + (fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j))
+    return out.tolist()
 
 
 # ------------------------------------------------------------ public API
@@ -270,12 +267,8 @@ def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCount
     m = len(sn)
     kmax = reduced_level_bound(q, m)
     total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
-    if total > _INT64_SAFE:
-        rows = _reduced_packed(q, mod, tgt, sn)
-    else:
-        ta = _half_table(q, mod, sn[: m // 2])
-        tb = _half_table(q, mod, sn[m // 2:])
-        rows = _contract(ta, tb, tgt, total < _FLOAT_SAFE).tolist()
+    rows = _contract(_half_table(q, mod, sn[: m // 2]),
+                     _half_table(q, mod, sn[m // 2:]), tgt, total)
     if len(rows) != kmax + 1:
         raise ArithmeticError(
             f"table for q={q}, m={m} has {len(rows)} rows, not kmax + 1 = {kmax + 1}")

@@ -450,14 +450,15 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
             if not isinstance(digest, str):
                 raise FormatError(f"{fwhere}: missing digest")
             families.append(IsospectralFamily(digest, members, flags))
+        classes = _field(cobj, "classes", int, where, 0, ok=lambda v: v >= 0)
         results.append(CensusResult(
-            n=n, q=q, mode=mode, families=tuple(families),
-            classes=_field(cobj, "classes", int, where, 0, ok=lambda v: v >= 0),
+            n=n, q=q, mode=mode, families=tuple(families), classes=classes,
+            # the classes that share a sketch bucket are some of the classes
             fingerprints=_field(cobj, "fingerprints", int, where, 0,
-                                ok=lambda v: v >= 0),
+                                ok=lambda v: 0 <= v <= classes),
             seconds=float(_field(cobj, "seconds", (int, float), where, 0.0,
                                  ok=lambda v: v >= 0)),
-            note=str(cobj.get("note", ""))))
+            note=_field(cobj, "note", str, where, "")))
     return tuple(results)
 
 

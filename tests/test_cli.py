@@ -3,6 +3,7 @@ from itertools import product
 
 import pytest
 
+from lensdirac import cli
 from lensdirac.cli import main
 from lensdirac.search import load_results
 
@@ -316,3 +317,39 @@ def test_missing_required_flag_exits_two():
     with pytest.raises(SystemExit) as info:
         main(["spectrum", "-s", "1,1"])
     assert info.value.code == 2
+
+
+# one call per subcommand, then a usage error (exit 2 from the program)
+# and two argument errors (exit 2 from argparse)
+EVERY_SUBCOMMAND = [
+    ["spectrum", "-q", "49", "-s", "1,6,8,22", "-k", "3"],
+    ["isospec", "49:1,6,8,22", "49:1,6,8,20"],
+    ["search", "-n", "7", "--q-min", "49", "--q-max", "49"],
+    ["family", "tower", "-r", "1"],
+    ["oracle", "-q", "7", "-s", "1,2", "-k", "5"],
+    ["spectrum", "-q", "8", "-s", "1,3,5,7"],
+    ["spectrum", "-s", "1,1"],
+    ["definitely-not-a-command"],
+]
+
+
+def call(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_one_parser_serves_every_call(capsys, monkeypatch):
+    """main builds its parser once per process and reuses it; every
+    subcommand and every kind of error answers exactly as with a parser
+    built for the call."""
+    assert cli.build_parser() is cli.build_parser()
+    reused = [call(capsys, argv) for argv in EVERY_SUBCOMMAND * 2]
+    monkeypatch.setattr(cli, "build_parser", cli.build_parser.__wrapped__)
+    fresh = [call(capsys, argv) for argv in EVERY_SUBCOMMAND * 2]
+    assert reused == fresh
+    assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 2, 2, 2] * 2
+    assert all(out for _, out, _ in reused[:5])

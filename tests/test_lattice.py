@@ -87,8 +87,27 @@ def test_membership_example_q32():
 
 
 def packed_rows(lat):
-    """Reference table from the packed big-integer DP alone."""
-    return tuple(map(tuple, lattice._reduced_packed(*lattice._norm_key(lat))))
+    """Reference table from a coordinate-by-coordinate DP over residues
+    that packs the counts for every level into one big Python integer per
+    (sign parity, residue)."""
+    q, mod, tgt, sn = lattice._norm_key(lat)
+    width = ((2 * q) ** len(sn)).bit_length() + 1
+    state = [[0] * mod, [0] * mod]  # [parity][residue] -> packed counts by e
+    state[0][0] = 1
+    for s in sn:
+        new = [[0] * mod, [0] * mod]
+        steps = [((2 * e + 1) * s % mod, e * width) for e in range(q)]
+        for p in (0, 1):
+            for r, x in enumerate(state[p]):
+                if not x:
+                    continue
+                for d, shift in steps:
+                    new[p][(r + d) % mod] += x << shift
+                    new[p ^ 1][(r - d) % mod] += x << shift
+        state = new
+    mask = (1 << width) - 1
+    return tuple(tuple((state[p][tgt] >> (k * width)) & mask for p in (0, 1))
+                 for k in range(reduced_level_bound(q, len(sn)) + 1))
 
 
 def test_reduced_rows_match_brute_force():
@@ -109,6 +128,82 @@ def test_backends_agree_on_larger_cases():
     for x in cases:
         lat = lattice_of(x)
         assert reduced_counts(lat).rows == packed_rows(lat), x
+
+
+def count_limbs(monkeypatch):
+    """Record how many limbs _contract cuts each half table into."""
+    seen = []
+    real = lattice._limbs
+
+    def counted(t, w):
+        limbs = list(real(t, w))
+        seen.append(len(limbs))
+        return limbs
+
+    monkeypatch.setattr(lattice, "_limbs", counted)
+    return seen
+
+
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_towers_match_packed_reference(monkeypatch, r):
+    """Tower members (q = 40, m = 10, 14, 18): r = 2 stays below 2^53 and
+    is one limb per half table, r = 3 and 4 are past int64 and take
+    several."""
+    seen = count_limbs(monkeypatch)
+    clear_caches()
+    for x in tower_family(r):
+        lat = lattice_of(x)
+        assert reduced_counts(lat).rows == packed_rows(lat), x
+    assert (max(seen) > 1) == (r > 2)
+
+
+def test_object_half_tables_match_packed_reference():
+    """At q = 3, m = 50 each half table totals 6^25 > 2^63, so it is built
+    on Python integers."""
+    lat = lattice_of(spin_space(3, (1, 2) * 25))
+    clear_caches()
+    assert lattice._half_table(3, 3, lat.s[:25]).dtype == object
+    assert reduced_counts(lat).rows == packed_rows(lat)
+
+
+def test_object_half_tables_match_int64_ones(monkeypatch):
+    """With the int64 limit patched to 0, every half table is built on
+    Python integers, entry for entry the same."""
+    expect = {s_half: lattice._half_table(7, 14, s_half)
+              for s_half in [(1,), (1, 3), (1, 3, 5), (1, 1, 3, 5, 6)]}
+    monkeypatch.setattr(lattice, "_INT64_MAX", 0)
+    clear_caches()
+    for s_half, table in expect.items():
+        got = lattice._half_table(7, 14, s_half)
+        assert got.dtype == object
+        assert np.array_equal(got, table), s_half
+    clear_caches()
+
+
+def test_many_limbs_match_packed_reference(monkeypatch):
+    """1-bit limbs send every sample table through many limb products."""
+    seen = count_limbs(monkeypatch)
+    monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: 1)
+    clear_caches()
+    for lat in sample_lattices():
+        assert reduced_counts(lat).rows == packed_rows(lat), lat
+    assert max(seen) > 2
+    clear_caches()
+
+
+def test_limb_width_keeps_products_exact():
+    """The widest limbs whose products over 2 mod terms stay below 2^53
+    and whose antidiagonals over ka levels stay below 2^63."""
+    for mod, ka in [(3, 1), (80, 274), (199, 600), (2, 1 << 20)]:
+        w = lattice._limb_width(mod, ka, 1 << 60)
+        assert 2 * mod * 4 ** w <= 1 << 53 and ka * 2 * mod * 4 ** w < 1 << 63
+        wider = 2 * mod * 4 ** (w + 1)
+        assert wider > 1 << 53 or ka * wider >= 1 << 63, (mod, ka)
+    # below 2^53 the table total bounds every entry: one limb
+    assert lattice._limb_width(80, 274, 12345) == (12345).bit_length()
+    for mod, ka in [(1 << 51, 1), (80, 1 << 60)]:
+        with pytest.raises(ArithmeticError, match="limb width"):
+            lattice._limb_width(mod, ka, 1 << 60)
 
 
 def test_reduced_total_is_exact():
@@ -193,26 +288,33 @@ def sketch_of_table(lat):
 
 def test_sketch_matches_packed_table_past_int64():
     """A tower member (q = 40, m = 14) has 2*80^13 reduced points, past
-    int64, so its full table comes from the packed DP; the sketch needs
-    no table and has no such limit."""
+    int64, so its full table is summed from several limb products; the
+    sketch needs no table and has no such limit."""
     lat = lattice_of(tower_family(3)[1])
     assert reduced_counts(lat).total() == 2 * 80 ** 13
     assert sketches([lat]) == (sketch_of_table(lat),)
 
 
 def test_packed_table_total_is_checked(monkeypatch):
-    real = lattice._reduced_packed
+    """A tower member (q = 40, m = 14) is past 2^53, so its half tables
+    are cut into limbs; one count off by one in the top limb of each half
+    (2^22 or more in the table) changes the table's total."""
+    real = lattice._limbs
+    seen = []
 
-    def off_by_one(q, mod, tgt, sn):
-        rows = real(q, mod, tgt, sn)
-        rows[q][1] += 1
-        return rows
+    def off_by_one(t, w):
+        *low, top = real(t, w)
+        top = top.copy()
+        top[(0,) * top.ndim] += 1
+        seen.append(len(low) + 1)
+        return [*low, top]
 
-    monkeypatch.setattr(lattice, "_reduced_packed", off_by_one)
+    monkeypatch.setattr(lattice, "_limbs", off_by_one)
     lat = lattice_of(tower_family(3)[0])
     clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat)
+    assert min(seen) > 1
 
 
 def brute_half_table(q, mod, s_half):
@@ -323,16 +425,18 @@ def test_mim_rejects_non_integer_float_counts(monkeypatch):
         reduced_counts(lat)
 
 
-@pytest.mark.parametrize("float_safe", [lattice._FLOAT_SAFE, 0])
-def test_mim_rejects_integer_corruption(monkeypatch, float_safe):
+@pytest.mark.parametrize("limb_bits", [None, 1], ids=["one-limb", "1-bit-limbs"])
+def test_mim_rejects_integer_corruption(monkeypatch, limb_bits):
     """An integer error in a half table leaves every count an integer;
-    the table total still catches it, on the float64 and int64 paths."""
+    the table total still catches it, whether each half table is one limb
+    or many."""
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
                         lambda q, mod, s_half:
                         real(q, mod, s_half) + 1)
-    monkeypatch.setattr(lattice, "_FLOAT_SAFE", float_safe)
+    if limb_bits is not None:
+        monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: limb_bits)
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat)
@@ -350,8 +454,8 @@ def _move_one_count_up(table):
 
 def test_asymmetric_tables_are_rejected(monkeypatch):
     """Moving a count between levels keeps the table total, so only the
-    k -> kmax - k symmetry catches it, on the matrix product and the
-    packed paths."""
+    k -> kmax - k symmetry catches it, whether each half table is one
+    limb or many."""
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
@@ -360,15 +464,8 @@ def test_asymmetric_tables_are_rejected(monkeypatch):
     with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)
 
-    real_packed = lattice._reduced_packed
-
-    def moved(q, mod, tgt, sn):
-        rows = real_packed(q, mod, tgt, sn)
-        rows[2][0] -= 1
-        rows[3][0] += 1
-        return rows
-
-    monkeypatch.setattr(lattice, "_reduced_packed", moved)
-    monkeypatch.setattr(lattice, "_INT64_SAFE", 0)
+    seen = count_limbs(monkeypatch)
+    monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: 1)
     with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)
+    assert min(seen) > 1

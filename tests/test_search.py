@@ -459,6 +459,10 @@ def test_load_accepts_minimal_document(tmp_path):
     res, = load_results(_write_doc(tmp_path, _census_doc()))
     assert res.q == 49 and len(res.families) == 1
     assert res.families[0].trivial_flags == (False,)
+    assert (res.classes, res.fingerprints, res.note) == (0, 0, "")
+    res, = load_results(_write_doc(tmp_path, _census_doc(
+        classes=3, fingerprints=3, note="three classes")))
+    assert (res.classes, res.fingerprints, res.note) == (3, 3, "three classes")
 
 
 def test_load_rejects_member_shape_mismatches(tmp_path):
@@ -518,8 +522,14 @@ def _with_family(**fields):
     _census_doc(classes=-5),
     _census_doc(fingerprints=-1),
     _census_doc(seconds=-0.5),
+    _census_doc(classes=3, fingerprints=9),
+    _census_doc(fingerprints=1),
+    _census_doc(note=["x", 1]),
+    _census_doc(note=None),
 ], ids=["classes", "seconds", "censuses", "trivial_flags", "family", "q",
-        "negative-classes", "negative-fingerprints", "negative-seconds"])
+        "negative-classes", "negative-fingerprints", "negative-seconds",
+        "fingerprints-above-classes", "fingerprints-without-classes",
+        "list-note", "null-note"])
 def test_load_rejects_fields_of_the_wrong_type(tmp_path, doc):
     with pytest.raises(FormatError):
         load_results(_write_doc(tmp_path, doc))
