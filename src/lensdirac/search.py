@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import sys
 import time
 from dataclasses import dataclass
 from itertools import combinations, combinations_with_replacement
@@ -457,7 +458,7 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
             fingerprints=_field(cobj, "fingerprints", int, where, 0,
                                 ok=lambda v: 0 <= v <= classes),
             seconds=float(_field(cobj, "seconds", (int, float), where, 0.0,
-                                 ok=lambda v: v >= 0)),
+                                 ok=lambda v: 0 <= v <= sys.float_info.max)),
             note=_field(cobj, "note", str, where, "")))
     return tuple(results)
 

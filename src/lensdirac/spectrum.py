@@ -3,27 +3,35 @@
 The Dirac spectrum of a spin lens space of dimension n = 2m - 1 is the
 symmetric set +-(k + n/2) for k = 0, 1, 2, ... (half-integers; the field
 value2 below stores the doubled eigenvalue 2k + 2m - 1 to stay integral).
-The multiplicity of -(k + n/2) is
+The multiplicity M-(k) of -(k + n/2) is
 
     sum_{r >= 0} C(r + m - 2, m - 2) * N(r mod 2, k - r)
 
-where N(parity, level) counts congruence lattice points (lattice module);
-the multiplicity of +(k + n/2) is the same sum with parity r + 1.  The sum
-is finite: N vanishes for negative levels.
+with N(parity, level) the lattice point counts of the lattice module
+(zero below level 0); M+(k) is the same sum with parity r + 1.  With
+P_par(z) = sum_k Nred(par, k) z^k, N(par, .) has generating function
+P_par / (1 - z^q)^m, and the sum over r divides by (1 -+ z)^(m-1), the
+sign (-1)^r being what separates M- from M+:
 
-Since the multiplicities are triangular in the N table (the r = 0 term is
-N(parity, k) and all other terms have level < k), the full spectrum and
-the finite reduced table determine each other.  Two spaces are therefore
-Dirac isospectral exactly when they share q and m and their reduced
-tables agree entrywise, which is a finite exact integer comparison:
-fingerprint() exposes that table as the deciding invariant.
+    S = sum_k (M-(k) + M+(k)) z^k = (P0 + P1)(z) / ((1 - z)^(m-1) (1 - z^q)^m)
+    D = sum_k (M-(k) - M+(k)) z^k = (P0 - P1)(z) / ((1 + z)^(m-1) (1 - z^q)^m)
+
+Each division is a running sum (at stride q, plain, alternating), so
+spectrum_table is 2m - 1 passes per series, and M-+ = (S +- D) / 2.
+
+The r = 0 term is N(parity, k) and all others have level < k, so the
+spectrum and the finite reduced table determine each other: two spaces
+are Dirac isospectral exactly when they share q and m and their reduced
+tables agree, a finite exact comparison of the invariant fingerprint().
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .lattice import ReducedCountTable, count, lattice_of, reduced_counts
+from .lattice import ReducedCountTable, lattice_of, reduced_counts
+from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
 from .lens import SpinLensSpace
 from .numtheory import binomial
 
@@ -63,36 +71,25 @@ def multiplicity(x: SpinLensSpace, sign: int, k: int) -> int:
         raise ValueError(f"sign must be 1 or -1, got {sign!r}")
     if k < 0:
         return 0
-    lat = lattice_of(x)
-    m = x.m
-    offset = 0 if sign < 0 else 1
-    total = 0
-    for r in range(k + 1):
-        w = binomial(r + m - 2, m - 2)
-        total += w * count(lat, (r + offset) % 2, k - r)
-    return total
+    row = spectrum_table(x, k)[k]
+    return row.minus if sign < 0 else row.plus
 
 
 def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
     """Multiplicities of every eigenvalue pair for k = 0..kmax."""
-    lat = lattice_of(x)
-    table = reduced_counts(lat)
-    m, q = x.m, lat.q
-    # N(p, k) from the reduced table, as in lattice.count
-    lift = [binomial(beta + m - 1, m - 1) for beta in range(kmax // q + 1)]
-    counts = [[sum(lift[beta] * table.get(p, k - beta * q)
-                   for beta in range(k // q + 1)) for p in (0, 1)]
-              for k in range(kmax + 1)]
-    weights = [binomial(r + m - 2, m - 2) for r in range(kmax + 1)]
-    out = []
-    for k in range(kmax + 1):
-        minus = plus = 0
-        for r in range(k + 1):
-            w = weights[r]
-            minus += w * counts[k - r][r % 2]
-            plus += w * counts[k - r][(r + 1) % 2]
-        out.append(LevelMultiplicities(k, Eigenvalue(k, m).value2, minus, plus))
-    return out
+    m, q, n = x.m, x.q, max(kmax + 1, 0)
+    rows = (reduced_counts(lattice_of(x)).rows + ((0, 0),) * n)[:n]
+    lifted = []
+    for sign in (1, -1):  # the series S and D of the module docstring
+        series = [e + sign * o for e, o in rows]
+        for _ in range(m):
+            for r in range(q):
+                series[r::q] = accumulate(series[r::q])
+        for _ in range(m - 1):
+            series = list(accumulate(series, lambda acc, c: c + sign * acc))
+        lifted.append(series)
+    return [LevelMultiplicities(k, Eigenvalue(k, m).value2, (s + d) // 2, (s - d) // 2)
+            for k, (s, d) in enumerate(zip(*lifted))]
 
 
 def fingerprint(x: SpinLensSpace) -> ReducedCountTable:

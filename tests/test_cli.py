@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -274,10 +275,11 @@ def test_oracle_tight_tolerance_fails(capsys, monkeypatch):
     """The comparison is exact: one count off by one at a single level
     fails it."""
     from lensdirac import oracle
-    real = oracle.multiplicity
+    real = oracle.spectrum_table
     monkeypatch.setattr(
-        oracle, "multiplicity",
-        lambda x, sign, k: real(x, sign, k) + (1 if (sign, k) == (-1, 9) else 0))
+        oracle, "spectrum_table",
+        lambda x, kmax: [replace(row, minus=row.minus + 1) if row.k == 9 else row
+                         for row in real(x, kmax)])
     code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20")
     assert code == 1
     assert "disagree" in out and "k=9" in out

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -74,10 +75,13 @@ def test_compare_raw_parameters():
 
 
 def _off_by_one_at(monkeypatch, k_bad):
-    real = oracle.multiplicity
-    monkeypatch.setattr(
-        oracle, "multiplicity",
-        lambda x, sign, k: real(x, sign, k) + (1 if (sign, k) == (1, k_bad) else 0))
+    real = oracle.spectrum_table
+
+    def off_by_one(x, kmax):
+        return [replace(row, plus=row.plus + 1) if row.k == k_bad else row
+                for row in real(x, kmax)]
+
+    monkeypatch.setattr(oracle, "spectrum_table", off_by_one)
 
 
 def test_compare_reports_the_first_wrong_level(monkeypatch):
@@ -124,6 +128,16 @@ def test_brute_counts_match_dp():
         rows = brute_counts(lat, 15)
         for k in range(16):
             assert rows[k] == (count(lat, 0, k), count(lat, 1, k))
+
+
+@pytest.mark.parametrize("raw, small", [(2 ** 62 + 2, 1), (2 ** 62 + 3, 2)],
+                         ids=["2^62+2", "2^62+3"])
+def test_brute_counts_reduce_raw_parameters(raw, small):
+    # odd coordinates times 2^62 + c leave int64 unless s is reduced first
+    lat = lattice_of(spin_space(5, (1, raw)))
+    want = brute_counts(lattice_of(spin_space(5, (1, small))), 6)
+    assert brute_counts(lat, 6) == want
+    assert want == tuple((count(lat, 0, k), count(lat, 1, k)) for k in range(7))
 
 
 def test_brute_counts_guard():

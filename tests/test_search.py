@@ -1,4 +1,5 @@
 import json
+import math
 import random
 from dataclasses import replace
 from itertools import combinations, product
@@ -450,8 +451,9 @@ def _census_doc(**overrides):
 
 
 def _write_doc(tmp_path, doc):
+    """doc is a JSON-able object or the document's text."""
     path = tmp_path / "doc.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     return str(path)
 
 
@@ -526,10 +528,14 @@ def _with_family(**fields):
     _census_doc(fingerprints=1),
     _census_doc(note=["x", 1]),
     _census_doc(note=None),
+    _census_doc(seconds=math.inf),
+    json.dumps(_census_doc(seconds="@")).replace('"@"', "1e999"),
+    _census_doc(seconds=10 ** 400),
 ], ids=["classes", "seconds", "censuses", "trivial_flags", "family", "q",
         "negative-classes", "negative-fingerprints", "negative-seconds",
         "fingerprints-above-classes", "fingerprints-without-classes",
-        "list-note", "null-note"])
+        "list-note", "null-note", "infinite-seconds", "overflowing-seconds",
+        "huge-integer-seconds"])
 def test_load_rejects_fields_of_the_wrong_type(tmp_path, doc):
     with pytest.raises(FormatError):
         load_results(_write_doc(tmp_path, doc))

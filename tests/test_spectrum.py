@@ -1,10 +1,15 @@
+import random
 from itertools import product
 
 import pytest
 
+from lensdirac.lattice import count, lattice_of
 from lensdirac.lens import find_isometry, find_lens_isometry, make_lens, spin_space
+from lensdirac.numtheory import binomial, units
+from lensdirac.search import tower_family
 from lensdirac.spectrum import (
     Eigenvalue,
+    LevelMultiplicities,
     dirac_isospectral,
     fingerprint,
     inverse_isospectral,
@@ -12,6 +17,24 @@ from lensdirac.spectrum import (
     spectrum_table,
     sphere_multiplicity,
 )
+
+
+def direct_multiplicity(x, sign, k):
+    """The multiplicity sum of the spectrum module docstring, one
+    lattice.count per r: the reference for spectrum_table's running sums."""
+    if k < 0:
+        return 0
+    lat, m = lattice_of(x), x.m
+    offset = 0 if sign < 0 else 1
+    return sum(binomial(r + m - 2, m - 2) * count(lat, (r + offset) % 2, k - r)
+               for r in range(k + 1))
+
+
+def direct_table(x, kmax):
+    return [LevelMultiplicities(k, Eigenvalue(k, x.m).value2,
+                                direct_multiplicity(x, -1, k),
+                                direct_multiplicity(x, +1, k))
+            for k in range(kmax + 1)]
 
 
 def test_eigenvalue_values():
@@ -80,6 +103,44 @@ def test_spectrum_table_consistent_with_multiplicity():
         assert r.value2 == 2 * r.k + 7
         assert r.minus == multiplicity(x, -1, r.k)
         assert r.plus == multiplicity(x, +1, r.k)
+
+
+def _sweep_cases():
+    """Seeded random spaces with raw (unreduced) parameters, every spin
+    label, and kmax below 0, at 0, inside the reduced table and past 3q;
+    q = 1 and q = 2 always included."""
+    rng = random.Random(20141208)
+    cases = [(1, (1, 1), None, 12), (1, (1, 1, 1), None, 0),
+             (2, (1, 1), "h0", 9), (2, (1, 3, 5, 7), "h1", 10),
+             (5, (1, 2), None, -1), (6, (1, 5), "h1", -3)]
+    while len(cases) < 40:
+        m = rng.randint(2, 5)
+        q = rng.randint(1, 25)
+        if q % 2 == 0 and m % 2 == 1:
+            continue
+        pool = units(q) if q > 1 else [1]
+        s = tuple(rng.choice(pool) + q * rng.randint(0, 2) for _ in range(m))
+        kmax = rng.choice((-2, 0, rng.randint(1, m * (q - 1) + 1),
+                           3 * q + rng.randint(1, 10)))
+        for tag in ((None,) if q % 2 else ("h0", "h1")):
+            cases.append((q, s, tag, kmax))
+    return cases
+
+
+@pytest.mark.parametrize("q, s, tag, kmax", _sweep_cases())
+def test_spectrum_table_matches_direct_sum(q, s, tag, kmax):
+    x = spin_space(q, s, tag)
+    assert spectrum_table(x, kmax) == direct_table(x, kmax)
+
+
+def test_running_sums_stay_in_python_integers():
+    # tower r = 2 (q = 40, m = 10): at k = 100 the multiplicities pass 2^63
+    x = tower_family(2)[0]
+    row = spectrum_table(x, 100)[100]
+    assert max(row.minus, row.plus) > 1 << 63
+    assert (row.minus, row.plus) == (direct_multiplicity(x, -1, 100),
+                                     direct_multiplicity(x, +1, 100))
+    assert multiplicity(x, -1, 100) == row.minus
 
 
 def test_quotient_sum_rule():
