@@ -186,7 +186,10 @@ def cmd_family(args) -> int:
 
     for members in groups:
         print(" | ".join(format_spin_lens(x) for x in members))
-        canon = [canonical_key(x, "unoriented").as_space() for x in members]
+        try:
+            canon = [canonical_key(x, "unoriented").as_space() for x in members]
+        except OverflowError as exc:
+            raise UsageError(str(exc)) from exc
         print("  canonical: " + " | ".join(format_spin_lens(x) for x in canon))
     if not args.verify:
         return 0

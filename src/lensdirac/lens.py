@@ -42,12 +42,18 @@ folded value.  l and -l fold alike, but their fold counts add up to m,
 so for odd m they differ in orientation and both signs are needed.  The
 transported spin label moves by sum_j a_j (+ m when oriented), which is
 even whenever there are two labels (q even, so m even and a_j odd).
+
+Classes.  For q > 2 a canonical tuple is (1, f_2 <= ... <= f_m), f_j folded,
+or when oriented its mirror, and a (tuple, spin label) row is a class iff
+it equals its canonical form: the spin split is the label column, as
+(t, 1) stays unless an isometry of the mode fixing t takes label 1 to 0.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
@@ -443,15 +449,15 @@ def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
 
 
 def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
-                    h: Optional[Sequence[int]] = None) -> np.ndarray:
+                    h: Sequence[int]) -> np.ndarray:
     """Canonical form of every row of normalized parameters S, q > 2: the
-    lexicographic minimum of (sorted folded tuple, transported label h[i],
-    0 when h is None) over the candidate units l = +-S[i, j]^-1.  Oriented
-    tuples take only even numbers of sign flips: after an odd number of
-    folds the largest entry is unfolded, as q - g >= q/2 still sorts last.
+    lexicographic minimum of (sorted folded tuple, transported label h[i])
+    over the candidate units l = +-S[i, j]^-1.  Oriented tuples take only
+    even numbers of sign flips: after an odd number of folds the largest
+    entry is unfolded, as q - g >= q/2 still sorts last.
     """
     S = np.asarray(S, dtype=np.int64)
-    spin = np.zeros(len(S), dtype=np.int64) if h is None else np.asarray(h)
+    spin = np.asarray(h, dtype=np.int64)
     best = np.full((len(S), S.shape[1] + 1), q, dtype=np.int64)
     for ell in _candidate_ells(S, q).T:
         prod = ell[:, None] * S
@@ -471,6 +477,29 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
     if not (best < q).all():
         raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
     return best
+
+
+def _class_rows(q: int, m: int, mode: KeyMode) -> list[list[int]]:
+    """Sorted rows (canonical tuple, spin label), one per class of spin
+    lens spaces of order q with m parameters (m even when q is; label 0
+    for the unique structure of odd q): the candidate rows that are their
+    own canonical form, or for q <= 2 the distinct canonical keys."""
+    if q <= 2:
+        keys = {canonical_key(spin_space(q, (q - 1,) * m, tag), mode)
+                for tag in ((None,) if q == 1 else ("h0", "h1"))}
+        return sorted([*k.s, int(k.spin == "h1")] for k in keys)
+    folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
+    A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
+                 dtype=np.int64)
+    if mode == "oriented":
+        mirror = A.copy()
+        mirror[:, -1] = q - mirror[:, -1]
+        A = np.vstack([A, mirror])
+    labels = (0,) if q % 2 else (0, 1)
+    rows = np.column_stack([np.tile(A, (len(labels), 1)),
+                            np.repeat(labels, len(A))])
+    keep = np.all(_canonical_rows(rows[:, :-1], q, mode, rows[:, -1]) == rows, axis=1)
+    return sorted(rows[keep].tolist())
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:
@@ -503,10 +532,10 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
 
 def self_transport_pairs(params: tuple[int, ...], q: int) -> frozenset[tuple[int, int]]:
     """Achievable (orientation parity, spin transport parity) pairs over
-    all self-relations of the normalized tuple.  Used to decide whether
-    the two spin structures of an even-q space are exchanged by an
-    isometry, and whether the space admits an orientation-reversing
-    self-isometry (amphichirality)."""
+    all self-relations of the normalized tuple: whether the two spin
+    structures of an even-q space are exchanged by an isometry, and
+    whether the space admits an orientation-reversing self-isometry
+    (amphichirality).  A census reads the first from _class_rows instead."""
     sn = tuple(v % q for v in params)
     out: set[tuple[int, int]] = set()
     for _ell, pairs in _ell_relations(sn, sn, q):

@@ -18,7 +18,6 @@ multiplicity exceeds: the residues are the multiplicities themselves.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Sequence
 
 import numpy as np
 
@@ -44,24 +43,14 @@ class OracleMismatch(Exception):
     """The series and the exact multiplicities differ at some level."""
 
 
-def _poly_mul(a: list[int], q3: tuple[int, int, int], p: int) -> list[int]:
-    out = [0] * (len(a) + 2)
-    for i, c in enumerate(a):
-        out[i] += c * q3[0]
-        out[i + 1] += c * q3[1]
-        out[i + 2] += c * q3[2]
-    return [c % p for c in out]
-
-
-def _series_div(num: Sequence[int], den: Sequence[int], k_max: int,
-                p: int) -> list[int]:
-    """Coefficients 0..k_max of num(z)/den(z) mod p; den[0] is 1."""
+def _divide_quadratic(series: list[int], c: int, p: int) -> list[int]:
+    """series(z) / (1 - c z + z^2) mod p, to the same length:
+    out[k] = series[k] + c out[k-1] - out[k-2]."""
     out: list[int] = []
-    for k in range(k_max + 1):
-        c = num[k] if k < len(num) else 0
-        for i in range(1, min(k, len(den) - 1) + 1):
-            c -= den[i] * out[k - i]
-        out.append(c % p)
+    prev2 = prev = 0
+    for a in series:
+        prev2, prev = prev, (a + c * prev - prev2) % p
+        out.append(prev)
     return out
 
 
@@ -77,7 +66,8 @@ def generating_coeffs(x: SpinLensSpace,
     inserts the factor (q+1); for even q the label h enters through a
     global sign on the j-th summand.  In GF(p) the cosines and sines
     become zeta^t + zeta^-t and zeta^t - zeta^-t, and the j-th summand
-    has denominator prod (1 - (zeta^2t + zeta^-2t) z + z^2).
+    has denominator prod (1 - (zeta^2t + zeta^-2t) z + z^2), divided out
+    one quadratic factor at a time.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -91,30 +81,32 @@ def generating_coeffs(x: SpinLensSpace,
     powers = [pow(zeta, t, p) for t in range(two_q)]
     lift = q + 1 if q % 2 == 1 else 1
 
-    # summands with the same denominator are added before dividing
+    # summands with the same denominator factors are added before dividing
     numerators: dict[tuple[int, ...], list[int]] = {}
     for j in range(q):
         tnum = [(lift * j * sl) % two_q for sl in s]
         prod_cos = prod_sin = 1
-        den = [1]
         for t in tnum:
             prod_cos = prod_cos * (powers[t] + powers[-t]) % p
             prod_sin = prod_sin * (powers[t] - powers[-t]) % p
-            cos2 = powers[2 * t % two_q] + powers[-2 * t % two_q]
-            den = _poly_mul(den, (1, -cos2, 1), p)
         chi_plus, chi_minus = prod_cos + prod_sin, prod_cos - prod_sin
         if sign_exp and j % 2 == 1:
             chi_plus, chi_minus = -chi_plus, -chi_minus
-        acc = numerators.setdefault(tuple(den), [0, 0])
+        cos2 = tuple(sorted((powers[2 * t % two_q] + powers[-2 * t % two_q]) % p
+                            for t in tnum))
+        acc = numerators.setdefault(cos2, [0, 0])
         acc[0] += chi_plus
         acc[1] += chi_minus
 
     plus = [0] * (k_max + 1)
     minus = [0] * (k_max + 1)
-    for den, (chi_plus, chi_minus) in numerators.items():
-        for acc, num in ((plus, (chi_minus, -chi_plus)),
-                         (minus, (chi_plus, -chi_minus))):
-            for k, c in enumerate(_series_div(num, den, k_max, p)):
+    for cos2, (chi_plus, chi_minus) in numerators.items():
+        for acc, num in ((plus, [chi_minus, -chi_plus]),
+                         (minus, [chi_plus, -chi_minus])):
+            series = (num + [0] * k_max)[:k_max + 1]
+            for c in cos2:
+                series = _divide_quadratic(series, c, p)
+            for k, c in enumerate(series):
                 acc[k] += c
     # the half in each character and the 1/q of the average
     scale = pow(two_q, -1, p)

@@ -3,10 +3,9 @@ fixed dimension and group order, fingerprint every class, and partition
 into isospectral families.  Also: generators for the known infinite
 families, a from-scratch family verifier, and result persistence.
 
-Class enumeration is vectorized: every sorted folded tuple that starts
-with 1 (and, when oriented, its mirror) is canonicalized in bulk by
-lens._canonical_rows, and the tuples that are their own canonical form
-are the classes.  Fingerprinting runs in two phases: one
+Class enumeration is lens._class_rows: the (tuple, spin label) rows that
+equal their own canonical form, which settles the tuples and the even-q
+spin split in one vectorized pass.  Fingerprinting runs in two phases: one
 vectorized sketch of every class's table (lattice.sketches, the table's
 generating polynomials at one point of a prime field), then the full
 table only for classes whose sketch collides with another's.  Grouping
@@ -16,26 +15,24 @@ follows enumeration order, so output is deterministic.
 from __future__ import annotations
 
 import json
-import math
 import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, TextIO
-
-import numpy as np
 
 from .lens import (
     KeyMode,
     NoSpinStructure,
+    SpinLabel,
     SpinLensSpace,
-    _canonical_rows,
+    _class_rows,
     find_isometry,
     format_spin_lens,
-    self_transport_pairs,
     spin_space,
 )
+from .lens import self_transport_pairs  # noqa: F401  perfbench wrap site lensdirac.search.self_transport_pairs
 from .lattice import ReducedCountTable, lattice_of, sketches
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
@@ -100,36 +97,15 @@ class VerificationReport:
         return "\n".join(self.checks)
 
 
-def _canonical_tuples(q: int, m: int, mode: KeyMode) -> list[tuple[int, ...]]:
-    """All canonical parameter tuples for the given mode, lexicographically
-    sorted.  Matches lens.canonical_key exactly (property-tested).  Each
-    is a sorted folded tuple (1, ...) or, when oriented, its mirror, so
-    only those rows are built; the ones equal to their canonical form stay.
-    """
-    if q == 1:
-        return [(0,) * m]
-    if q == 2:
-        return [(1,) * m]
-    folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
-    A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
-                 dtype=np.int64)
-    if mode == "oriented":
-        mirror = A.copy()
-        mirror[:, -1] = q - mirror[:, -1]
-        A = np.vstack([A, mirror])
-    keep = np.all(_canonical_rows(A, q, mode)[:, :-1] == A, axis=1)
-    return sorted(map(tuple, A[keep].tolist()))
-
-
 def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[SpinLensSpace, ...]:
     """One representative per isometry class of spin lens spaces of
     dimension n and order q, in deterministic (lexicographic) order.
 
     mode "oriented" classifies up to orientation-preserving isometry,
     "unoriented" up to all isometries; spin structures are transported
-    along the isometries either way, so exchanged even-q labels collapse
-    to a single class exactly when a self-isometry of the right kind
-    exchanges them.
+    along the isometries either way, so the two even-q labels of a tuple
+    are one class exactly when a self-isometry of the mode exchanges
+    them.  Each representative is its own canonical key's space.
     """
     if n < 3 or n % 2 == 0:
         raise ValueError(f"dimension must be odd and >= 3, got {n}")
@@ -141,20 +117,9 @@ def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[Spi
     if q % 2 == 0 and m % 2 == 1:
         raise NoSpinStructure(f"no spin structure for q={q}, m={m}")
 
-    out: list[SpinLensSpace] = []
-    for tup in _canonical_tuples(q, m, mode):
-        if q % 2 == 1:
-            out.append(spin_space(q, tup))
-            continue
-        pairs = self_transport_pairs(tup, q)
-        if mode == "oriented":
-            merged = (0, 1) in pairs
-        else:
-            merged = (0, 1) in pairs or (1, 1) in pairs
-        out.append(spin_space(q, tup, "h0"))
-        if not merged:
-            out.append(spin_space(q, tup, "h1"))
-    return tuple(out)
+    labels = (SpinLabel(None),) if q % 2 else (SpinLabel(0), SpinLabel(1))
+    return tuple(spin_space(q, row[:-1], labels[row[-1]])
+                 for row in _class_rows(q, m, mode))
 
 
 def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
@@ -380,11 +345,13 @@ def _load_member(obj: dict, q: int, m: int, where: str) -> SpinLensSpace:
         mq, s, spin = obj["q"], obj["s"], obj["spin"]
     except (KeyError, TypeError) as exc:
         raise FormatError(f"{where}: member missing field {exc}") from exc
-    if mq != q:
-        raise FormatError(f"{where}: member q={mq} inside census q={q}")
+    if type(mq) is not int or mq != q:  # not isinstance: JSON true is a bool
+        raise FormatError(f"{where}: member q={mq!r} inside census q={q}")
     if not isinstance(s, list) or len(s) != m:
         raise FormatError(f"{where}: parameter list has length "
                           f"{len(s) if isinstance(s, list) else '?'}, want {m}")
+    if any(type(v) is not int for v in s):
+        raise FormatError(f"{where}: parameters {s!r} are not all integers")
     if spin not in (("unique",) if q % 2 else ("h0", "h1")):
         raise FormatError(f"{where}: spin {spin!r} invalid for q={q}")
     try:

@@ -256,6 +256,10 @@ def test_family_usage_errors(capsys):
         code, _, err = run(capsys, "family", "mirror", "-r", "7", "-t", t)
         assert code == 2, t
         assert "t must be >= 1" in err
+    # q = 55111^2 is past the int64 products of the canonical form
+    code, _, err = run(capsys, "family", "mirror", "-r", "55111")
+    assert code == 2
+    assert err.startswith("error:") and "overflow" in err
 
 
 def test_oracle_sphere(capsys):

@@ -43,8 +43,7 @@ def test_series_field_past_the_prime_test_limit_raises_before_the_series(monkeyp
     def no_series(*args):
         raise AssertionError("series work started")
 
-    monkeypatch.setattr(oracle, "_series_div", no_series)
-    monkeypatch.setattr(oracle, "_poly_mul", no_series)
+    monkeypatch.setattr(oracle, "_divide_quadratic", no_series)
     x = spin_space(49, (1, 8, 15, 29))
     k_big = 30_000
     assert sphere_multiplicity(7, k_big) >= PRIME_TEST_LIMIT

@@ -15,6 +15,7 @@ from lensdirac.lens import (
     canonical_key,
     find_isometry,
     make_lens,
+    self_transport_pairs,
     spin_space,
     spin_structures,
 )
@@ -124,6 +125,26 @@ def test_enumerate_agrees_with_canonical_keys():
                 assert k.as_space() == x, (n, q, mode, x)
             universe = {canonical_key(x, mode) for x in all_spaces(n, q)}
             assert set(keys) == universe, (n, q, mode)
+
+
+def _split_by_self_relations(tup, q, mode):
+    """Reference spin split, one tuple at a time: h1 is its own class
+    unless a self-relation of the mode transports the label (orientation
+    parity 0, or either parity when unoriented)."""
+    pairs = self_transport_pairs(tup, q)
+    exchanged = (0, 1) in pairs or (mode == "unoriented" and (1, 1) in pairs)
+    return ["h0"] if exchanged else ["h0", "h1"]
+
+
+@pytest.mark.parametrize("m, q_max", [(2, 120), (4, 64), (6, 30)])
+def test_spin_split_matches_self_relations(m, q_max):
+    for q in range(2, q_max + 1, 2):
+        for mode in ("oriented", "unoriented"):
+            tags = {}
+            for x in enumerate_classes(2 * m - 1, q, mode):
+                tags.setdefault(x.s, []).append(x.spin.tag)
+            for tup, got in tags.items():
+                assert got == _split_by_self_relations(tup, q, mode), (q, mode, tup)
 
 
 def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
@@ -476,6 +497,18 @@ def test_load_rejects_member_shape_mismatches(tmp_path):
     doc = _census_doc()
     doc["censuses"][0]["families"][0]["members"][0]["s"] = [1, 6, 8]
     with pytest.raises(FormatError, match="length"):
+        load_results(_write_doc(tmp_path, doc))
+
+    # JSON booleans are not lens parameters
+    doc = _census_doc()
+    doc["censuses"][0]["families"][0]["members"][0]["s"] = [True, 6, 8, 22]
+    with pytest.raises(FormatError, match="not all integers"):
+        load_results(_write_doc(tmp_path, doc))
+
+    doc = _census_doc(q=1)
+    for member in doc["censuses"][0]["families"][0]["members"]:
+        member["q"] = True
+    with pytest.raises(FormatError, match="member q=True"):
         load_results(_write_doc(tmp_path, doc))
 
     doc = _census_doc()
