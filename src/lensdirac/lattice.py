@@ -291,13 +291,16 @@ def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
 
 
 # sketches() evaluates at z0 = _SKETCH_POINT (any residue below 2^30
-# works) and takes _SKETCH_BLOCK lattices at a time to bound its memory.
+# works) and takes _SKETCH_BLOCK classes at a time to bound its memory.
 _SKETCH_POINT = 0x2545F491
 _SKETCH_BLOCK = 1024
 
 
-def sketches(lats: Sequence[CongruenceLattice]) -> tuple[tuple[int, int], ...]:
-    """For lattices of one q and m, 2 mod (P0(z0), P1(z0)) mod p with
+def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...]:
+    """Sketches of class rows of one q, given as int64 arrays, with no
+    space or lattice built: row i is L(q; s[i]), parameters in [0, q),
+    with spin label h[i] (0 for odd q), so its lattice has target h[i] q.
+    Each sketch is 2 mod (P0(z0), P1(z0)) mod p with
     P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30) and
     z0 = _SKETCH_POINT, from the character sum (w a mod-th root of 1)
 
@@ -306,12 +309,7 @@ def sketches(lats: Sequence[CongruenceLattice]) -> tuple[tuple[int, int], ...]:
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
-    if not lats:
-        return ()
-    keys = [_norm_key(lat) for lat in lats]
-    q, mod, _, sn = keys[0]
-    if any(key[:2] != (q, mod) or len(key[3]) != len(sn) for key in keys):
-        raise ValueError("sketches() needs lattices of one q, modulus and m")
+    mod = q if q % 2 else 2 * q
     p, zeta = series_field(q, 1 << 30)
     omega = pow(zeta, 2 * q // mod, p)
     w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
@@ -320,10 +318,9 @@ def sketches(lats: Sequence[CongruenceLattice]) -> tuple[tuple[int, int], ...]:
     exps = j[:, None] * (2 * np.arange(q) + 1) % mod
     fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
     tables = np.stack([fwd + bwd, fwd - bwd]).sum(axis=2) % p  # T+, T-
-    s = np.array([key[3] for key in keys], dtype=np.int64)
-    tgt = np.array([key[2] for key in keys], dtype=np.int64)
-    sums = np.empty((2, len(keys)), dtype=np.int64)
-    for start in range(0, len(keys), _SKETCH_BLOCK):
+    tgt = h * q % mod
+    sums = np.empty((2, len(s)), dtype=np.int64)
+    for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
         acc = w[-tgt[block, None] * j % mod]
         for col in s[block].T:

@@ -479,15 +479,17 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
     return best
 
 
-def _class_rows(q: int, m: int, mode: KeyMode) -> list[list[int]]:
-    """Sorted rows (canonical tuple, spin label), one per class of spin
-    lens spaces of order q with m parameters (m even when q is; label 0
-    for the unique structure of odd q): the candidate rows that are their
-    own canonical form, or for q <= 2 the distinct canonical keys."""
+def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
+    """Sorted int64 rows (canonical tuple, spin label), one per class of
+    spin lens spaces of order q with m parameters (m even when q is;
+    label 0 for the unique structure of odd q): the candidate rows that
+    are their own canonical form, or for q <= 2 the distinct canonical
+    keys."""
     if q <= 2:
         keys = {canonical_key(spin_space(q, (q - 1,) * m, tag), mode)
                 for tag in ((None,) if q == 1 else ("h0", "h1"))}
-        return sorted([*k.s, int(k.spin == "h1")] for k in keys)
+        return np.array(sorted([*k.s, int(k.spin == "h1")] for k in keys),
+                        dtype=np.int64)
     folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
     A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
                  dtype=np.int64)
@@ -499,7 +501,8 @@ def _class_rows(q: int, m: int, mode: KeyMode) -> list[list[int]]:
     rows = np.column_stack([np.tile(A, (len(labels), 1)),
                             np.repeat(labels, len(A))])
     keep = np.all(_canonical_rows(rows[:, :-1], q, mode, rows[:, -1]) == rows, axis=1)
-    return sorted(rows[keep].tolist())
+    rows = rows[keep]
+    return rows[np.lexsort(rows.T[::-1])]
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:

@@ -5,11 +5,12 @@ families, a from-scratch family verifier, and result persistence.
 
 Class enumeration is lens._class_rows: the (tuple, spin label) rows that
 equal their own canonical form, which settles the tuples and the even-q
-spin split in one vectorized pass.  Fingerprinting runs in two phases: one
-vectorized sketch of every class's table (lattice.sketches, the table's
-generating polynomials at one point of a prime field), then the full
-table only for classes whose sketch collides with another's.  Grouping
-follows enumeration order, so output is deterministic.
+spin split in one vectorized pass.  A census fingerprints those rows in
+two phases: one vectorized sketch of every row's table (lattice.sketches,
+the table's generating polynomials at one point of a prime field), then
+a SpinLensSpace and its full table only for classes whose sketch collides
+with another's.  Grouping follows enumeration order, so output is
+deterministic.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
+import numpy as np
+
 from .lens import (
     KeyMode,
     NoSpinStructure,
@@ -33,7 +36,7 @@ from .lens import (
     spin_space,
 )
 from .lens import self_transport_pairs  # noqa: F401  perfbench wrap site lensdirac.search.self_transport_pairs
-from .lattice import ReducedCountTable, lattice_of, sketches
+from .lattice import ReducedCountTable, sketches
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
 
@@ -97,6 +100,26 @@ class VerificationReport:
         return "\n".join(self.checks)
 
 
+def _census_rows(n: int, q: int, mode: KeyMode) -> np.ndarray:
+    """lens._class_rows of dimension n and order q, after checking n, q
+    and mode; raises NoSpinStructure for even q with odd m."""
+    if n < 3 or n % 2 == 0:
+        raise ValueError(f"dimension must be odd and >= 3, got {n}")
+    if mode not in ("oriented", "unoriented"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if q < 1:
+        raise ValueError(f"order must be positive, got {q}")
+    m = (n + 1) // 2
+    if q % 2 == 0 and m % 2 == 1:
+        raise NoSpinStructure(f"no spin structure for q={q}, m={m}")
+    return _class_rows(q, m, mode)
+
+
+def _row_space(q: int, row: list[int]) -> SpinLensSpace:
+    """The space of a class row (parameters, spin label)."""
+    return spin_space(q, row[:-1], SpinLabel(row[-1] if q % 2 == 0 else None))
+
+
 def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[SpinLensSpace, ...]:
     """One representative per isometry class of spin lens spaces of
     dimension n and order q, in deterministic (lexicographic) order.
@@ -107,19 +130,7 @@ def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[Spi
     are one class exactly when a self-isometry of the mode exchanges
     them.  Each representative is its own canonical key's space.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError(f"dimension must be odd and >= 3, got {n}")
-    if mode not in ("oriented", "unoriented"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if q < 1:
-        raise ValueError(f"order must be positive, got {q}")
-    m = (n + 1) // 2
-    if q % 2 == 0 and m % 2 == 1:
-        raise NoSpinStructure(f"no spin structure for q={q}, m={m}")
-
-    labels = (SpinLabel(None),) if q % 2 else (SpinLabel(0), SpinLabel(1))
-    return tuple(spin_space(q, row[:-1], labels[row[-1]])
-                 for row in _class_rows(q, m, mode))
+    return tuple(_row_space(q, row) for row in _census_rows(n, q, mode).tolist())
 
 
 def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
@@ -140,28 +151,29 @@ def run_census(n: int, q_range: Iterable[int],
     the orientation-free comparison).  Same-key grouping compares full
     tables, never digests alone.
 
-    Two phases.  The first buckets every class on its lattice.sketches
+    Two phases.  The first buckets every class row on its lattice.sketches
     pair (up to the swap, in unoriented mode), a ring image of its table:
     equal tables have equal sketches, so a class alone in its bucket is
-    alone in its spectrum.  Only classes sharing a bucket get
-    fingerprint(), and CensusResult.fingerprints counts them.
+    alone in its spectrum.  Only classes sharing a bucket become spaces
+    and get fingerprint(), and CensusResult.fingerprints counts them.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []
     for q in q_range:
         started = time.perf_counter()
         try:
-            reps = enumerate_classes(n, q, mode)
+            classes = _census_rows(n, q, mode)
         except NoSpinStructure:
             results.append(CensusResult(
                 n=n, q=q, mode=mode, families=(), classes=0, fingerprints=0,
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
         buckets: dict[tuple, list[int]] = {}
-        for idx, sketch in enumerate(sketches([lattice_of(x) for x in reps])):
+        for idx, sketch in enumerate(sketches(q, classes[:, :-1], classes[:, -1])):
             buckets.setdefault(_group_key((sketch,), mode), []).append(idx)
         survivors = sorted(i for idxs in buckets.values() if len(idxs) > 1
                            for i in idxs)
+        reps = {i: _row_space(q, classes[i].tolist()) for i in survivors}
         groups: dict[tuple, list[int]] = {}
         for idx in survivors:
             rows = fingerprint(reps[idx]).rows
@@ -176,7 +188,7 @@ def run_census(n: int, q_range: Iterable[int],
             digest = ReducedCountTable(q, m, rows).digest()
             families.append(IsospectralFamily(digest, members, flags))
         results.append(CensusResult(
-            n=n, q=q, mode=mode, families=tuple(families), classes=len(reps),
+            n=n, q=q, mode=mode, families=tuple(families), classes=len(classes),
             fingerprints=len(survivors), seconds=time.perf_counter() - started))
     return tuple(results)
 
@@ -213,9 +225,10 @@ def mirror_pair(r: int, t: int = 1) -> tuple[tuple[SpinLensSpace, SpinLensSpace]
     (an odd number of entries cross a period boundary), so the pairs are
     (plus h0, minus h1) and (plus h1, minus h0).
 
-    The t=1 members are proven isospectral for odd r >= 7; t >= 2 is
-    supported but should be treated as experimental input, verified
-    case by case.
+    The t=1 members are proven isospectral for odd r >= 7.  For t >= 2,
+    verify_family passes on every pair for r = 7, 9, 11 and t = 1..4 (q
+    up to 484, both spin labels at even q), which the test suite checks;
+    beyond that grid, verify a pair before relying on it.
     """
     if r < 7 or r % 2 == 0:
         raise ValueError("r must be odd and >= 7")
@@ -394,7 +407,7 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
         q = _field(cobj, "q", int, where, ok=lambda v: v >= 1)
         mode = _field(cobj, "mode", str, where, ok=lambda v: v in ("oriented", "unoriented"))
         m = (n + 1) // 2
-        families = []
+        families, seen = [], set()
         for fi, fobj in enumerate(_field(cobj, "families", list, where, [])):
             fwhere = f"{where}.families[{fi}]"
             if not isinstance(fobj, dict):
@@ -403,6 +416,10 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
                             for mo in _field(fobj, "members", list, fwhere, []))
             if len(members) < 2:
                 raise FormatError(f"{fwhere}: fewer than two members")
+            for x in members:  # families partition distinct classes
+                if x in seen:
+                    raise FormatError(f"{fwhere}: {format_spin_lens(x)} listed twice")
+                seen.add(x)
             npairs = len(members) * (len(members) - 1) // 2
             if "trivial_flags" in fobj:
                 flags = tuple(_field(fobj, "trivial_flags", list, fwhere))

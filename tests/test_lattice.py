@@ -275,6 +275,14 @@ def test_transport_preserves_lattice_membership():
     assert moved > 0
 
 
+def sketch_args(lats):
+    """sketches() arguments for lattices of one q: the parameters and
+    labels (target / q) of their normalised keys."""
+    keys = [lattice._norm_key(lat) for lat in lats]
+    return (keys[0][0], np.array([key[3] for key in keys], dtype=np.int64),
+            np.array([key[2] // key[0] for key in keys], dtype=np.int64))
+
+
 def sketch_of_table(lat):
     """2 mod (P0(z0), P1(z0)) mod p from the rows of the full table."""
     q, mod, _, _ = lattice._norm_key(lat)
@@ -292,7 +300,7 @@ def test_sketch_matches_packed_table_past_int64():
     sketch needs no table and has no such limit."""
     lat = lattice_of(tower_family(3)[1])
     assert reduced_counts(lat).total() == 2 * 80 ** 13
-    assert sketches([lat]) == (sketch_of_table(lat),)
+    assert sketches(*sketch_args([lat])) == (sketch_of_table(lat),)
 
 
 def test_packed_table_total_is_checked(monkeypatch):
@@ -357,7 +365,7 @@ def test_sketches_match_full_tables():
                 continue
             s = tuple(rng.choice(units(q)) for _ in range(m))
             lat = lattice_of(spin_space(q, s, label))
-            got = sketches([lat])
+            got = sketches(*sketch_args([lat]))
             assert got == (sketch_of_table(lat),), (q, s, label)
             assert all(type(v) is int for v in got[0])
 
@@ -368,11 +376,12 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
     lats = [lattice_of(spin_space(20, tuple(rng.choice(units(20)) for _ in range(4)),
                                   rng.choice(("h0", "h1"))))
             for _ in range(10)]
-    one_by_one = tuple(sketches([lat])[0] for lat in lats)
+    one_by_one = tuple(sketches(*sketch_args([lat]))[0] for lat in lats)
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
-    assert sketches(lats) == one_by_one
+    assert sketches(*sketch_args(lats)) == one_by_one
     assert one_by_one == tuple(sketch_of_table(lat) for lat in lats)
-    assert sketches([]) == ()
+    assert sketches(20, np.empty((0, 4), dtype=np.int64),
+                    np.empty(0, dtype=np.int64)) == ()
 
 
 def test_sketch_memory_is_bounded_by_the_block():
@@ -381,21 +390,14 @@ def test_sketch_memory_is_bounded_by_the_block():
     rng, pool = random.Random(7), units(199)
     lats = [CongruenceLattice(199, tuple(rng.choice(pool) for _ in range(4)), 199, 0)
             for _ in range(10_000)]
+    args = sketch_args(lats)
     tracemalloc.start()
     try:
-        sketches(lats)
+        sketches(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 32 << 20
-
-
-def test_sketches_need_one_q_and_m():
-    a = lattice_of(spin_space(5, (1, 2)))
-    with pytest.raises(ValueError, match="one q"):
-        sketches([a, lattice_of(spin_space(7, (1, 2)))])
-    with pytest.raises(ValueError, match="one q"):
-        sketches([a, lattice_of(spin_space(5, (1, 2, 2)))])
 
 
 def test_point_level_rejects_even_coordinates():

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 import pytest
 
-from lensdirac import lens, search
+from lensdirac import lattice, lens, search
 from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
@@ -265,8 +265,8 @@ def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
     second phase must separate them."""
     if bits is not None:
         mask, full = (1 << bits) - 1, search.sketches
-        monkeypatch.setattr(search, "sketches", lambda lats: tuple(
-            (a & mask, b & mask) for a, b in full(lats)))
+        monkeypatch.setattr(search, "sketches", lambda q, s, h: tuple(
+            (a & mask, b & mask) for a, b in full(q, s, h)))
     constant = bits == 0
     cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
              if not (q % 2 == 0 and n % 4 == 1)]
@@ -287,6 +287,27 @@ def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
 def test_census_counts_only_colliding_full_tables():
     res = census(7, 49)
     assert res.classes == 506 and res.fingerprints == 2
+
+
+def test_census_builds_spaces_only_for_sketch_collisions(monkeypatch):
+    """Classes reach the sketch as rows; only the classes that share a
+    sketch become spaces, lattices and normalised table keys."""
+    built = {"spaces": 0, "keys": 0}
+    post_init, norm_key = SpinLensSpace.__post_init__, lattice._norm_key
+
+    def counted_post_init(self):
+        built["spaces"] += 1
+        post_init(self)
+
+    def counted_norm_key(lat):
+        built["keys"] += 1
+        return norm_key(lat)
+
+    monkeypatch.setattr(SpinLensSpace, "__post_init__", counted_post_init)
+    monkeypatch.setattr(lattice, "_norm_key", counted_norm_key)
+    res = run_census(7, [49])[0]
+    assert (res.classes, res.fingerprints) == (506, 2)
+    assert built == {"spaces": 2, "keys": 2}
 
 
 # ---------------------------------------------------------------- generators
@@ -355,6 +376,16 @@ def test_mirror_pair_even_q_crosses_labels():
         [("h0", "h1"), ("h1", "h0")]
     for pair in pairs:
         verify_family(pair)
+
+
+def test_mirror_pairs_verify_on_the_stated_grid():
+    """Every pair for r = 7, 9, 11 and t = 1..4 (q up to 484, both spin
+    labels at even q) is strictly isospectral and non-isometric."""
+    for r, t in product((7, 9, 11), range(1, 5)):
+        pairs = mirror_pair(r, t)
+        assert len(pairs) == (2 if r * r * t % 2 == 0 else 1)
+        for pair in pairs:
+            verify_family(pair)
 
 
 def test_mirror_pair_validation():
@@ -539,6 +570,28 @@ def test_load_rejects_flag_and_member_miscounts(tmp_path):
     del doc["censuses"][0]["families"][0]["digest"]
     with pytest.raises(FormatError, match="digest"):
         load_results(_write_doc(tmp_path, doc))
+
+
+def test_load_rejects_a_member_listed_twice(tmp_path):
+    doc = _census_doc()
+    fam = doc["censuses"][0]["families"][0]
+    fam["members"][1] = dict(fam["members"][0])
+    with pytest.raises(FormatError, match="listed twice"):
+        load_results(_write_doc(tmp_path, doc))
+
+    # across the families of one census
+    doc = _census_doc()
+    fam = doc["censuses"][0]["families"][0]
+    other = {"q": 49, "s": [1, 6, 8, 29], "spin": "unique"}
+    doc["censuses"][0]["families"].append(
+        {"digest": "e" * 8, "trivial": False, "members": [other, fam["members"][1]]})
+    with pytest.raises(FormatError, match=r"families\[1\].*listed twice"):
+        load_results(_write_doc(tmp_path, doc))
+
+    # the same member in two censuses is two results
+    doc = _census_doc()
+    doc["censuses"].append(_census_doc(mode="oriented")["censuses"][0])
+    assert len(load_results(_write_doc(tmp_path, doc))) == 2
 
 
 def _with_family(**fields):
