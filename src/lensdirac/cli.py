@@ -18,9 +18,7 @@ from .lens import (
     SpinLensSpace,
     canonical_key,
     format_spin_lens,
-    make_lens,
     spin_space,
-    spin_structures,
 )
 from .oracle import OracleMismatch, oracle_compare
 from .search import (
@@ -54,17 +52,7 @@ def _parse_params(text: str) -> tuple[int, ...]:
 
 def _build_space(q: int, s_text: str, spin: Optional[str]) -> SpinLensSpace:
     s = _parse_params(s_text)
-    if spin == "unique":
-        spin = None
     try:
-        lens = make_lens(q, s)
-        if not spin_structures(lens):
-            raise UsageError(
-                f"L({q}; {','.join(map(str, s))}) has no spin structure "
-                "(q even, m odd)")
-        if spin is None and q % 2 == 0:
-            raise UsageError(
-                f"q={q} is even: choose a spin structure with h0 or h1")
         return spin_space(q, s, spin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -80,8 +68,6 @@ def _parse_space_spec(text: str) -> SpinLensSpace:
     except ValueError:
         raise UsageError(f"bad order {parts[0]!r} in space spec {text!r}")
     spin = parts[2] if len(parts) == 3 else None
-    if spin is not None and spin not in ("unique", "h0", "h1"):
-        raise UsageError(f"bad spin tag {spin!r} in space spec {text!r}")
     return _build_space(q, parts[1], spin)
 
 

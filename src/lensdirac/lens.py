@@ -38,10 +38,12 @@ That collapses the (sigma, eps) search to a multiset comparison per l.
 Candidate units.  For q > 2 only l = +-b_1 * a_j^-1 (mod q), at most 2m
 units, can matter: a unit relating a to b sends some a_j to +-b_1, and
 a unit minimising a canonical form sends some a_j to +-1, the smallest
-folded value.  l and -l fold alike, but their fold counts add up to m,
-so for odd m they differ in orientation and both signs are needed.  The
-transported spin label moves by sum_j a_j (+ m when oriented), which is
-even whenever there are two labels (q even, so m even and a_j odd).
+folded value.  Witnesses try both signs; canonical forms need only
+l = a_j^-1.  l and q - l fold alike, with fold counts adding up to m.
+For even m, (q - l, -eps) acts as (l, eps) and moves the spin label by
+sum_j a_j + m, even when q is (a_j odd).  For odd m, l = -1 with every
+eps_j = -1 fixes each tuple and reverses orientation: dimension 4k+1 is
+amphichiral, so oriented canonical forms are the unoriented ones.
 
 Classes.  For q > 2 a canonical tuple is (1, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
@@ -205,8 +207,6 @@ def spin_space(q: int, s: Sequence[int], spin: str | SpinLabel | None = None) ->
     elif isinstance(spin, SpinLabel):
         label = spin
     elif spin is None:
-        if q % 2 == 0:
-            raise ValueError("spin label (h0/h1) required for even q")
         label = UNIQUE_SPIN
     else:
         raise TypeError(f"bad spin {spin!r}")
@@ -377,10 +377,8 @@ def find_isometry(a: SpinLensSpace, b: SpinLensSpace, mode: IsoMode = "any"
     For odd q the unique structures are always transported; for even q
     the witness must satisfy the transport rule for the given labels.
     """
-    if a.q != b.q or a.m != b.m:
-        raise Mismatch(f"cannot compare q={a.q},m={a.m} with q={b.q},m={b.m}")
-    if a.spin.h is None:
-        delta = None
+    if a.spin.h is None or b.spin.h is None:
+        delta = None  # odd q, or orders that _find_witness rejects
     else:
         # required transport parity in normalized-parameter convention
         delta = (b.spin.h - a.spin.h) % 2
@@ -432,12 +430,11 @@ class CanonicalKey:
 
 
 def _candidate_ells(S: np.ndarray, q: int) -> np.ndarray:
-    """(rows, 2m) array of the units +-S[:, j]^-1 mod q."""
+    """(rows, m) array of the units S[:, j]^-1 mod q ("Candidate units")."""
     if q * q >= 2**63:
         raise OverflowError(f"q = {q}: products of residues would overflow int64")
     values, where = np.unique(S, return_inverse=True)
-    inv = np.array([pow(int(v), -1, q) for v in values])[where].reshape(S.shape)
-    return np.hstack([inv, q - inv])
+    return np.array([pow(int(v), -1, q) for v in values])[where].reshape(S.shape)
 
 
 def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
@@ -452,9 +449,10 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
                     h: Sequence[int]) -> np.ndarray:
     """Canonical form of every row of normalized parameters S, q > 2: the
     lexicographic minimum of (sorted folded tuple, transported label h[i])
-    over the candidate units l = +-S[i, j]^-1.  Oriented tuples take only
+    over the candidate units l = S[i, j]^-1.  Oriented tuples take only
     even numbers of sign flips: after an odd number of folds the largest
-    entry is unfolded, as q - g >= q/2 still sorts last.
+    entry is unfolded, as q - g >= q/2 still sorts last.  Odd m is
+    amphichiral and takes the unoriented path ("Candidate units").
     """
     S = np.asarray(S, dtype=np.int64)
     spin = np.asarray(h, dtype=np.int64)
@@ -468,7 +466,7 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
         # each sign flip moves the transport parity by one, and the
         # oriented tuple always carries an even number of them
         label = spin + (prod // q).sum(axis=1)
-        if mode == "unoriented":
+        if mode == "unoriented" or S.shape[1] % 2:
             label += folds
         else:
             odd = folds % 2 == 1
@@ -493,7 +491,7 @@ def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
     A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
                  dtype=np.int64)
-    if mode == "oriented":
+    if mode == "oriented" and m % 2 == 0:  # odd m: mirrors never canonical
         mirror = A.copy()
         mirror[:, -1] = q - mirror[:, -1]
         A = np.vstack([A, mirror])

@@ -12,24 +12,6 @@ from __future__ import annotations
 import math
 
 
-class NotInvertible(ValueError):
-    """Raised when an inverse mod q is requested for gcd(a, q) != 1."""
-
-
-def mod_inverse(a: int, q: int) -> int:
-    """Inverse of a modulo q, in [0, q).
-
-    For q = 1 every residue is 0 and 0 is its own inverse.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if q == 1:
-        return 0
-    if math.gcd(a, q) != 1:
-        raise NotInvertible(f"{a} is not invertible mod {q}")
-    return pow(a, -1, q)
-
-
 def units(q: int) -> list[int]:
     """Residues in [0, q) coprime to q, ascending.
 

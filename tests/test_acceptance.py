@@ -33,7 +33,7 @@ from lensdirac.lens import (
     spin_space,
     spin_structures,
 )
-from lensdirac.numtheory import binomial, mod_inverse, units
+from lensdirac.numtheory import binomial, units
 from lensdirac.oracle import brute_counts, oracle_compare
 from lensdirac.search import (
     mirror_pair,
@@ -172,7 +172,7 @@ def random_lattice_point(rng, lat):
     q, mod = lat.q, lat.modulus
     tail = [rng.randrange(-q, q) * 2 + 1 for _ in range(lat.m - 1)]
     rhs = (lat.target - sum(a * s for a, s in zip(tail, lat.s[1:]))) % mod
-    a1 = (rhs * mod_inverse(lat.s[0], mod)) % mod
+    a1 = (rhs * pow(lat.s[0], -1, mod)) % mod
     if a1 % 2 == 0:
         assert mod % 2 == 1, "even modulus must pin an odd first coordinate"
         a1 += mod

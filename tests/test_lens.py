@@ -25,6 +25,7 @@ from lensdirac.lens import (
     spin_structures,
 )
 from lensdirac.numtheory import units
+from lensdirac.search import enumerate_classes
 
 
 # ---------------------------------------------------------------- helpers
@@ -186,6 +187,8 @@ def test_mismatch_raises():
         find_lens_isometry(make_lens(7, (1, 2)), make_lens(5, (1, 2)))
     with pytest.raises(Mismatch):
         find_isometry(spin_space(7, (1, 2)), spin_space(7, (1, 2, 3)))
+    with pytest.raises(Mismatch):
+        find_isometry(spin_space(8, (1, 3), "h0"), spin_space(7, (1, 2)))
 
 
 def test_found_witnesses_always_verify():
@@ -357,6 +360,24 @@ def test_unoriented_key_is_the_brute_force_minimum():
                     key = canonical_key(spin_space(q, s, label), "unoriented")
                     spin = "unique" if label.h is None else f"h{want[1]}"
                     assert (key.s, key.spin) == (want[0], spin), (q, s, label)
+
+
+def test_dimension_4k_plus_1_is_amphichiral():
+    """For odd m, l = -1 with every eps_j = -1 fixes each tuple and
+    reverses orientation, so oriented and unoriented classes agree."""
+    for n, q_max in ((5, 61), (9, 41), (13, 27)):
+        for q in range(1, q_max + 1, 2):  # even q: no spin structure
+            oriented = enumerate_classes(n, q, "oriented")
+            assert oriented == enumerate_classes(n, q, "unoriented"), (n, q)
+    rng = random.Random(4101)
+    for _ in range(300):
+        q = 2 * rng.randrange(1, 100) + 1
+        m = rng.choice((3, 5, 7, 9))
+        us = units(q)
+        x = spin_space(q, [rng.choice(us) + q * rng.randrange(-2, 3)
+                           for _ in range(m)])
+        assert find_isometry(x, x, "reversing") is not None, x
+        assert canonical_key(x, "oriented").s == canonical_key(x, "unoriented").s, x
 
 
 def test_ell_relations_match_a_loop_over_every_unit():

@@ -6,46 +6,12 @@ from hypothesis import given, strategies as st
 
 from lensdirac.numtheory import (
     PRIME_TEST_LIMIT,
-    NotInvertible,
     binomial,
     is_prime,
-    mod_inverse,
     series_field,
     units,
 )
 from lensdirac.spectrum import sphere_multiplicity
-
-
-def test_mod_inverse_known_values():
-    assert mod_inverse(3, 32) == 11
-    assert mod_inverse(1, 7) == 1
-    assert mod_inverse(6, 7) == 6
-    assert mod_inverse(-3, 32) == 21
-
-
-def test_mod_inverse_modulus_one():
-    assert mod_inverse(0, 1) == 0
-    assert mod_inverse(5, 1) == 0
-
-
-def test_mod_inverse_rejects_noninvertible():
-    with pytest.raises(NotInvertible):
-        mod_inverse(4, 32)
-    with pytest.raises(NotInvertible):
-        mod_inverse(0, 5)
-    with pytest.raises(ValueError):
-        mod_inverse(1, 0)
-
-
-@given(st.integers(min_value=2, max_value=500), st.integers(min_value=-1000, max_value=1000))
-def test_mod_inverse_property(q, a):
-    if math.gcd(a, q) != 1:
-        with pytest.raises(NotInvertible):
-            mod_inverse(a, q)
-    else:
-        inv = mod_inverse(a, q)
-        assert 0 <= inv < q
-        assert (a * inv) % q == 1
 
 
 def test_units_small():
