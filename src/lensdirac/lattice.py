@@ -307,6 +307,16 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...
         mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
         T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
 
+    T+[-u] = T+[u], T-[-u] = -T-[u], and w^(-j tgt) is unchanged by
+    j -> mod - j because 2 tgt == 0 (mod mod).  So the terms j and
+    mod - j are equal, and the sum runs over j = 0..mod//2 with weight 2
+    on j = 1..(mod-1)//2 and weight 1 on j = 0 and on j = mod/2.  For
+    odd m the minus terms j and mod - j cancel, and at a self-paired j
+    every T-[s_i j] is 0: the minus sum is 0 and the sketch is
+    (plus, plus), the spectral symmetry of dimensions 4k+1.  Each
+    factor is gathered from one table M[sign, s, j] = T+-[s j mod mod],
+    s in [0, q), built once per q.
+
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
     mod = q if q % 2 else 2 * q
@@ -314,19 +324,23 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...
     omega = pow(zeta, 2 * q // mod, p)
     w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
     z = np.array([pow(_SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
-    j = np.arange(mod)
-    exps = j[:, None] * (2 * np.arange(q) + 1) % mod
+    exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
     fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
-    tables = np.stack([fwd + bwd, fwd - bwd]).sum(axis=2) % p  # T+, T-
-    tgt = h * q % mod
-    sums = np.empty((2, len(s)), dtype=np.int64)
-    for start in range(0, len(s), _SKETCH_BLOCK):
-        block = slice(start, start + _SKETCH_BLOCK)
-        acc = w[-tgt[block, None] * j % mod]
+    signs = 1 if s.shape[1] % 2 else 2  # T+ alone for odd m
+    tables = np.stack([fwd + bwd, fwd - bwd][:signs]).sum(axis=2) % p
+    j = np.arange(mod // 2 + 1)
+    table = tables[:, np.arange(q)[:, None] * j % mod]  # M[sign, s, j]
+    weight = np.where((j == 0) | (2 * j == mod), 1, 2)
+    # the weighted phase w^(-j tgt) of each spin label, tgt = h q
+    start = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
+    sums = np.empty((signs, len(s)), dtype=np.int64)
+    for first in range(0, len(s), _SKETCH_BLOCK):
+        block = slice(first, first + _SKETCH_BLOCK)
+        acc = start[h[block]]
         for col in s[block].T:
-            acc = acc * tables[:, col[:, None] * j % mod] % p
-        sums[:, block] = acc.sum(axis=2) % p
-    plus, minus = sums
+            acc = acc * table[:, col] % p
+        sums[:, block] = acc.sum(axis=-1) % p
+    plus, minus = sums if signs == 2 else (sums[0], 0)
     return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
 
 

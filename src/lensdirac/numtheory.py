@@ -74,8 +74,17 @@ def series_field(q: int, bound: int) -> tuple[int, int]:
     while not is_prime(p):  # ValueError once p reaches PRIME_TEST_LIMIT
         p += two_q
     cofactor = (p - 1) // two_q
+    primes, rest, r = [], two_q, 2
+    while rest > 1:  # the primes dividing 2q, by trial division
+        if r * r > rest:
+            r = rest
+        if rest % r == 0:
+            primes.append(r)
+            while rest % r == 0:
+                rest //= r
+        r += 1
     for g in range(2, p):
         zeta = pow(g, cofactor, p)
-        # zeta^(2q) == 1; the order is exactly 2q iff its powers are distinct
-        if len({pow(zeta, t, p) for t in range(two_q)}) == two_q:
+        # zeta^(2q) == 1; the order is exactly 2q iff no zeta^(2q/r) is 1
+        if all(pow(zeta, two_q // r, p) != 1 for r in primes):
             return p, zeta

@@ -431,6 +431,9 @@ def load_results(path: str) -> tuple[CensusResult, ...]:
             if len(flags) != npairs or not all(isinstance(f, bool) for f in flags):
                 raise FormatError(f"{fwhere}: want {npairs} boolean trivial "
                                   f"flags, got {list(flags)!r}")
+            if "trivial" in fobj and fobj["trivial"] is not any(flags):
+                raise FormatError(f"{fwhere}: trivial {fobj['trivial']!r} disagrees "
+                                  f"with trivial_flags {list(flags)!r}")
             digest = fobj.get("digest")
             if not isinstance(digest, str):
                 raise FormatError(f"{fwhere}: missing digest")

@@ -384,6 +384,64 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
                     np.empty(0, dtype=np.int64)) == ()
 
 
+def full_sketches(q, s, h):
+    """Reference for sketches(): the character sum over every frequency
+    j in [0, mod) and both signs, with the index product s_i j mod mod
+    formed for each class."""
+    mod = q if q % 2 else 2 * q
+    p, zeta = series_field(q, 1 << 30)
+    omega = pow(zeta, 2 * q // mod, p)
+    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
+    z = np.array([pow(lattice._SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
+    j = np.arange(mod)
+    exps = j[:, None] * (2 * np.arange(q) + 1) % mod
+    fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
+    tables = np.stack([fwd + bwd, fwd - bwd]).sum(axis=2) % p  # T+, T-
+    acc = w[-(h * q % mod)[:, None] * j % mod]
+    for col in s.T:
+        acc = acc * tables[:, col[:, None] * j % mod] % p
+    plus, minus = acc.sum(axis=2) % p
+    return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
+
+
+def random_class_rows(rng, q, m, count):
+    """sketches() arguments for count random rows: parameters in [0, q)
+    and, for even q, a random spin label."""
+    s = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(count)],
+                 dtype=np.int64)
+    h = np.array([rng.randrange(2) if q % 2 == 0 else 0 for _ in range(count)],
+                 dtype=np.int64)
+    return s, h
+
+
+def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
+    """Folding j with mod - j, and dropping the minus sum for odd m,
+    changes no sketch: odd and even q from q = 1 and q = 2 (mod = 4, where
+    j = 2 pairs with itself), m = 2..10, both spin labels, blocks of 3."""
+    monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
+    rng = random.Random(1313)
+    for m in range(2, 11):
+        for q in (1, 2, 3, 4, 5, 7, 10, 12, 17, 22):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            s, h = random_class_rows(rng, q, m, 8)
+            got = sketches(q, s, h)
+            assert got == full_sketches(q, s, h), (q, m)
+            if m % 2:
+                assert all(even == odd for even, odd in got), (q, m)
+
+
+def test_odd_m_tables_are_parity_symmetric():
+    """In dimensions 4k+1 every full table has even = odd in every row,
+    which is why sketches() computes no minus sum for odd m."""
+    rng = random.Random(41)
+    for m, qmax in ((3, 30), (5, 12), (7, 7), (9, 5)):
+        for q in range(1, qmax + 1, 2):
+            s = tuple(rng.choice(units(q)) for _ in range(m))
+            lat = lattice_of(spin_space(q, s))
+            assert all(even == odd for even, odd in reduced_counts(lat).rows), (q, s)
+
+
 def test_sketch_memory_is_bounded_by_the_block():
     """10,000 dimension-7 classes at q = 199: one unblocked pass would hold
     about 94 MB of int64 arrays; blocks keep the peak under 32 MB."""

@@ -71,3 +71,25 @@ def test_series_field_is_a_large_enough_prime_field():
         assert all(not is_prime(c) for c in range(p - 2 * q, bound, -2 * q))
         powers = [pow(zeta, t, p) for t in range(1, 2 * q + 1)]
         assert powers.index(1) == 2 * q - 1  # primitive 2q-th root
+
+
+def set_series_field(q, bound):
+    """series_field by its definition: the first prime p == 1 (mod 2q)
+    above bound, and the first g whose power g^((p-1)/2q) has 2q distinct
+    powers."""
+    p = ((bound - 1) // (2 * q) + 1) * 2 * q + 1
+    while not is_prime(p):
+        p += 2 * q
+    for g in range(2, p):
+        zeta = pow(g, (p - 1) // (2 * q), p)
+        if len({pow(zeta, t, p) for t in range(2 * q)}) == 2 * q:
+            return p, zeta
+
+
+def test_series_field_root_is_the_first_of_order_2q():
+    """Checking zeta^(2q/r) != 1 for the primes r | 2q picks the same
+    root as comparing all 2q powers."""
+    for q in range(1, 301):
+        assert series_field(q, 1 << 30) == set_series_field(q, 1 << 30), q
+    for q, bound in ((1, 2), (3, 10), (12, 1000), (210, 1 << 40)):
+        assert series_field(q, bound) == set_series_field(q, bound), (q, bound)

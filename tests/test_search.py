@@ -3,6 +3,7 @@ import math
 import random
 from dataclasses import replace
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -637,6 +638,16 @@ def test_load_rejects_trivial_flags_that_are_not_booleans(tmp_path, doc):
         load_results(_write_doc(tmp_path, doc))
 
 
+@pytest.mark.parametrize("doc", [
+    _with_family(trivial=True, trivial_flags=[False]),
+    _with_family(trivial=False, trivial_flags=[True]),
+    _with_family(trivial=0, trivial_flags=[False]),
+], ids=["true-over-false", "false-over-true", "integer-trivial"])
+def test_load_rejects_trivial_that_disagrees_with_its_flags(tmp_path, doc):
+    with pytest.raises(FormatError, match="disagrees"):
+        load_results(_write_doc(tmp_path, doc))
+
+
 def test_io_errors_are_wrapped(tmp_path):
     with pytest.raises(IoError):
         load_results(str(tmp_path / "missing.json"))
@@ -651,6 +662,16 @@ def test_export_csv(tmp_path):
     assert lines[0].startswith("dimension,q,mode,family")
     assert len(lines) == 3  # header + one family of two
     assert "1 6 8 20" in lines[1] + lines[2]
+
+
+def test_census_csv_matches_the_recorded_file(tmp_path):
+    """Dimension 7 at q = 196 has all 8 families of q = 195..199; its CSV
+    (members, spin labels, digests, trivial flags) is checked in byte for
+    byte."""
+    path = tmp_path / "census.csv"
+    export_csv(run_census(7, [196]), str(path))
+    recorded = Path(__file__).parent / "data" / "census_7_196.csv"
+    assert path.read_bytes() == recorded.read_bytes()
 
 
 def test_family_rejects_bad_shapes():
