@@ -25,8 +25,8 @@ labels by
     rho_j = (l * eps_j * s_j - s'_{sigma(j)}) / q  (an exact integer).
 
 The searches below never enumerate permutations: for a fixed l the
-coordinates must match up by folded residue {v, q-v}, and (for q > 2) the
-orientation parity and transport parity are forced:
+coordinates must match up by folded residue {v, q-v}, and the orientation
+parity and transport parity are forced:
 
     #[eps_j = -1]  ==  #{j: l*s_j mod q > q/2} + #{k: s'_k mod q > q/2},
     sum_j rho_j    ==  sum_j floor(l*s_j_norm/q) + #[eps_j = -1]
@@ -35,17 +35,22 @@ with normalized parameters (each rho_j changes by exactly 1 when a
 coordinate is matched across the fold, since -x = -(floor(x/q)+1)*q + ...).
 That collapses the (sigma, eps) search to a multiset comparison per l.
 
-Candidate units.  For q > 2 only l = +-b_1 * a_j^-1 (mod q), at most 2m
-units, can matter: a unit relating a to b sends some a_j to +-b_1, and
-a unit minimising a canonical form sends some a_j to +-1, the smallest
-folded value.  Witnesses try both signs; canonical forms need only
-l = a_j^-1.  l and q - l fold alike, with fold counts adding up to m.
-For even m, (q - l, -eps) acts as (l, eps) and moves the spin label by
+The free flip.  For q <= 2 every residue x has x == -x (mod q), so each
+eps_j is free: flipping it toggles the orientation parity and moves the
+transport parity by 2x/q (1 at q = 2, 0 at q = 1).  For q > 2 no unit
+has 2x == 0, and the forced parities above are the only ones.
+
+Candidate units.  Only l = +-b_1 * a_j^-1 (mod q), at most 2m units, can
+matter: a unit relating a to b sends some a_j to +-b_1, and a unit
+minimising a canonical form sends some a_j to +-1, the smallest folded
+value.  Witnesses try both signs; canonical forms need only l = a_j^-1.
+l and q - l fold alike, with fold counts adding up to m.  For even m,
+(q - l, -eps) acts as (l, eps) and moves the spin label by
 sum_j a_j + m, even when q is (a_j odd).  For odd m, l = -1 with every
 eps_j = -1 fixes each tuple and reverses orientation: dimension 4k+1 is
 amphichiral, so oriented canonical forms are the unoriented ones.
 
-Classes.  For q > 2 a canonical tuple is (1, f_2 <= ... <= f_m), f_j folded,
+Classes.  A canonical tuple is (1 mod q, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
 it equals its canonical form: the spin split is the label column, as
 (t, 1) stays unless an isometry of the mode fixing t takes label 1 to 0.
@@ -248,11 +253,11 @@ class IsometryWitness:
         if lb.q != q or lb.m != la.m:
             return False
         m = la.m
-        if sorted(self.sigma) != list(range(m)):
+        if sorted(self.sigma) != list(range(m)) or len(self.eps) != m:
             return False
         if any(e not in (-1, 1) for e in self.eps):
             return False
-        if q > 1 and math.gcd(self.ell, q) != 1:
+        if math.gcd(self.ell, q) != 1:
             return False
         rho_sum = 0
         for j in range(m):
@@ -274,7 +279,7 @@ class IsometryWitness:
 
 
 def _fold(v: int, q: int) -> int:
-    return min(v, q - v) if v else 0
+    return min(v, q - v)
 
 
 def _mode_parities(mode: IsoMode) -> frozenset[int]:
@@ -293,21 +298,9 @@ def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
     multisets, in increasing order, yield
     (l, achievable {(orientation parity, transport parity)}).
 
-    Parameters must be normalized to [0, q).  For q > 2 exactly one pair
-    is achievable per l; for q <= 2 the sign choices are free but flip
-    both parities together.
+    Parameters must be normalized to [0, q).  The forced pair is always
+    achievable; the free flip (q <= 2, module docstring) adds its image.
     """
-    if q == 1:
-        # all eps choices act trivially on residues; with normalized
-        # parameters (all zero) every rho_j is 0, so only the orientation
-        # component is free
-        yield 0, frozenset(((0, 0), (1, 0)))
-        return
-    if q == 2:
-        # every normalized parameter is 1; eps is free and each flip
-        # toggles orientation and transport parity together
-        yield 1, frozenset(((0, 0), (1, 1)))
-        return
     fb = sorted(_fold(u, q) for u in sn_b)
     u_high = sum(1 for u in sn_b if 2 * u > q)
     # Python ints: exact at any q, and cheaper than numpy for one pair
@@ -319,34 +312,25 @@ def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
             continue
         parity = (sum(1 for x in v if 2 * x > q) + u_high) % 2
         rho = (sum((ell * x) // q for x in sn_a) + parity) % 2
-        yield ell, frozenset(((parity, rho),))
+        pairs = {(parity, rho)}
+        if 2 * v[0] % q == 0:  # the free flip: every coordinate is free at q <= 2
+            pairs.add((1 - parity, (rho + 2 * v[0] // q) % 2))
+        yield ell, frozenset(pairs)
 
 
 def _build_assignment(v: list[int], sn_b: tuple[int, ...], q: int
                       ) -> tuple[list[int], list[int]]:
-    """Deterministic (sigma, eps) for matched folded multisets, q > 2."""
-    m = len(v)
-    slots_plus: dict[int, list[int]] = {}
-    slots_minus: dict[int, list[int]] = {}
-    for k, u in enumerate(sn_b):
-        f = _fold(u, q)
-        (slots_plus if 2 * u < q else slots_minus).setdefault(f, []).append(k)
-    sigma = [-1] * m
-    eps = [0] * m
-    # same-type matches first (eps = +1), then cross matches (eps = -1)
-    deferred: list[tuple[int, int]] = []  # (source index, folded value)
-    for j, x in enumerate(v):
-        f = _fold(x, q)
-        own = slots_plus if 2 * x < q else slots_minus
-        if own.get(f):
-            sigma[j] = own[f].pop(0)
-            eps[j] = 1
-        else:
-            deferred.append((j, f))
-    for j, f in deferred:
-        other = slots_minus if 2 * v[j] < q else slots_plus
-        sigma[j] = other[f].pop(0)
-        eps[j] = -1
+    """Deterministic (sigma, eps) for matched folded multisets: sources and
+    targets each sorted by (folded value, value) and paired in order, so
+    every fold group matches its equal values first and flips the fewest
+    signs; eps_j = +1 exactly when v_j equals its target."""
+    src = sorted(range(len(v)), key=lambda j: (_fold(v[j], q), v[j]))
+    dst = sorted(range(len(sn_b)), key=lambda k: (_fold(sn_b[k], q), sn_b[k]))
+    sigma = [0] * len(v)
+    eps = [0] * len(v)
+    for j, k in zip(src, dst):
+        sigma[j] = k
+        eps[j] = 1 if v[j] == sn_b[k] else -1
     return sigma, eps
 
 
@@ -389,7 +373,7 @@ def _find_witness(a: LensParams, b: LensParams, mode: IsoMode,
                   spin_delta: Optional[int]) -> Optional[IsometryWitness]:
     if a.q != b.q or a.m != b.m:
         raise Mismatch(f"cannot compare q={a.q},m={a.m} with q={b.q},m={b.m}")
-    q, m = a.q, a.m
+    q = a.q
     want = _mode_parities(mode)
     sn_a, sn_b = a.normalized(), b.normalized()
     for ell, pairs in _ell_relations(sn_a, sn_b, q):
@@ -397,15 +381,9 @@ def _find_witness(a: LensParams, b: LensParams, mode: IsoMode,
                    if p in want and (spin_delta is None or r == spin_delta)]
         if not choices:
             continue
-        parity = choices[0][0]
-        if q <= 2:
-            sigma = list(range(m))
-            eps = [1] * m
-            if parity == 1:
-                eps[-1] = -1
-        else:
-            v = [(ell * x) % q for x in sn_a]
-            sigma, eps = _build_assignment(v, sn_b, q)
+        sigma, eps = _build_assignment([(ell * x) % q for x in sn_a], sn_b, q)
+        if eps.count(-1) % 2 != choices[0][0]:  # the free flip, q <= 2 only
+            eps[-1] = -eps[-1]
         return IsometryWitness(
             ell=ell,
             sigma=tuple(sigma),
@@ -447,12 +425,13 @@ def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
 
 def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
                     h: Sequence[int]) -> np.ndarray:
-    """Canonical form of every row of normalized parameters S, q > 2: the
+    """Canonical form of every row of normalized parameters S: the
     lexicographic minimum of (sorted folded tuple, transported label h[i])
     over the candidate units l = S[i, j]^-1.  Oriented tuples take only
     even numbers of sign flips: after an odd number of folds the largest
     entry is unfolded, as q - g >= q/2 still sorts last.  Odd m is
-    amphichiral and takes the unoriented path ("Candidate units").
+    amphichiral and takes the unoriented path ("Candidate units").  At
+    q = 2 the free flip makes every unoriented label 0.
     """
     S = np.asarray(S, dtype=np.int64)
     spin = np.asarray(h, dtype=np.int64)
@@ -472,6 +451,8 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
             odd = folds % 2 == 1
             tup[odd, -1] = q - tup[odd, -1]
         _lex_update(best, np.column_stack([tup, label % 2]))
+    if q == 2 and mode == "unoriented":  # the free flip moves the label by 1
+        best[:, -1] = 0
     if not (best < q).all():
         raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
     return best
@@ -480,18 +461,13 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
 def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     """Sorted int64 rows (canonical tuple, spin label), one per class of
     spin lens spaces of order q with m parameters (m even when q is;
-    label 0 for the unique structure of odd q): the candidate rows that
-    are their own canonical form, or for q <= 2 the distinct canonical
-    keys."""
-    if q <= 2:
-        keys = {canonical_key(spin_space(q, (q - 1,) * m, tag), mode)
-                for tag in ((None,) if q == 1 else ("h0", "h1"))}
-        return np.array(sorted([*k.s, int(k.spin == "h1")] for k in keys),
-                        dtype=np.int64)
-    folded = [f for f in range(1, q // 2 + 1) if math.gcd(f, q) == 1]
-    A = np.array([(1,) + rest for rest in combinations_with_replacement(folded, m - 1)],
+    label 0 for the unique structure of odd q): the candidate rows, built
+    from the folded units in [0, q/2], that are their own canonical form.
+    Mirrors exist only for q > 2: at q = 2 a mirror is the row itself."""
+    folded = [f for f in range(q // 2 + 1) if math.gcd(f, q) == 1]
+    A = np.array([(1 % q,) + rest for rest in combinations_with_replacement(folded, m - 1)],
                  dtype=np.int64)
-    if mode == "oriented" and m % 2 == 0:  # odd m: mirrors never canonical
+    if mode == "oriented" and m % 2 == 0 and q > 2:  # odd m: mirrors never canonical
         mirror = A.copy()
         mirror[:, -1] = q - mirror[:, -1]
         A = np.vstack([A, mirror])
@@ -512,20 +488,7 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
     """
     if mode not in ("oriented", "unoriented"):
         raise ValueError(f"unknown mode {mode!r}")
-    q, m = x.q, x.m
-    h = x.spin.h
-    if q == 1:
-        return CanonicalKey(1, (0,) * m, "unique", mode)
-    if q == 2:
-        # all normalized parameters are 1; unoriented flips are free and
-        # transport spin, oriented (even) flips transport nothing
-        if h is None:
-            spin_tag = "unique"
-        elif mode == "unoriented":
-            spin_tag = "h0"
-        else:
-            spin_tag = f"h{h}"
-        return CanonicalKey(2, (1,) * m, spin_tag, mode)
+    q, h = x.q, x.spin.h
     *tup, hval = _canonical_rows([x.lens.normalized()], q, mode, [h or 0])[0].tolist()
     spin_tag = "unique" if h is None else f"h{hval}"
     return CanonicalKey(q, tuple(tup), spin_tag, mode)

@@ -37,19 +37,6 @@ from .numtheory import binomial
 
 
 @dataclass(frozen=True)
-class Eigenvalue:
-    """Level-k eigenvalue pair of an (2m-1)-dimensional space; the actual
-    eigenvalues are +-value2 / 2."""
-
-    k: int
-    m: int
-
-    @property
-    def value2(self) -> int:
-        return 2 * self.k + 2 * self.m - 1
-
-
-@dataclass(frozen=True)
 class LevelMultiplicities:
     k: int
     value2: int
@@ -88,7 +75,7 @@ def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
         for _ in range(m - 1):
             series = list(accumulate(series, lambda acc, c: c + sign * acc))
         lifted.append(series)
-    return [LevelMultiplicities(k, Eigenvalue(k, m).value2, (s + d) // 2, (s - d) // 2)
+    return [LevelMultiplicities(k, 2 * k + 2 * m - 1, (s + d) // 2, (s - d) // 2)
             for k, (s, d) in enumerate(zip(*lifted))]
 
 

@@ -150,6 +150,16 @@ def test_witness_verify_rejects_tampering():
     assert not IsometryWitness(4, (2, 0, 3, 1), (-1, 1, 1, -1), 1).verify(h0, h1)
 
 
+def test_witness_verify_rejects_eps_of_the_wrong_length():
+    # an extra -1 would flip the orientation of the identity map; a short
+    # eps must be rejected, not index past its end
+    x = spin_space(7, (1, 2))
+    assert not IsometryWitness(1, (0, 1), (1, 1, -1), 0).verify(x, x, "reversing")
+    assert not IsometryWitness(1, (0, 1), (1, 1, 1), 0).verify(x, x)
+    assert not IsometryWitness(1, (0, 1), (1,), 0).verify(x, x)
+    assert IsometryWitness(1, (0, 1), (1, 1), 0).verify(x, x, "preserving")
+
+
 def test_witness_with_broken_assignment_raises(monkeypatch):
     # an assignment that does not send l*eps_j*s_j to the matched
     # parameter mod q has no spin shift
@@ -255,7 +265,7 @@ def test_spin_search_matches_brute_force_even_q():
         for s_a, s_b in product(pool, repeat=2):
             a, b = make_lens(q, s_a), make_lens(q, s_b)
             for ha, hb in product((0, 1), repeat=2):
-                for mode in ("any", "preserving"):
+                for mode in ("any", "preserving", "reversing"):
                     xa = spin_space(q, s_a, f"h{ha}")
                     xb = spin_space(q, s_b, f"h{hb}")
                     w = find_isometry(xa, xb, mode)
@@ -267,7 +277,7 @@ def test_spin_search_matches_brute_force_even_q():
 
 def test_spin_search_matches_brute_force_m4():
     rng = random.Random(59)
-    for q in (4, 8, 16):
+    for q in (2, 4, 8, 16):
         us = units(q)
         pool = [tuple(rng.choice(us) for _ in range(4)) for _ in range(5)]
         for s_a, s_b in product(pool, repeat=2):
@@ -326,7 +336,7 @@ def test_oriented_key_is_the_brute_force_minimum():
     sorted((eps_j * l * s_j) mod q) over units l and sign vectors eps
     with an even number of -1 entries."""
     for m in (2, 3, 4):
-        for q in range(3, 16 if m < 4 else 12):
+        for q in range(1, 16 if m < 4 else 12):
             if q % 2 == 0 and m % 2 == 1:
                 continue
             even_signs = [e for e in product((1, -1), repeat=m)
@@ -342,24 +352,42 @@ def test_oriented_key_is_the_brute_force_minimum():
 
 def test_unoriented_key_is_the_brute_force_minimum():
     """The unoriented canonical key is the lexicographic minimum of
-    (sorted folded l*s, transported label) over every unit l; sign
-    flips are free, and each moves the label by one."""
+    (sorted (eps_j * l * s_j) mod q, transported label) over units l and
+    all sign vectors eps.  The signs are enumerated: at q = 2 a flip
+    moves the label without moving the tuple."""
     for m in (2, 3, 4):
-        for q in range(3, 22 if m < 4 else 14):
+        for q in range(1, 22 if m < 4 else 14):
             if q % 2 == 0 and m % 2 == 1:
                 continue
+            signs = list(product((1, -1), repeat=m))
             for s in combinations_with_replacement(units(q), m):
                 for label in spin_structures(make_lens(q, s)):
                     h = label.h or 0
                     want = min(
-                        (tuple(sorted(min(v, q - v) for v in vs)),
-                         (h + sum((ell * sj) // q for sj in s)
-                          + sum(2 * v > q for v in vs)) % 2)
-                        for ell in units(q)
-                        for vs in [[(ell * sj) % q for sj in s]])
+                        (tuple(sorted(x % q for x in xs)),
+                         (h + sum(x // q for x in xs)) % 2)
+                        for ell in units(q) for eps in signs
+                        for xs in [[e * ell * sj for e, sj in zip(eps, s)]])
                     key = canonical_key(spin_space(q, s, label), "unoriented")
                     spin = "unique" if label.h is None else f"h{want[1]}"
                     assert (key.s, key.spin) == (want[0], spin), (q, s, label)
+
+
+def test_self_isometry_is_the_identity():
+    """find_isometry(x, x, "preserving") pairs equal values in order: the
+    smallest unit (0 at q = 1), the identity sigma and no sign flips, also
+    when folded values repeat."""
+    rng = random.Random(1401)
+    for _ in range(400):
+        q = rng.randrange(1, 60)
+        m = rng.choice((2, 4, 6)) if q % 2 == 0 else rng.randrange(2, 8)
+        pool = rng.sample(units(q), min(2, len(units(q))))
+        s = [rng.choice(pool) * rng.choice((1, -1)) + q * rng.randrange(-1, 2)
+             for _ in range(m)]
+        x = spin_space(q, s, rng.choice(spin_structures(make_lens(q, s))))
+        w = find_isometry(x, x, "preserving")
+        assert (w.ell, w.sigma, w.eps) == (1 % q, tuple(range(m)), (1,) * m), x
+        assert w.verify(x, x, "preserving")
 
 
 def test_dimension_4k_plus_1_is_amphichiral():

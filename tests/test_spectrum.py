@@ -8,7 +8,6 @@ from lensdirac.lens import find_isometry, find_lens_isometry, make_lens, spin_sp
 from lensdirac.numtheory import binomial, units
 from lensdirac.search import tower_family
 from lensdirac.spectrum import (
-    Eigenvalue,
     LevelMultiplicities,
     dirac_isospectral,
     fingerprint,
@@ -31,15 +30,15 @@ def direct_multiplicity(x, sign, k):
 
 
 def direct_table(x, kmax):
-    return [LevelMultiplicities(k, Eigenvalue(k, x.m).value2,
+    return [LevelMultiplicities(k, 2 * k + 2 * x.m - 1,
                                 direct_multiplicity(x, -1, k),
                                 direct_multiplicity(x, +1, k))
             for k in range(kmax + 1)]
 
 
 def test_eigenvalue_values():
-    assert Eigenvalue(0, 2).value2 == 3    # S^3 bottom eigenvalue 3/2
-    assert Eigenvalue(5, 4).value2 == 17
+    assert spectrum_table(spin_space(5, (1, 2)), 0)[0].value2 == 3   # S^3/Z_5: 3/2
+    assert spectrum_table(spin_space(7, (1, 2, 3, 4)), 5)[5].value2 == 17
 
 
 def test_sphere_multiplicity_small():
