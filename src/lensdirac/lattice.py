@@ -22,18 +22,39 @@ preserving signs, residues and sign parity, so
 and the finite table Nred (zero above k = m(q-1)) determines the whole
 spectrum.
 
-One routine computes it exactly, meet in the middle: each half of the
-coordinates gets a dense table H[residue, e, parity], which counts the
-first two coordinates' choices outright and adds each further coordinate
-as a window sum over levels (int64 while its total (2q)^n fits, Python
-integers beyond), and the halves are contracted by float64 matrix
-products over residues plus an int64 antidiagonal fold over e.  Below
-2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum in sight is
-exact in float64; beyond, the half tables are cut into w-bit limbs, w
-chosen so that each product entry stays below 2^53 and each fold below
-2^63, and the limb products are joined by shifts of Python integers.  A
-table with the wrong number of rows, a total other than 2*(2q)^(m-1) or
-rows that are not symmetric under k -> m(q-1) - k raises ArithmeticError.
+One routine computes it exactly, meet in the middle, in half-integer
+coordinates: a_j = 2 b_j + 1 with b_j in [-q, q) (the paper's
+(1/2 + Z)^m shifted by 1/2), where size e_j = b_j for a_j > 0 and
+-b_j - 1 for a_j < 0.  The congruence becomes sum_j b_j s_j == c (mod q)
+with c = (target - sum s_j)/2 for even q and (target - sum s_j) 2^-1 for
+odd q, so each half of the coordinates gets a dense table
+H[u, e, parity] over residues u mod q, which counts the first two
+coordinates' choices outright and adds each further coordinate as a
+window sum over levels (int64 while its total (2q)^n fits, Python
+integers beyond).
+
+Contraction.  b -> -b - 1 on every coordinate of a half keeps e, moves
+the parity by its length n and sends u to -u - sigma (sigma = sum of
+its s_j), and 2c == -sum s_j (mod q) for targets 0 and q.  So the terms
+of u and its mirror -u - sigma repeat each other, and the sum runs over
+one residue of each mirror pair, with weight 2 (1 where u is its own
+mirror).  It runs on parity sums X+- = X_even +- X_odd:
+S = sum_u A+[u] B+[c - u] and D = sum_u A-[u] B-[c - u] give
+even = (S + D)/2 and odd = (S - D)/2, and for odd m the mirror terms of
+D cancel, so only S is computed.  (A target other than 0 and q, which
+no spin lens space has, pairs no residues: every one is contracted.)
+Each sum is float64 matrix products plus an int64 antidiagonal fold over
+e.  Below 2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum
+in sight is exact in float64; beyond, the parity sums are cut into
+signed w-bit limbs, w chosen so that each product entry stays at or
+below 2^53 and each fold below 2^63, and the limb products are joined by
+shifts of Python integers.
+
+Checks.  A table with the wrong number of rows, a total other than
+2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
+under k -> m(q-1) - k, or a half table that does not repeat itself
+under b -> -b - 1 (the reflection the fold relies on) raises
+ArithmeticError.
 """
 
 from __future__ import annotations
@@ -160,103 +181,148 @@ def _norm_key(lat: CongruenceLattice) -> tuple[int, int, int, tuple[int, ...]]:
 # -------------------------------------------------------- meet in the middle
 
 @lru_cache(maxsize=256)
-def _half_table(q: int, mod: int, s_half: tuple[int, ...]) -> np.ndarray:
-    """Dense table H[residue, e, parity] counting sign/size choices for
-    the coordinates s_half: |a_j| = 2 e_j + 1 <= 2q - 1, e = sum e_j,
-    parity = #negatives mod 2, residue = sum a_j s_j mod `mod`.  The
-    first two coordinates are enumerated, each further one is added as a
-    window sum over levels."""
+def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
+    """Dense table H[u, e, parity] counting the choices b_j in [-q, q) for
+    the coordinates s_half (a_j = 2 b_j + 1): u = sum b_j s_j mod q,
+    e = sum e_j with e_j = b_j for b_j >= 0 and -b_j - 1 below, parity =
+    #[b_j < 0] mod 2.  The first two coordinates are enumerated, each
+    further one is added as a window sum over levels."""
     width = len(s_half) * (q - 1) + 1
-    # the first two coordinates: every (size, sign) choice of each, summed
-    # outright and counted by one bincount
-    e1 = np.arange(q)
-    a1 = np.concatenate([2 * e1 + 1, -2 * e1 - 1])
-    e1, p1 = np.tile(e1, 2), np.repeat([0, 1], q)
-    res = e = par = np.zeros(1, dtype=np.int64)
-    for s in s_half[:2]:
-        res = np.add.outer(res, a1 * s).ravel()
-        e = np.add.outer(e, e1).ravel()
-        par = np.add.outer(par, p1).ravel()
-    flat = ((res % mod) * width + e) * 2 + par % 2
-    table = np.bincount(flat, minlength=mod * width * 2).reshape(mod * width, 2)
+    # the first two coordinates: every choice of b, summed outright and
+    # counted by one bincount over 2q rows u1 + u2, whose upper half then
+    # wraps onto the lower.  The codes u * 2 width + 2 e + parity of the
+    # two coordinates add up, except that b2 < 0 flips the parity of b1.
+    e = np.arange(q)
+    lev, neg = np.tile(2 * e, 2), np.repeat([0, 1], q)
+    codes = [np.concatenate([e, -e - 1]) * s % q * 2 * width + lev for s in s_half[:2]]
+    if len(codes) == 2:
+        first, second = codes
+        flat = np.concatenate([np.add.outer(first + neg, second[:q]),
+                               np.add.outer(first + 1 - neg, second[q:])], axis=1).ravel()
+    else:
+        flat = codes[0] + neg if codes else np.zeros(1, dtype=np.int64)
+    table = np.bincount(flat, minlength=4 * q * width).reshape(2, q * width, 2)
+    table = table[0] + table[1]
     # the cumsums below never exceed the half table's total (2q)^n; past
     # int64, the same code runs on Python integers
     if (2 * q) ** len(s_half) > _INT64_MAX:
         table = table.astype(object)
-    # each further coordinate s: a choice of size e' and sign moves
-    # (r, e) to (r + sign (2e' + 1) s, e + e').  Read at row
-    # r - 2 sign s e on level e, every choice of e' lands on the same row
-    # (shifted by sign s), so the q sizes are a window of q consecutive
-    # levels: one cumsum and one difference.
-    rows, lev = np.arange(mod)[:, None], np.arange(width)
+    # each further coordinate s: b = e' (sign +1) or b = -e' - 1 (sign -1)
+    # moves (u, e) to (u + step e' + offset, e + e') with step = sign s
+    # and offset = -s for sign -1.  Read at row u - step e - offset on
+    # level e, every choice of e' lands on the same row, so the q sizes
+    # are a window of q consecutive levels: one cumsum and one difference.
+    # Row indices below 2q wrap through one lookup instead of a % q.
+    rows, lev = np.arange(q)[:, None], np.arange(width)
+    wrap = np.tile(np.arange(q) * width, 2)
     for s in s_half[2:]:
         new = np.zeros_like(table)
         for sign in (1, -1):
-            skew = table.take((rows + 2 * sign * s * lev) % mod * width + lev, axis=0)
+            step, offset = sign * s, (sign - 1) // 2 * s
+            skew = table.take(wrap[rows + step * lev % q] + lev, axis=0)
             acc = np.cumsum(skew, axis=1)
             acc[:, q:] -= acc[:, :-q].copy()
-            back = (rows - sign * s * (2 * lev + 1)) % mod * width + lev
+            back = wrap[rows + (-step * lev - offset) % q] + lev
             acc = acc.reshape(-1, 2).take(back.ravel(), axis=0)
             new += acc if sign == 1 else acc[:, ::-1]
         table = new
-    table = table.reshape(mod, width, 2)
+    table = table.reshape(q, width, 2)
     table.flags.writeable = False
     return table
 
 
-def _limb_width(mod: int, ka: int, total: int) -> int:
+def _check_reflection(table: np.ndarray, q: int, s_half: tuple[int, ...]) -> None:
+    """b -> -b - 1 on every coordinate keeps e, moves the parity by
+    len(s_half) and sends u to -u - sum(s_half): the fold in _contract
+    reads one residue of each such mirror pair, so the table must repeat
+    itself under that map."""
+    image = table[(-np.arange(q) - sum(s_half)) % q]
+    if len(s_half) % 2:
+        image = image[:, :, ::-1]
+    if not np.array_equal(table, image):
+        raise ArithmeticError(f"half table for q={q}, s={s_half} is not "
+                              "symmetric under b -> -b - 1")
+
+
+def _limb_width(q: int, ka: int, total: int) -> int:
     """Bits per limb in _contract.  A table whose total is below 2^53 is
-    one limb: every partial sum of its products counts reduced points, so
-    float64 adds it exactly.  Beyond, each entry of a product of w-bit
-    limbs sums 2 mod terms below 4^w, which the width keeps below 2^53,
-    and each antidiagonal sums ka of those, which it keeps below 2^63."""
+    one limb: every partial sum of its products is bounded by a count of
+    reduced points, so float64 adds it exactly.  Beyond, each entry of a
+    product sums weight times a product of two limbs, each at most 2^w in
+    magnitude, over one residue of each mirror pair; the weights add up
+    to q, so the entry is at most q 4^w, which the width keeps at or below
+    2^53, and each antidiagonal sums ka of those, which it keeps below
+    2^63."""
     if total < _FLOAT_SAFE:
         return total.bit_length()
-    cap = min(_FLOAT_SAFE, _INT64_MAX // ka) // (2 * mod)
+    cap = min(_FLOAT_SAFE, _INT64_MAX // ka) // q
     w = (cap.bit_length() - 1) // 2  # the largest w with 4^w <= cap
     if w < 1:
-        raise ArithmeticError(f"no limb width keeps products over {mod} "
+        raise ArithmeticError(f"no limb width keeps products over {q} "
                               f"residues and {ka} levels exact")
     return w
 
 
 def _limbs(t: np.ndarray, w: int) -> Iterator[np.ndarray]:
-    """The w-bit limbs of a nonnegative integer table, least significant
-    first, as many as its largest entry needs."""
-    n = -(-int(t.max()).bit_length() // w)
-    yield from [t] if n <= 1 else ((t >> w * i) & ((1 << w) - 1) for i in range(n))
+    """The w-bit limbs of an integer table, least significant first, as
+    many as its largest magnitude needs: the low limbs masked into
+    [0, 2^w), the top one shifted arithmetically, so it keeps the sign."""
+    n = -(-int(np.abs(t).max()).bit_length() // w)
+    if n <= 1:
+        yield t
+        return
+    for i in range(n - 1):
+        yield (t >> w * i) & ((1 << w) - 1)
+    yield t >> w * (n - 1)
 
 
-def _contract(ta: np.ndarray, tb: np.ndarray, tgt: int, total: int) -> list[list[int]]:
-    """Every row k, as ka + kb - 1 pairs of Python integers, of
+def _parity_sums(t: np.ndarray, signs: int) -> np.ndarray:
+    """X_even + X_odd of a table X[..., parity], stacked over
+    X_even - X_odd when signs is 2."""
+    even, odd = t[..., 0], t[..., 1]
+    return np.stack([even + odd, even - odd] if signs == 2 else [even + odd])
 
-        out[k, p] = sum ta[r, ea, pa] * tb[tgt - r, eb, pb]
-                    over residues r, ea + eb = k, pa + pb == p (mod 2).
 
-    Both tables are cut into w-bit limbs (_limb_width).  For each pair of
-    limbs one float64 product, of the rows [A_even | A_odd] against
-    [[B_even, B_odd], [B_odd, B_even]], sums the parity pairs and writes
-    the (ea, eb) blocks into rows of ka + kb entries of which the last ka
-    stay zero.  Rereading that buffer with rows one entry shorter shifts
-    row ea right by ea, so the antidiagonal ea + eb = k becomes column k
-    and an int64 sum down the rows finishes it.  Limbs i and j add that
-    sum shifted left by w (i + j)."""
-    mod, ka, _ = ta.shape
+def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
+              signs: int, total: int) -> np.ndarray:
+    """The parity sums [S, D] of the contraction, as a 2 x (ka + kb - 1)
+    array of Python integers:
+
+        S[k] = sum_u sum_{ea + eb = k} A+[u, ea] B+[c - u, eb],
+        D[k] = the same over A- and B-,
+
+    with X+- = X_even +- X_odd, so S[k] counts the points on level k and
+    D[k] their even minus odd ones.  The terms of u and mirror[u] are
+    equal, so the sum runs over the smaller residue of each mirror pair,
+    with weight 2, or 1 where mirror[u] == u.  D is computed only when
+    signs is 2; otherwise it is 0.
+
+    Each side's parity sums are cut into signed w-bit limbs (_limbs,
+    _limb_width).  For each pair of limbs and each sign, one float64 product of rows A[ea, u] against
+    weighted rows B[u, eb] writes the (ea, eb) block into rows of ka + kb
+    entries of which the last ka stay zero.  Rereading that buffer with
+    rows one entry shorter shifts row ea right by ea, so the antidiagonal
+    ea + eb = k becomes column k and an int64 sum down the rows finishes
+    it.  Limbs i and j add that sum shifted left by w (i + j)."""
+    q, ka, _ = ta.shape
     kb = tb.shape[1]
-    w = _limb_width(mod, ka, total)
-    left = [limb.transpose(1, 2, 0).astype(np.float64, order="C").reshape(ka, 2 * mod)
-            for limb in _limbs(ta, w)]
-    right = np.empty((2, mod, kb, 2))  # [pa, r, eb, pa + pb mod 2]
-    skew = np.zeros((ka, ka + kb, 2))
-    fold = skew.reshape(-1, 2)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1, 2)
-    out = 0
-    for j, limb in enumerate(_limbs(tb[(tgt - np.arange(mod)) % mod], w)):
-        right[0], right[1] = limb, limb[:, :, ::-1]
+    u = np.arange(q)
+    keep = u <= mirror
+    weight = np.where(u == mirror, 1.0, 2.0)[keep, None]
+    w = _limb_width(q, ka, total)
+    left = [limb.transpose(0, 2, 1).astype(np.float64, order="C")
+            for limb in _limbs(_parity_sums(ta[keep], signs), w)]
+    right = [limb.astype(np.float64) * weight
+             for limb in _limbs(_parity_sums(tb[(c - u[keep]) % q], signs), w)]
+    skew = np.zeros((ka, ka + kb))
+    fold = skew.reshape(-1)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1)
+    out = np.zeros((2, ka + kb - 1), dtype=object)
+    for j, lb in enumerate(right):
         for i, la in enumerate(left):
-            np.matmul(la, right.reshape(2 * mod, 2 * kb),
-                      out=skew.reshape(ka, -1)[:, : 2 * kb])
-            out = out + (fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j))
-    return out.tolist()
+            for sign in range(signs):
+                np.matmul(la[sign], lb[sign], out=skew[:, :kb])
+                out[sign] += fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j)
+    return out
 
 
 # ------------------------------------------------------------ public API
@@ -267,22 +333,48 @@ def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCount
     m = len(sn)
     kmax = reduced_level_bound(q, m)
     total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
-    rows = _contract(_half_table(q, mod, sn[: m // 2]),
-                     _half_table(q, mod, sn[m // 2:]), tgt, total)
-    if len(rows) != kmax + 1:
+    # a_j = 2 b_j + 1: sum a_j s_j == tgt (mod mod) iff
+    # 2 sum b_j s_j == tgt - sum s_j, i.e. sum b_j s_j == c (mod q)
+    diff = tgt - sum(sn)
+    if mod == 2 * q and diff % 2 == 0:
+        c = diff // 2 % q
+    elif mod == q and q % 2:
+        c = diff * (q + 1) // 2 % q
+    else:
+        raise ValueError(f"no residue target mod {q} for modulus {mod} and "
+                         f"target {tgt} at s = {sn}")
+    halves = sn[: m // 2], sn[m // 2:]
+    ta, tb = (_half_table(q, half) for half in halves)
+    # b -> -b - 1 on every coordinate sends u to -u - sum(halves[0]) in the
+    # first half and, when 2c == -sum(sn) (targets 0 and q, as for every
+    # spin lens space), c - u to its own mirror in the second half: the
+    # two terms are equal, and for odd m they cancel in D
+    u = np.arange(q)
+    if (2 * c + sum(sn)) % q:
+        mirror, signs = u, 2
+    else:
+        mirror, signs = (-u - sum(halves[0])) % q, 2 - m % 2
+    plus, minus = _contract(ta, tb, c, mirror, signs, total)
+    if len(plus) != kmax + 1:
         raise ArithmeticError(
-            f"table for q={q}, m={m} has {len(rows)} rows, not kmax + 1 = {kmax + 1}")
-    got = sum(map(sum, rows))
+            f"table for q={q}, m={m} has {len(plus)} rows, not kmax + 1 = {kmax + 1}")
+    got = plus.sum()
     if got != total:
         raise ArithmeticError(
             f"table for q={q}, m={m} totals {got}, not the "
             f"2(2q)^(m-1) = {total} reduced points")
+    if ((plus - minus) % 2).any():
+        raise ArithmeticError(
+            f"table for q={q}, m={m} has parity sums S and D of different parity")
+    rows = tuple(zip(((plus + minus) // 2).tolist(), ((plus - minus) // 2).tolist()))
     # a_j -> sign(a_j) 2q - a_j keeps signs, sends level k to kmax - k and
     # the target to -target: a spin lens space's table is a palindrome
     if 2 * tgt % mod == 0 and rows != rows[::-1]:
         raise ArithmeticError(
             f"table for q={q}, m={m} is not symmetric under k -> kmax - k")
-    return ReducedCountTable(q, m, tuple((even, odd) for even, odd in rows))
+    for table, half in zip((ta, tb), halves):
+        _check_reflection(table, q, half)
+    return ReducedCountTable(q, m, rows)
 
 
 def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:

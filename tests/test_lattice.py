@@ -130,6 +130,49 @@ def test_backends_agree_on_larger_cases():
         assert reduced_counts(lat).rows == packed_rows(lat), x
 
 
+def random_spin_lattice(rng, q, m):
+    """The lattice of a random spin lens space L(q; s) with raw parameters:
+    units shifted by multiples of q, negative ones included, and a random
+    spin label for even q."""
+    s = tuple(rng.choice(units(q)) + q * rng.randrange(-3, 4) for _ in range(m))
+    return lattice_of(spin_space(q, s, rng.choice(("h0", "h1")) if q % 2 == 0 else None))
+
+
+def test_random_lattices_match_packed_reference():
+    """320 random lattices, q from 1 (odd and even), m = 2..7, raw
+    parameters, both spin labels: the half-integer tables mod q and the
+    folded contraction agree with the DP in a_j coordinates."""
+    rng = random.Random(1515)
+    qmax = {2: 100, 3: 60, 4: 40, 5: 24, 6: 18, 7: 12}
+    done = 0
+    while done < 320:
+        m = rng.randrange(2, 8)
+        q = rng.randrange(1, qmax[m] + 1)
+        if q % 2 == 0 and m % 2:
+            continue
+        lat = random_spin_lattice(rng, q, m)
+        assert reduced_counts(lat).rows == packed_rows(lat), lat
+        done += 1
+
+
+def test_targets_off_the_mirror_match_packed_reference():
+    """A target other than 0 or q (no spin lens space has one) breaks the
+    mirror pairing of residues, so every residue is contracted; the rows
+    still match the DP.  A modulus and target with no residue target mod q
+    (even q, target - sum s odd: no lattice points) raise ValueError."""
+    rng = random.Random(99)
+    for q, m in [(5, 2), (7, 3), (9, 4), (6, 2), (8, 4), (10, 3)]:
+        mod = q if q % 2 else 2 * q
+        s = tuple(rng.choice(units(q)) for _ in range(m))
+        for tgt in range(1, mod):
+            if tgt % q == 0 or (mod == 2 * q and (tgt - sum(s)) % 2):
+                continue
+            lat = CongruenceLattice(q, s, mod, tgt)
+            assert reduced_counts(lat).rows == packed_rows(lat), lat
+    with pytest.raises(ValueError, match="residue target"):
+        reduced_counts(CongruenceLattice(6, (1, 5, 1), 12, 0))
+
+
 def count_limbs(monkeypatch):
     """Record how many limbs _contract cuts each half table into."""
     seen = []
@@ -162,19 +205,19 @@ def test_object_half_tables_match_packed_reference():
     on Python integers."""
     lat = lattice_of(spin_space(3, (1, 2) * 25))
     clear_caches()
-    assert lattice._half_table(3, 3, lat.s[:25]).dtype == object
+    assert lattice._half_table(3, lat.s[:25]).dtype == object
     assert reduced_counts(lat).rows == packed_rows(lat)
 
 
 def test_object_half_tables_match_int64_ones(monkeypatch):
     """With the int64 limit patched to 0, every half table is built on
     Python integers, entry for entry the same."""
-    expect = {s_half: lattice._half_table(7, 14, s_half)
+    expect = {s_half: lattice._half_table(7, s_half)
               for s_half in [(1,), (1, 3), (1, 3, 5), (1, 1, 3, 5, 6)]}
     monkeypatch.setattr(lattice, "_INT64_MAX", 0)
     clear_caches()
     for s_half, table in expect.items():
-        got = lattice._half_table(7, 14, s_half)
+        got = lattice._half_table(7, s_half)
         assert got.dtype == object
         assert np.array_equal(got, table), s_half
     clear_caches()
@@ -183,7 +226,7 @@ def test_object_half_tables_match_int64_ones(monkeypatch):
 def test_many_limbs_match_packed_reference(monkeypatch):
     """1-bit limbs send every sample table through many limb products."""
     seen = count_limbs(monkeypatch)
-    monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: 1)
+    monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: 1)
     clear_caches()
     for lat in sample_lattices():
         assert reduced_counts(lat).rows == packed_rows(lat), lat
@@ -192,18 +235,19 @@ def test_many_limbs_match_packed_reference(monkeypatch):
 
 
 def test_limb_width_keeps_products_exact():
-    """The widest limbs whose products over 2 mod terms stay below 2^53
-    and whose antidiagonals over ka levels stay below 2^63."""
-    for mod, ka in [(3, 1), (80, 274), (199, 600), (2, 1 << 20)]:
-        w = lattice._limb_width(mod, ka, 1 << 60)
-        assert 2 * mod * 4 ** w <= 1 << 53 and ka * 2 * mod * 4 ** w < 1 << 63
-        wider = 2 * mod * 4 ** (w + 1)
-        assert wider > 1 << 53 or ka * wider >= 1 << 63, (mod, ka)
-    # below 2^53 the table total bounds every entry: one limb
-    assert lattice._limb_width(80, 274, 12345) == (12345).bit_length()
-    for mod, ka in [(1 << 51, 1), (80, 1 << 60)]:
+    """The widest exact w: limbs of magnitude up to 2^w whose products,
+    summed over residues with weights adding up to q, stay at or below
+    2^53 and whose antidiagonals over ka levels stay below 2^63."""
+    for q, ka in [(1, 1), (3, 1), (40, 274), (199, 600), (1, 1 << 20)]:
+        w = lattice._limb_width(q, ka, 1 << 60)
+        assert q * 4 ** w <= 1 << 53 and ka * q * 4 ** w < 1 << 63
+        wider = q * 4 ** (w + 1)
+        assert wider > 1 << 53 or ka * wider >= 1 << 63, (q, ka)
+    # below 2^53 the table total bounds every partial sum: one limb
+    assert lattice._limb_width(40, 274, 12345) == (12345).bit_length()
+    for q, ka in [(1 << 52, 1), (80, 1 << 60)]:
         with pytest.raises(ArithmeticError, match="limb width"):
-            lattice._limb_width(mod, ka, 1 << 60)
+            lattice._limb_width(q, ka, 1 << 60)
 
 
 def test_reduced_total_is_exact():
@@ -325,15 +369,15 @@ def test_packed_table_total_is_checked(monkeypatch):
     assert min(seen) > 1
 
 
-def brute_half_table(q, mod, s_half):
-    """H[residue, e, parity] by trying every (size, sign) choice of every
-    coordinate."""
+def brute_half_table(q, s_half):
+    """H[u, e, parity] by trying every b in [-q, q)^n: u = sum b_j s_j
+    mod q, e_j = b_j or -b_j - 1, parity = #[b_j < 0] mod 2."""
     n = len(s_half)
-    table = np.zeros((mod, n * (q - 1) + 1, 2), dtype=np.int64)
-    for choice in product(product(range(q), (1, -1)), repeat=n):
-        res = sum(sg * (2 * e + 1) * sj for (e, sg), sj in zip(choice, s_half))
-        neg = sum(1 for _, sg in choice if sg < 0)
-        table[res % mod, sum(e for e, _ in choice), neg % 2] += 1
+    table = np.zeros((q, n * (q - 1) + 1, 2), dtype=np.int64)
+    for b in product(range(-q, q), repeat=n):
+        u = sum(bj * sj for bj, sj in zip(b, s_half))
+        e = sum(bj if bj >= 0 else -bj - 1 for bj in b)
+        table[u % q, e, sum(1 for bj in b if bj < 0) % 2] += 1
     return table
 
 
@@ -341,12 +385,11 @@ def test_half_tables_match_brute_force():
     rng = random.Random(2024)
     qs = {1: (13, 12), 2: (9, 10), 3: (7, 6), 4: (5, 4), 5: (3, 4), 6: (3, 2)}
     for n, (q_odd, q_even) in qs.items():
-        for q, mod in ((q_odd, q_odd), (q_even, 2 * q_even)):
+        for q in (q_odd, q_even):
             s_half = tuple(sorted(rng.randrange(q) for _ in range(n)))
-            got = lattice._half_table(q, mod, s_half)
+            got = lattice._half_table(q, s_half)
             assert got.dtype == np.int64
-            assert np.array_equal(got, brute_half_table(q, mod, s_half)), \
-                (q, mod, s_half)
+            assert np.array_equal(got, brute_half_table(q, s_half)), (q, s_half)
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0, 0, 0] = 1
@@ -467,19 +510,19 @@ def test_mim_rejects_half_tables_of_the_wrong_size(monkeypatch):
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half:
-                        real(q, mod, s_half)[:, :-1])
+                        lambda q, s_half: real(q, s_half)[:, :-1])
     lat = lattice_of(spin_space(11, (1, 2, 3, 5)))
     with pytest.raises(ArithmeticError, match="kmax"):
         reduced_counts(lat)
 
 
 def test_mim_rejects_non_integer_float_counts(monkeypatch):
+    """Half a count added to the even-parity entries only: 0.5 on both
+    would cancel in X_even - X_odd and make X_even + X_odd an integer."""
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half:
-                        real(q, mod, s_half) + np.float64(0.5))
+                        lambda q, s_half: real(q, s_half) + np.array([0.5, 0.0]))
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat)
@@ -493,13 +536,68 @@ def test_mim_rejects_integer_corruption(monkeypatch, limb_bits):
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half:
-                        real(q, mod, s_half) + 1)
+                        lambda q, s_half: real(q, s_half) + 1)
     if limb_bits is not None:
-        monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: limb_bits)
+        monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: limb_bits)
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="reduced points"):
         reduced_counts(lat)
+
+
+def test_reflection_is_checked_where_the_fold_never_reads(monkeypatch):
+    """The contraction reads the smaller residue u of each mirror pair
+    u <-> -u - sum(s_half) of the first half table.  A count added at the
+    larger one changes no row, so only the reflection check catches it."""
+    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
+    q, _, _, sn = lattice._norm_key(lat)
+    first = sn[:2]
+    unread = next(u for u in range(q) if (-u - sum(first)) % q < u)
+    clear_caches()  # before _half_table is replaced
+    real = lattice._half_table
+
+    def corrupt(q, s_half):
+        table = real(q, s_half)
+        if s_half != first:
+            return table
+        out = table.copy()
+        out[unread, 0, 0] += 1
+        return out
+
+    monkeypatch.setattr(lattice, "_half_table", corrupt)
+    with pytest.raises(ArithmeticError, match="symmetric under b"):
+        reduced_counts(lat)
+
+
+def test_parity_sums_of_different_parity_are_rejected(monkeypatch):
+    """even = (S + D)/2 needs S and D of equal parity; D off by one keeps
+    the table total (the sum of S), so only the parity check catches it."""
+    real = lattice._contract
+
+    def off_by_one(*args):
+        out = real(*args)
+        out[1, 0] += 1
+        return out
+
+    monkeypatch.setattr(lattice, "_contract", off_by_one)
+    clear_caches()
+    with pytest.raises(ArithmeticError, match="parity sums"):
+        reduced_counts(lattice_of(spin_space(13, (1, 2, 3, 4))))
+    clear_caches()
+
+
+def test_tower_table_memory_is_bounded():
+    """A tower member (q = 40, m = 14, 274 levels per half) built cold:
+    one 274 x 548 float64 skew buffer (1.2 MB) and limbs over one residue
+    of each mirror pair keep the traced peak under 3 MB."""
+    lat = lattice_of(tower_family(3)[1])
+    clear_caches()
+    tracemalloc.start()
+    try:
+        reduced_counts(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 << 20
 
 
 def _move_one_count_up(table):
@@ -519,13 +617,13 @@ def test_asymmetric_tables_are_rejected(monkeypatch):
     clear_caches()  # before _half_table is replaced
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
-                        lambda q, mod, s_half: _move_one_count_up(real(q, mod, s_half)))
+                        lambda q, s_half: _move_one_count_up(real(q, s_half)))
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)
 
     seen = count_limbs(monkeypatch)
-    monkeypatch.setattr(lattice, "_limb_width", lambda mod, ka, total: 1)
+    monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: 1)
     with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)
     assert min(seen) > 1
