@@ -48,7 +48,9 @@ e.  Below 2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum
 in sight is exact in float64; beyond, the parity sums are cut into
 signed w-bit limbs, w chosen so that each product entry stays at or
 below 2^53 and each fold below 2^63, and the limb products are joined by
-shifts of Python integers.
+shifts of Python integers.  The products are small (161 x 41 x 161 on
+the dimension-7 census at q = 81), so they run on the calling thread
+alone (_serial_blas).
 
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
@@ -59,10 +61,13 @@ ArithmeticError.
 
 from __future__ import annotations
 
+import ctypes
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache, lru_cache
 from hashlib import sha256
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -283,6 +288,73 @@ def _parity_sums(t: np.ndarray, signs: int) -> np.ndarray:
     return np.stack([even + odd, even - odd] if signs == 2 else [even + odd])
 
 
+# the (get, set) thread-count functions of the OpenBLAS builds numpy ships
+_OPENBLAS_THREADS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+# OpenBLAS keeps one thread count per process, so the blocks of
+# _serial_blas in all threads share one saved count and one user count
+_serial_lock = threading.Lock()
+_serial_users = 0
+_serial_saved = 1
+
+
+@cache
+def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]:
+    """The thread-count functions of the OpenBLAS numpy links, found
+    from numpy's core extension; None for any other BLAS."""
+    try:
+        from numpy._core import _multiarray_umath as core
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath as core
+    try:
+        lib = ctypes.CDLL(core.__file__)
+    except OSError:
+        return None
+    for get_name, set_name in _OPENBLAS_THREADS:
+        get, put = getattr(lib, get_name, None), getattr(lib, set_name, None)
+        if get is not None and put is not None:
+            get.argtypes, get.restype = (), ctypes.c_int
+            put.argtypes, put.restype = (ctypes.c_int,), None
+            return get, put
+    return None
+
+
+@contextmanager
+def _serial_blas() -> Iterator[None]:
+    """Run the BLAS calls of the block on one thread, then restore the
+    thread count (once the last of any overlapping blocks ends).
+
+    OpenBLAS splits every product above a small size over all cores.
+    The table products are small, so the other threads mostly spin,
+    and when a core is busy elsewhere a product waits for them.  On 2
+    shared cores, beside one busy process, the dimension-7 census at
+    q = 75..81 took a median 0.116 s (up to 0.198 s) on OpenBLAS's
+    default 2 threads and 0.077 s (up to 0.088 s) on one; alone, both
+    took about 0.08 s.  With another BLAS this does nothing."""
+    global _serial_users, _serial_saved
+    threads = _blas_threads()
+    if threads is None:
+        yield
+        return
+    get, put = threads
+    with _serial_lock:
+        if _serial_users == 0:
+            _serial_saved = get()
+            put(1)
+        _serial_users += 1
+    try:
+        yield
+    finally:
+        with _serial_lock:
+            _serial_users -= 1
+            if _serial_users == 0:
+                put(_serial_saved)
+
+
 def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
               signs: int, total: int) -> np.ndarray:
     """The parity sums [S, D] of the contraction, as a 2 x (ka + kb - 1)
@@ -303,7 +375,8 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     entries of which the last ka stay zero.  Rereading that buffer with
     rows one entry shorter shifts row ea right by ea, so the antidiagonal
     ea + eb = k becomes column k and an int64 sum down the rows finishes
-    it.  Limbs i and j add that sum shifted left by w (i + j)."""
+    it.  Limbs i and j add that sum shifted left by w (i + j).  The
+    products run on one thread (_serial_blas)."""
     q, ka, _ = ta.shape
     kb = tb.shape[1]
     u = np.arange(q)
@@ -317,11 +390,12 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     skew = np.zeros((ka, ka + kb))
     fold = skew.reshape(-1)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1)
     out = np.zeros((2, ka + kb - 1), dtype=object)
-    for j, lb in enumerate(right):
-        for i, la in enumerate(left):
-            for sign in range(signs):
-                np.matmul(la[sign], lb[sign], out=skew[:, :kb])
-                out[sign] += fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j)
+    with _serial_blas():
+        for j, lb in enumerate(right):
+            for i, la in enumerate(left):
+                for sign in range(signs):
+                    np.matmul(la[sign], lb[sign], out=skew[:, :kb])
+                    out[sign] += fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j)
     return out
 
 
@@ -399,15 +473,21 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...
         mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
         T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
 
+    Period q.  For even q, w^q = -1 and tgt = h q is a multiple of 2q,
+    so the term j + q is the term j times (-1)^(sum s_i): the sum over
+    j < 2q is twice the sum over j < q when sum s_i is even, and 0 when
+    it is odd (that lattice is empty, every a_j being odd).
     T+[-u] = T+[u], T-[-u] = -T-[u], and w^(-j tgt) is unchanged by
-    j -> mod - j because 2 tgt == 0 (mod mod).  So the terms j and
-    mod - j are equal, and the sum runs over j = 0..mod//2 with weight 2
-    on j = 1..(mod-1)//2 and weight 1 on j = 0 and on j = mod/2.  For
-    odd m the minus terms j and mod - j cancel, and at a self-paired j
-    every T-[s_i j] is 0: the minus sum is 0 and the sketch is
-    (plus, plus), the spectral symmetry of dimensions 4k+1.  Each
-    factor is gathered from one table M[sign, s, j] = T+-[s j mod mod],
-    s in [0, q), built once per q.
+    j -> -j because 2 tgt == 0 (mod mod).  So within one period the
+    terms j and q - j are equal (for even q with even sum s_i), and the
+    sum runs over j = 0..q//2 with weight 2 on j = 1..(q-1)//2 and
+    weight 1 on j = 0 and on j = q/2, times 2 or 0 for even q.  For odd
+    m the minus terms j and q - j cancel, and at a self-paired j every
+    T-[s_i j] is 0: the minus sum is 0 and the sketch is (plus, plus),
+    the spectral symmetry of dimensions 4k+1.  Each factor is gathered
+    from one table M[sign, s, j] = T+-[s j mod mod], and the first one
+    from M times the weighted phase of each label, [sign, h, s, j],
+    both built once per q.
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
@@ -420,18 +500,22 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...
     fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
     signs = 1 if s.shape[1] % 2 else 2  # T+ alone for odd m
     tables = np.stack([fwd + bwd, fwd - bwd][:signs]).sum(axis=2) % p
-    j = np.arange(mod // 2 + 1)
+    j = np.arange(q // 2 + 1)
     table = tables[:, np.arange(q)[:, None] * j % mod]  # M[sign, s, j]
-    weight = np.where((j == 0) | (2 * j == mod), 1, 2)
+    weight = np.where((j == 0) | (2 * j == q), 1, 2)
     # the weighted phase w^(-j tgt) of each spin label, tgt = h q
-    start = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
+    phase = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
+    first = phase[None, :, None, :] * table[:, None] % p  # [sign, h, s, j]
     sums = np.empty((signs, len(s)), dtype=np.int64)
-    for first in range(0, len(s), _SKETCH_BLOCK):
-        block = slice(first, first + _SKETCH_BLOCK)
-        acc = start[h[block]]
-        for col in s[block].T:
-            acc = acc * table[:, col] % p
+    for start in range(0, len(s), _SKETCH_BLOCK):
+        block = slice(start, start + _SKETCH_BLOCK)
+        acc = first[:, h[block], s[block, 0]]
+        for col in s[block, 1:].T:
+            acc *= table[:, col]
+            acc %= p
         sums[:, block] = acc.sum(axis=-1) % p
+    if q % 2 == 0:
+        sums = sums * (2 - 2 * (s.sum(axis=1) % 2)) % p
     plus, minus = sums if signs == 2 else (sums[0], 0)
     return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
 

@@ -54,13 +54,14 @@ Classes.  A canonical tuple is (1 mod q, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
 it equals its canonical form: the spin split is the label column, as
 (t, 1) stays unless an isometry of the mode fixing t takes label 1 to 0.
+A row is not canonical when the unit sending some entry to 1 sends
+another below f_2 (_class_candidates), a test far cheaper than the form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Iterator, Literal, Optional, Sequence
 
 import numpy as np
@@ -458,22 +459,71 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
     return best
 
 
-def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
-    """Sorted int64 rows (canonical tuple, spin label), one per class of
-    spin lens spaces of order q with m parameters (m even when q is;
-    label 0 for the unique structure of odd q): the candidate rows, built
-    from the folded units in [0, q/2], that are their own canonical form.
-    Mirrors exist only for q > 2: at q = 2 a mirror is the row itself."""
-    folded = [f for f in range(q // 2 + 1) if math.gcd(f, q) == 1]
-    A = np.array([(1 % q,) + rest for rest in combinations_with_replacement(folded, m - 1)],
-                 dtype=np.int64)
-    if mode == "oriented" and m % 2 == 0 and q > 2:  # odd m: mirrors never canonical
+def _fold_below(x: np.ndarray, bound: np.ndarray, q: int) -> np.ndarray:
+    """Rowwise: is the folded residue of x mod q below bound?"""
+    v = x % q
+    return (v < bound) | (v > q - bound)
+
+
+def _class_candidates(q: int, m: int, mode: KeyMode) -> np.ndarray:
+    """The rows _class_rows runs the canonical form on: (1 mod q, f_2 <=
+    ... <= f_m, spin label) over the folded units in [0, q/2], with the
+    oriented mirrors of even m (q > 2 only: at q = 2 a mirror is the row
+    itself; odd m mirrors are never canonical), less those the prefilter
+    rejects.
+
+    Prefilter.  The unit l = f_j^-1 (j >= 2) sends f_j to 1, so its
+    sorted folded tuple is (1, min_{k != j} fold(l f_k), ...), with the
+    leading 1 as f_1.  If that second entry is below f_2, the tuple is
+    smaller than the row's, and no label or mirror makes the row
+    canonical.  The entries are added one column at a time, each new
+    column tested against the earlier ones, so a rejected prefix is
+    never extended (orderly generation).  In oriented m = 2 the second
+    entry is the unfolded last entry, so nothing is rejected there; at
+    q <= 2 every folded value is f_2 and nothing is rejected either.
+    The products l f_k are int64, so q^2 must stay below 2^63.
+    """
+    if q * q >= 2**63:
+        raise OverflowError(f"q = {q}: products of residues would overflow int64")
+    folded = np.array([f for f in range(q // 2 + 1) if math.gcd(f, q) == 1], dtype=np.int64)
+    inverse = np.array([pow(int(f), -1, q) for f in folded], dtype=np.int64)
+    prune = mode == "unoriented" or m > 2
+    # f_2..f_c as columns of indices into folded; each further column
+    # repeats every row once per folded unit from its last index on
+    # (cumsum gives the offsets)
+    cols: list[np.ndarray] = []
+    new = np.arange(len(folded))
+    for _ in range(1, m):
+        if cols:
+            counts = len(folded) - cols[-1]
+            start = np.repeat(np.cumsum(counts) - counts, counts)
+            new = np.repeat(cols[-1], counts) + np.arange(len(start)) - start
+            cols = [np.repeat(col, counts) for col in cols]
+        if prune:
+            f, g = folded[new], inverse[new]
+            f2 = folded[cols[0]] if cols else f
+            bad = _fold_below(g, f2, q)
+            for col in cols:
+                bad |= _fold_below(g * folded[col], f2, q) | _fold_below(inverse[col] * f, f2, q)
+            new = new[~bad]
+            cols = [col[~bad] for col in cols]
+        cols.append(new)
+    A = np.column_stack([np.full(len(new), 1 % q, dtype=np.int64),
+                         folded[np.stack(cols, axis=1)]])
+    if mode == "oriented" and m % 2 == 0 and q > 2:
         mirror = A.copy()
         mirror[:, -1] = q - mirror[:, -1]
         A = np.vstack([A, mirror])
     labels = (0,) if q % 2 else (0, 1)
-    rows = np.column_stack([np.tile(A, (len(labels), 1)),
-                            np.repeat(labels, len(A))])
+    return np.column_stack([np.tile(A, (len(labels), 1)), np.repeat(labels, len(A))])
+
+
+def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
+    """Sorted int64 rows (canonical tuple, spin label), one per class of
+    spin lens spaces of order q with m parameters (m even when q is;
+    label 0 for the unique structure of odd q): the _class_candidates
+    rows that are their own canonical form."""
+    rows = _class_candidates(q, m, mode)
     keep = np.all(_canonical_rows(rows[:, :-1], q, mode, rows[:, -1]) == rows, axis=1)
     rows = rows[keep]
     return rows[np.lexsort(rows.T[::-1])]

@@ -20,7 +20,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import chain, combinations
 from typing import Callable, Iterable, Optional, Sequence, TextIO
 
 import numpy as np
@@ -152,10 +152,11 @@ def run_census(n: int, q_range: Iterable[int],
     tables, never digests alone.
 
     Two phases.  The first buckets every class row on its lattice.sketches
-    pair (up to the swap, in unoriented mode), a ring image of its table:
-    equal tables have equal sketches, so a class alone in its bucket is
-    alone in its spectrum.  Only classes sharing a bucket become spaces
-    and get fingerprint(), and CensusResult.fingerprints counts them.
+    pair (sorted, in unoriented mode), a ring image of its table, with
+    one np.unique over the pairs: equal tables have equal sketches, so a
+    class alone in its bucket is alone in its spectrum.  Only classes
+    sharing a bucket become spaces and get fingerprint(), in enumeration
+    order, and CensusResult.fingerprints counts them.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []
@@ -168,11 +169,16 @@ def run_census(n: int, q_range: Iterable[int],
                 n=n, q=q, mode=mode, families=(), classes=0, fingerprints=0,
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
-        buckets: dict[tuple, list[int]] = {}
-        for idx, sketch in enumerate(sketches(q, classes[:, :-1], classes[:, -1])):
-            buckets.setdefault(_group_key((sketch,), mode), []).append(idx)
-        survivors = sorted(i for idxs in buckets.values() if len(idxs) > 1
-                           for i in idxs)
+        pairs = np.fromiter(chain.from_iterable(sketches(q, classes[:, :-1], classes[:, -1])),
+                            dtype=np.int64, count=2 * len(classes)).reshape(-1, 2)
+        if mode == "unoriented":
+            pairs.sort(axis=1)
+        # sketch values are residues below 2^31, so a pair is one int64
+        # key (were they not, keys could only merge buckets: more full
+        # tables, never a lost family)
+        _, bucket, size = np.unique(pairs[:, 0] << 31 | pairs[:, 1],
+                                    return_inverse=True, return_counts=True)
+        survivors = np.flatnonzero(size[bucket] > 1).tolist()
         reps = {i: _row_space(q, classes[i].tolist()) for i in survivors}
         groups: dict[tuple, list[int]] = {}
         for idx in survivors:

@@ -474,6 +474,18 @@ def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
                 assert all(even == odd for even, odd in got), (q, m)
 
 
+def test_even_q_rows_with_odd_parameter_sum_sketch_to_zero():
+    """For even q the frequencies j and j + q give equal terms when
+    sum s_i is even and opposite ones when it is odd, so sketches() sums
+    one period and doubles or zeroes it.  An odd sum means an empty
+    lattice (every a_j is odd), whose sketch is (0, 0)."""
+    for q, row in ((2, (1, 0)), (10, (1, 3, 5, 2)), (22, (1, 3, 7, 9, 13, 4))):
+        s = np.array([row, row], dtype=np.int64)
+        h = np.array([0, 1], dtype=np.int64)
+        assert sum(row) % 2 == 1
+        assert sketches(q, s, h) == full_sketches(q, s, h) == ((0, 0), (0, 0)), q
+
+
 def test_odd_m_tables_are_parity_symmetric():
     """In dimensions 4k+1 every full table has even = odd in every row,
     which is why sketches() computes no minus sum for odd m."""
@@ -627,3 +639,50 @@ def test_asymmetric_tables_are_rejected(monkeypatch):
     with pytest.raises(ArithmeticError, match="symmetric"):
         reduced_counts(lat)
     assert min(seen) > 1
+
+
+def test_table_products_run_on_one_blas_thread(monkeypatch):
+    """Every product of the contraction sees one BLAS thread, and the
+    caller's thread count is back afterwards."""
+    threads = lattice._blas_threads()
+    if threads is None:
+        pytest.skip("numpy does not link OpenBLAS")
+    get, _ = threads
+    before = get()
+    seen = []
+    real = np.matmul
+
+    def spy(*args, **kwargs):
+        seen.append(get())
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", spy)
+    clear_caches()
+    reduced_counts(lattice_of(spin_space(81, (1, 8, 19, 37))))
+    assert seen and set(seen) == {1}
+    assert get() == before
+
+
+def test_serial_blas_restores_after_overlapping_blocks(monkeypatch):
+    """Blocks that overlap without nesting (two threads) keep one thread
+    until the last ends, and an exception still restores the count."""
+    state = {"threads": 4}
+    monkeypatch.setattr(lattice, "_blas_threads", lambda: (
+        lambda: state["threads"], lambda n: state.update(threads=n)))
+    a, b = lattice._serial_blas(), lattice._serial_blas()
+    a.__enter__()
+    b.__enter__()
+    assert state["threads"] == 1
+    a.__exit__(None, None, None)
+    assert state["threads"] == 1
+    b.__exit__(None, None, None)
+    assert state["threads"] == 4
+    with pytest.raises(ZeroDivisionError):
+        with lattice._serial_blas():
+            assert state["threads"] == 1
+            1 / 0
+    assert state["threads"] == 4
+
+    monkeypatch.setattr(lattice, "_blas_threads", lambda: None)
+    with lattice._serial_blas():
+        assert state["threads"] == 4

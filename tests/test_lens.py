@@ -1,5 +1,8 @@
+import math
 import random
+import tracemalloc
 from itertools import combinations_with_replacement, permutations, product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -371,6 +374,79 @@ def test_unoriented_key_is_the_brute_force_minimum():
                     key = canonical_key(spin_space(q, s, label), "unoriented")
                     spin = "unique" if label.h is None else f"h{want[1]}"
                     assert (key.s, key.spin) == (want[0], spin), (q, s, label)
+
+
+def reference_class_rows(q, m, mode):
+    """Every sorted candidate (1 mod q, f_2 <= ... <= f_m, label) from the
+    folded units, oriented mirrors of even m included, and the canonical
+    form of each, with no prefilter."""
+    folded = [f for f in range(q // 2 + 1) if math.gcd(f, q) == 1]
+    tuples = [(1 % q,) + rest for rest in combinations_with_replacement(folded, m - 1)]
+    if mode == "oriented" and m % 2 == 0 and q > 2:
+        tuples += [t[:-1] + (q - t[-1],) for t in tuples]
+    rows = np.array([t + (h,) for h in ((0,) if q % 2 else (0, 1)) for t in tuples],
+                    dtype=np.int64)
+    return rows, lens._canonical_rows(rows[:, :-1], q, mode, rows[:, -1])
+
+
+def row_keys(rows):
+    """One opaque key per row, for set operations on int64 rows."""
+    rows = np.ascontiguousarray(rows)
+    return rows.view(np.dtype((np.void, rows.itemsize * rows.shape[1]))).ravel()
+
+
+def test_class_rows_prefilter_drops_only_noncanonical_rows():
+    """_class_rows equals the canonical-form filter over every candidate,
+    and each candidate the prefilter drops is not its own canonical form:
+    q = 1..40 (q <= 2, where nothing is dropped), m = 2..7 (m = 2, where
+    the second entry is the last one), both modes (oriented mirrors)."""
+    dropped = 0
+    for m in range(2, 8):
+        for q in range(1, 41):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            for mode in ("oriented", "unoriented"):
+                rows, canon = reference_class_rows(q, m, mode)
+                fixed = np.all(canon == rows, axis=1)
+                want = rows[fixed][np.lexsort(rows[fixed].T[::-1])]
+                assert np.array_equal(lens._class_rows(q, m, mode), want), (q, m, mode)
+                survivors = lens._class_candidates(q, m, mode)
+                kept = np.isin(row_keys(rows), row_keys(survivors))
+                assert kept.sum() == len(survivors), (q, m, mode)  # a subset
+                assert not fixed[~kept].any(), (q, m, mode, rows[~kept & fixed][:1])
+                if q <= 2 or (mode == "oriented" and m == 2):
+                    assert kept.all(), (q, m, mode)
+                dropped += (~kept).sum()
+    assert dropped > 0
+
+
+def test_class_rows_memory_is_bounded():
+    """Oriented dimension 9 at q = 101: 292,825 candidates, 63,251
+    classes.  Pruned prefixes are never extended, so the peak stays
+    well below the 121 MB that canonical forms of every candidate took."""
+    tracemalloc.start()
+    try:
+        rows = lens._class_rows(101, 5, "oriented")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 63_251
+    assert peak < 64 << 20
+
+
+def test_huge_q_class_rows_raise_before_any_product(monkeypatch):
+    """The prefilter multiplies residues in int64, so q^2 must stay below
+    2^63; the guard fires before the folded units are even listed."""
+
+    def no_units(*args):
+        raise AssertionError("folded units listed past the guard")
+
+    monkeypatch.setattr(lens, "math", SimpleNamespace(gcd=no_units))
+    for q in (3037000500, 2**61 - 1):
+        with pytest.raises(OverflowError):
+            lens._class_rows(q, 2, "unoriented")
+        with pytest.raises(OverflowError):
+            lens._class_candidates(q, 4, "oriented")
 
 
 def test_self_isometry_is_the_identity():
