@@ -33,7 +33,9 @@ parity and transport parity are forced:
 
 with normalized parameters (each rho_j changes by exactly 1 when a
 coordinate is matched across the fold, since -x = -(floor(x/q)+1)*q + ...).
-That collapses the (sigma, eps) search to a multiset comparison per l.
+So a witness search builds one assignment per l whose folded multiset
+matches and keeps the first that IsometryWitness.verify accepts;
+canonical forms read the transported label off the second line.
 
 The free flip.  For q <= 2 every residue x has x == -x (mod q), so each
 eps_j is free: flipping it toggles the orientation parity and moves the
@@ -242,13 +244,12 @@ class IsometryWitness:
 
     @property
     def orientation(self) -> int:
-        prod = 1
-        for e in self.eps:
-            prod *= e
-        return prod
+        return math.prod(self.eps)
 
     def verify(self, a: SpinLensSpace, b: SpinLensSpace, mode: IsoMode = "any") -> bool:
-        """Exact re-check of every witness invariant."""
+        """Exact re-check of every witness invariant; an unknown mode
+        raises ValueError."""
+        allowed = _orientations(mode)
         la, lb = a.lens, b.lens
         q = la.q
         if lb.q != q or lb.m != la.m:
@@ -268,9 +269,7 @@ class IsometryWitness:
             rho_sum += diff // q
         if rho_sum % 2 != self.spin_shift:
             return False
-        if mode == "preserving" and self.orientation != 1:
-            return False
-        if mode == "reversing" and self.orientation != -1:
+        if self.orientation not in allowed:
             return False
         if a.spin.h is not None:
             expect = (a.spin.h + h_shift(la) + h_shift(lb) + self.spin_shift) % 2
@@ -283,40 +282,14 @@ def _fold(v: int, q: int) -> int:
     return min(v, q - v)
 
 
-def _mode_parities(mode: IsoMode) -> frozenset[int]:
-    if mode == "any":
-        return frozenset((0, 1))
-    if mode == "preserving":
-        return frozenset((0,))
-    if mode == "reversing":
-        return frozenset((1,))
-    raise ValueError(f"unknown mode {mode!r}")
+_ORIENTATIONS = {"any": (1, -1), "preserving": (1,), "reversing": (-1,)}
 
 
-def _ell_relations(sn_a: tuple[int, ...], sn_b: tuple[int, ...], q: int
-                   ) -> Iterator[tuple[int, frozenset[tuple[int, int]]]]:
-    """For each candidate unit l (module docstring) with matching folded
-    multisets, in increasing order, yield
-    (l, achievable {(orientation parity, transport parity)}).
-
-    Parameters must be normalized to [0, q).  The forced pair is always
-    achievable; the free flip (q <= 2, module docstring) adds its image.
-    """
-    fb = sorted(_fold(u, q) for u in sn_b)
-    u_high = sum(1 for u in sn_b if 2 * u > q)
-    # Python ints: exact at any q, and cheaper than numpy for one pair
-    b1 = sn_b[0]
-    for ell in sorted({e * b1 * pow(x, -1, q) % q for x in sn_a for e in (1, -1)}):
-        v = [(ell * x) % q for x in sn_a]
-        fa = sorted(_fold(x, q) for x in v)
-        if fa != fb:
-            continue
-        parity = (sum(1 for x in v if 2 * x > q) + u_high) % 2
-        rho = (sum((ell * x) // q for x in sn_a) + parity) % 2
-        pairs = {(parity, rho)}
-        if 2 * v[0] % q == 0:  # the free flip: every coordinate is free at q <= 2
-            pairs.add((1 - parity, (rho + 2 * v[0] // q) % 2))
-        yield ell, frozenset(pairs)
+def _orientations(mode: IsoMode) -> tuple[int, ...]:
+    """Witness orientations that an isometry mode allows."""
+    if mode not in _ORIENTATIONS:
+        raise ValueError(f"unknown mode {mode!r}")
+    return _ORIENTATIONS[mode]
 
 
 def _build_assignment(v: list[int], sn_b: tuple[int, ...], q: int
@@ -349,49 +322,46 @@ def _raw_spin_shift(ell: int, sigma: Sequence[int], eps: Sequence[int],
     return total % 2
 
 
+def _witnesses(a: LensParams, b: LensParams) -> Iterator[IsometryWitness]:
+    """Candidate witnesses of (*) from a to b, by increasing candidate unit
+    l (module docstring) whose folded multiset matches: the
+    _build_assignment witness, then at q <= 2 (the free flip; every eps_j
+    is +1 there) the same witness with its last sign flipped."""
+    if a.q != b.q or a.m != b.m:
+        raise Mismatch(f"cannot compare q={a.q},m={a.m} with q={b.q},m={b.m}")
+    q = a.q
+    sn_a, sn_b = a.normalized(), b.normalized()
+    fb = sorted(_fold(u, q) for u in sn_b)
+    # Python ints: exact at any q, and cheaper than numpy for one pair
+    for ell in sorted({e * sn_b[0] * pow(x, -1, q) % q for x in sn_a for e in (1, -1)}):
+        v = [(ell * x) % q for x in sn_a]
+        if sorted(_fold(x, q) for x in v) != fb:
+            continue
+        sigma, eps = _build_assignment(v, sn_b, q)
+        choices = [eps, eps[:-1] + [-eps[-1]]] if 2 * v[0] % q == 0 else [eps]
+        for e in choices:
+            yield IsometryWitness(ell, tuple(sigma), tuple(e),
+                                  _raw_spin_shift(ell, sigma, e, a, b))
+
+
 def find_lens_isometry(a: LensParams, b: LensParams, mode: IsoMode = "any"
                        ) -> Optional[IsometryWitness]:
     """Witness of (*) between bare lens spaces (no spin constraint)."""
-    return _find_witness(a, b, mode, spin_delta=None)
+    allowed = _orientations(mode)
+    return next((w for w in _witnesses(a, b) if w.orientation in allowed), None)
 
 
 def find_isometry(a: SpinLensSpace, b: SpinLensSpace, mode: IsoMode = "any"
                   ) -> Optional[IsometryWitness]:
-    """Witness of (*) transporting a's spin structure to b's.
+    """Witness of (*) transporting a's spin structure to b's: the first
+    candidate witness (_witnesses) that IsometryWitness.verify accepts
+    in the given mode, so every witness returned has passed that check.
 
     For odd q the unique structures are always transported; for even q
     the witness must satisfy the transport rule for the given labels.
     """
-    if a.spin.h is None or b.spin.h is None:
-        delta = None  # odd q, or orders that _find_witness rejects
-    else:
-        # required transport parity in normalized-parameter convention
-        delta = (b.spin.h - a.spin.h) % 2
-    return _find_witness(a.lens, b.lens, mode, spin_delta=delta)
-
-
-def _find_witness(a: LensParams, b: LensParams, mode: IsoMode,
-                  spin_delta: Optional[int]) -> Optional[IsometryWitness]:
-    if a.q != b.q or a.m != b.m:
-        raise Mismatch(f"cannot compare q={a.q},m={a.m} with q={b.q},m={b.m}")
-    q = a.q
-    want = _mode_parities(mode)
-    sn_a, sn_b = a.normalized(), b.normalized()
-    for ell, pairs in _ell_relations(sn_a, sn_b, q):
-        choices = [(p, r) for (p, r) in sorted(pairs)
-                   if p in want and (spin_delta is None or r == spin_delta)]
-        if not choices:
-            continue
-        sigma, eps = _build_assignment([(ell * x) % q for x in sn_a], sn_b, q)
-        if eps.count(-1) % 2 != choices[0][0]:  # the free flip, q <= 2 only
-            eps[-1] = -eps[-1]
-        return IsometryWitness(
-            ell=ell,
-            sigma=tuple(sigma),
-            eps=tuple(eps),
-            spin_shift=_raw_spin_shift(ell, sigma, eps, a, b),
-        )
-    return None
+    _orientations(mode)  # an unknown mode raises even when no unit matches
+    return next((w for w in _witnesses(a.lens, b.lens) if w.verify(a, b, mode)), None)
 
 
 @dataclass(frozen=True)
@@ -550,10 +520,10 @@ def self_transport_pairs(params: tuple[int, ...], q: int) -> frozenset[tuple[int
     structures of an even-q space are exchanged by an isometry, and
     whether the space admits an orientation-reversing self-isometry
     (amphichirality).  A census reads the first from _class_rows instead."""
-    sn = tuple(v % q for v in params)
+    x = make_lens(q, [v % q for v in params])
     out: set[tuple[int, int]] = set()
-    for _ell, pairs in _ell_relations(sn, sn, q):
-        out |= pairs
+    for w in _witnesses(x, x):
+        out.add(((1 - w.orientation) // 2, w.spin_shift))
         if len(out) == 4:
             break
     return frozenset(out)

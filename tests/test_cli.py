@@ -1,6 +1,8 @@
 import json
+import shlex
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -359,3 +361,28 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 2, 2, 2] * 2
     assert all(out for _, out, _ in reused[:5])
+
+
+def readme_examples():
+    """(argv, shown stdout) for every `$ lensdirac ...` line in README.md's
+    code blocks; the output is the block's lines up to the next command."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    examples, current, in_block = [], None, False
+    for line in lines:
+        if line.startswith("```"):
+            in_block, current = not in_block, None
+        elif in_block and line.startswith("$ lensdirac "):
+            current = (shlex.split(line)[2:], [])
+            examples.append(current)
+        elif current is not None:
+            current[1].append(line)
+    return [(argv, "".join(f"{out}\n" for out in shown)) for argv, shown in examples]
+
+
+def test_readme_examples_print_what_readme_shows(capsys):
+    examples = readme_examples()
+    assert [argv[0] for argv, _ in examples] == [
+        "spectrum", "isospec", "isospec", "search", "family", "oracle"]
+    for argv, shown in examples:
+        code, out, _ = run(capsys, *argv)
+        assert (code, out) == (0, shown), argv

@@ -28,7 +28,7 @@ from lensdirac.lens import (
     spin_structures,
 )
 from lensdirac.numtheory import units
-from lensdirac.search import enumerate_classes
+from lensdirac.search import enumerate_classes, run_census
 
 
 # ---------------------------------------------------------------- helpers
@@ -484,9 +484,11 @@ def test_dimension_4k_plus_1_is_amphichiral():
         assert canonical_key(x, "oriented").s == canonical_key(x, "unoriented").s, x
 
 
-def test_ell_relations_match_a_loop_over_every_unit():
-    """Trying only l = +-b_1 * a_j^-1 yields the same (l, pairs)
-    sequence as trying every unit, on related and unrelated pairs."""
+def test_witnesses_match_a_loop_over_every_unit():
+    """Trying only l = +-b_1 * a_j^-1 yields the same (l, orientation,
+    spin shift) sequence as trying every unit whose folded multiset
+    matches, with the parities forced by the module docstring's
+    formulas, on related and unrelated pairs."""
 
     def every_unit(sn_a, sn_b, q):
         fb = sorted(min(u, q - u) for u in sn_b)
@@ -497,7 +499,7 @@ def test_ell_relations_match_a_loop_over_every_unit():
                 continue
             parity = (sum(2 * x > q for x in v) + u_high) % 2
             rho = (sum((ell * x) // q for x in sn_a) + parity) % 2
-            yield ell, frozenset(((parity, rho),))
+            yield ell, (-1) ** parity, rho
 
     rng = random.Random(2024)
     related = 0
@@ -513,7 +515,8 @@ def test_ell_relations_match_a_loop_over_every_unit():
             sn_b = tuple(sn_b)
         else:
             sn_b = tuple(rng.choice(us) for _ in range(m))
-        got = list(lens._ell_relations(sn_a, sn_b, q))
+        got = [(w.ell, w.orientation, w.spin_shift)
+               for w in lens._witnesses(make_lens(q, sn_a), make_lens(q, sn_b))]
         assert got == list(every_unit(sn_a, sn_b, q)), (q, sn_a, sn_b)
         related += bool(got)
     assert related >= 750
@@ -536,6 +539,45 @@ def test_canonical_key_separates_orbits(data):
         keys_equal = canonical_key(xa, mode) == canonical_key(xb, mode)
         related = find_isometry(xa, xb, iso_mode) is not None
         assert keys_equal == related, (xa, xb, mode)
+
+
+@pytest.mark.parametrize("q", [1, 2])
+def test_free_flip_prefers_the_preserving_witness(q):
+    """At q <= 2 every sign is free, so each unit has witnesses of both
+    orientations; mode "any" returns an orientation-preserving one
+    whenever one exists (brute force), for both labels at q = 2; bare
+    lens spaces always have one."""
+    rng = random.Random(2200 + q)
+    preserving = 0
+    for _ in range(150):
+        m = rng.choice((2, 4)) if q == 2 else rng.randrange(2, 5)
+        # raw parameters: any integer at q = 1, any odd one at q = 2
+        sa, sb = ([rng.randrange(-6, 6) if q == 1 else 2 * rng.randrange(-3, 3) + 1
+                   for _ in range(m)] for _ in "ab")
+        a, b = make_lens(q, sa), make_lens(q, sb)
+        assert find_lens_isometry(a, b, "any").orientation == 1, (a, b)
+        for ha, hb in product(*(spin_structures(x) for x in (a, b))):
+            xa, xb = spin_space(q, sa, ha), spin_space(q, sb, hb)
+            w = find_isometry(xa, xb, "any")
+            assert w is not None and w.verify(xa, xb, "any"), (xa, xb)
+            exists = brute_witness_exists(a, b, "preserving", ha.h, hb.h)
+            assert (w.orientation == 1) == exists, (xa, xb)
+            preserving += exists
+    assert preserving >= 100
+
+
+@pytest.mark.parametrize("call, mode", [
+    (lambda x, mode: IsometryWitness(1, (0, 1), (1, 1), 0).verify(x, x, mode), "preserve"),
+    (lambda x, mode: find_isometry(x, x, mode), "reverse"),
+    (lambda x, mode: find_lens_isometry(x.lens, x.lens, mode), "Any"),
+    (lambda x, mode: canonical_key(x, mode), "orientated"),
+    (lambda x, mode: run_census(3, [7], mode), "unorientd"),
+    (lambda x, mode: enumerate_classes(3, 7, mode), "oriented "),
+], ids=["verify", "find_isometry", "find_lens_isometry", "canonical_key",
+        "run_census", "enumerate_classes"])
+def test_unknown_mode_raises(call, mode):
+    with pytest.raises(ValueError, match="unknown mode"):
+        call(spin_space(7, (1, 2)), mode)
 
 
 def test_self_transport_pairs_q16():
