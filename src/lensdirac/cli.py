@@ -3,13 +3,15 @@
 Subcommands: spectrum (multiplicity table), isospec (pairwise decision),
 search (census over a q range), family (known-family generators), oracle
 (exact series cross-check).  Exit codes are a stable contract:
-0 affirmative, 1 negative verdict, 2 usage or validation error.
+0 affirmative, 1 negative verdict, 2 usage or validation error, or an
+input too large to compute (MemoryError, OverflowError).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from functools import lru_cache
 from typing import Optional, Sequence
@@ -122,6 +124,11 @@ def cmd_search(args) -> int:
             f"need 1 <= q-min <= q-max, got {args.q_min}..{args.q_max}")
     if args.dimension < 3 or args.dimension % 2 == 0:
         raise UsageError(f"dimension must be odd and >= 3, got {args.dimension}")
+    # fail before the census, not after it
+    for path in filter(None, (args.out, args.csv)):
+        directory = os.path.dirname(os.path.abspath(path))
+        if os.path.isdir(path) or not os.path.isdir(directory):
+            raise UsageError(f"cannot write {path}: not a file in an existing directory")
     results = run_census(args.dimension, range(args.q_min, args.q_max + 1),
                          args.mode)
     found = 0
@@ -172,10 +179,7 @@ def cmd_family(args) -> int:
 
     for members in groups:
         print(" | ".join(format_spin_lens(x) for x in members))
-        try:
-            canon = [canonical_key(x, "unoriented").as_space() for x in members]
-        except OverflowError as exc:
-            raise UsageError(str(exc)) from exc
+        canon = [canonical_key(x, "unoriented").as_space() for x in members]
         print("  canonical: " + " | ".join(format_spin_lens(x) for x in canon))
     if not args.verify:
         return 0
@@ -265,11 +269,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, IoError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except IoError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        # an input too large to compute is not a negative verdict
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

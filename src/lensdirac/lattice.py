@@ -71,7 +71,7 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .lens import IsometryWitness, SpinLensSpace, h_shift
+from .lens import IsometryWitness, KeyMode, SpinLensSpace, h_shift
 from .numtheory import binomial, series_field
 
 _FLOAT_SAFE = 1 << 53
@@ -462,13 +462,44 @@ _SKETCH_POINT = 0x2545F491
 _SKETCH_BLOCK = 1024
 
 
-def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...]:
-    """Sketches of class rows of one q, given as int64 arrays, with no
+@lru_cache(maxsize=1)
+def _sketch_tables(q: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """p and the factor tables of sketches() at q: M[sign, s, j] =
+    T+-[s j mod mod] for j = 0..q//2, and the first factor's table
+    [sign, h, s, j], M times the weighted phase of spin label h.  Built
+    once per q for both of a census's sketch stages."""
+    mod = q if q % 2 else 2 * q
+    p, zeta = series_field(q, 1 << 30)
+    omega = pow(zeta, 2 * q // mod, p)
+    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
+    z = np.array([pow(_SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
+    exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
+    fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
+    bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
+    tables = np.stack([fwd + bwd, fwd - bwd]) % p
+    j = np.arange(q // 2 + 1)
+    table = tables[:, np.arange(q)[:, None] * j % mod]  # M[sign, s, j]
+    weight = np.where((j == 0) | (2 * j == q), 1, 2)
+    # the weighted phase w^(-j tgt) of each spin label, tgt = h q
+    phase = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
+    first = phase[None, :, None, :] * table[:, None] % p  # [sign, h, s, j]
+    table.flags.writeable = first.flags.writeable = False
+    return p, table, first
+
+
+def sketches(q: int, s: np.ndarray, h: np.ndarray,
+             minus: Optional[KeyMode] = None) -> np.ndarray:
+    """One sketch sum per class row of one q, as an int64 array, with no
     space or lattice built: row i is L(q; s[i]), parameters in [0, q),
     with spin label h[i] (0 for odd q), so its lattice has target h[i] q.
-    Each sketch is 2 mod (P0(z0), P1(z0)) mod p with
-    P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30) and
-    z0 = _SKETCH_POINT, from the character sum (w a mod-th root of 1)
+    With P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30)
+    and z0 = _SKETCH_POINT, the plus sum is mod (P0 + P1)(z0) mod p.
+    With minus set, the sum is mod (P0 - P1)(z0) mod p instead, as it is
+    for "oriented" and up to its sign, min(x, p - x), for "unoriented".
+    Swapping the parity columns fixes the plus sum and negates the minus
+    sum, and 2 is invertible mod p, so (plus, minus) is (P0, P1)(z0)
+    and (plus, minus up to sign) is that pair up to the swap.  Both come
+    from the character sum (w a mod-th root of 1)
 
         mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
         T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
@@ -483,41 +514,30 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray) -> tuple[tuple[int, int], ...
     sum runs over j = 0..q//2 with weight 2 on j = 1..(q-1)//2 and
     weight 1 on j = 0 and on j = q/2, times 2 or 0 for even q.  For odd
     m the minus terms j and q - j cancel, and at a self-paired j every
-    T-[s_i j] is 0: the minus sum is 0 and the sketch is (plus, plus),
-    the spectral symmetry of dimensions 4k+1.  Each factor is gathered
-    from one table M[sign, s, j] = T+-[s j mod mod], and the first one
-    from M times the weighted phase of each label, [sign, h, s, j],
-    both built once per q.
+    T-[s_i j] is 0: the minus sum is 0, the spectral symmetry of
+    dimensions 4k+1, and is not computed.  Each factor is gathered from
+    one table of _sketch_tables(q).
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
-    mod = q if q % 2 else 2 * q
-    p, zeta = series_field(q, 1 << 30)
-    omega = pow(zeta, 2 * q // mod, p)
-    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
-    z = np.array([pow(_SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
-    exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
-    fwd, bwd = w[exps] * z % p, w[-exps % mod] * z % p
-    signs = 1 if s.shape[1] % 2 else 2  # T+ alone for odd m
-    tables = np.stack([fwd + bwd, fwd - bwd][:signs]).sum(axis=2) % p
-    j = np.arange(q // 2 + 1)
-    table = tables[:, np.arange(q)[:, None] * j % mod]  # M[sign, s, j]
-    weight = np.where((j == 0) | (2 * j == q), 1, 2)
-    # the weighted phase w^(-j tgt) of each spin label, tgt = h q
-    phase = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
-    first = phase[None, :, None, :] * table[:, None] % p  # [sign, h, s, j]
-    sums = np.empty((signs, len(s)), dtype=np.int64)
+    if minus not in (None, "oriented", "unoriented"):
+        raise ValueError(f"unknown mode {minus!r}")
+    if minus is not None and s.shape[1] % 2:
+        return np.zeros(len(s), dtype=np.int64)
+    p, table, first = _sketch_tables(q)
+    sign = 0 if minus is None else 1
+    table, first = table[sign], first[sign]
+    sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
-        acc = first[:, h[block], s[block, 0]]
+        acc = first[h[block], s[block, 0]]
         for col in s[block, 1:].T:
-            acc *= table[:, col]
+            acc *= table[col]
             acc %= p
-        sums[:, block] = acc.sum(axis=-1) % p
+        sums[block] = acc.sum(axis=1) % p
     if q % 2 == 0:
         sums = sums * (2 - 2 * (s.sum(axis=1) % 2)) % p
-    plus, minus = sums if signs == 2 else (sums[0], 0)
-    return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
+    return np.minimum(sums, p - sums) if minus == "unoriented" else sums
 
 
 def count(lat: CongruenceLattice, parity: int, k: int) -> int:
@@ -537,3 +557,4 @@ def clear_caches() -> None:
     long multi-census runs)."""
     _half_table.cache_clear()
     _full_table.cache_clear()
+    _sketch_tables.cache_clear()

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from lensdirac import cli
+from lensdirac import cli, lattice
 from lensdirac.cli import main
 from lensdirac.search import load_results
 
@@ -189,6 +189,35 @@ def test_search_writes_files(tmp_path, capsys):
     lines = out_csv.read_text().strip().splitlines()
     assert lines[0].startswith("dimension,q,mode")
     assert len(lines) == 3
+
+
+def test_search_checks_output_paths_before_the_census(tmp_path, capsys, monkeypatch):
+    """A missing directory for --out or --csv, or a path that is a
+    directory, exits 2 before any class is enumerated, with nothing on
+    stdout."""
+    monkeypatch.setattr(cli, "run_census", lambda *args: pytest.fail("census ran"))
+    for flag, path in product(("--out", "--csv"), ("/nonexistent/x.json", str(tmp_path))):
+        code, out, err = run(capsys, "search", "-n", "7", "--q-max", "49", flag, path)
+        assert (code, out) == (2, ""), (flag, path)
+        assert err.startswith("error: cannot write") and path in err
+
+
+def test_oversized_inputs_are_errors_not_verdicts(capsys, monkeypatch):
+    """OverflowError (a q past the int64 products of the class rows) and
+    MemoryError (a table too large to build) exit 2 with one error line,
+    never 1, the negative verdict."""
+    code, out, err = run(capsys, "search", "-n", "7", "--q-min", "3037000500",
+                         "--q-max", "3037000500")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
+    def no_memory(*args):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(lattice, "_full_table", no_memory)
+    code, out, err = run(capsys, "isospec", "97:1,2,3,5", "97:1,2,3,7")
+    assert (code, out) == (2, "")
+    assert err == "error: out of memory: Unable to allocate 745. GiB\n"
 
 
 def test_search_rejects_bad_range(capsys):

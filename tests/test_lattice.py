@@ -22,7 +22,7 @@ from lensdirac.lattice import (
 )
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import series_field, units
-from lensdirac.search import tower_family
+from lensdirac.search import _sketch_survivors, tower_family
 
 
 def brute_reduced_rows(lat):
@@ -328,14 +328,20 @@ def sketch_args(lats):
 
 
 def sketch_of_table(lat):
-    """2 mod (P0(z0), P1(z0)) mod p from the rows of the full table."""
+    """mod (P0 + P1)(z0) and mod (P0 - P1)(z0) mod p from the rows of the
+    full table."""
     q, mod, _, _ = lattice._norm_key(lat)
     p, _ = series_field(q, 1 << 30)
     rows = reduced_counts(lat).rows
     return tuple(
-        2 * mod * sum(row[par] * pow(lattice._SKETCH_POINT, k, p)
-                      for k, row in enumerate(rows)) % p
-        for par in (0, 1))
+        mod * sum((even + sign * odd) * pow(lattice._SKETCH_POINT, k, p)
+                  for k, (even, odd) in enumerate(rows)) % p
+        for sign in (1, -1))
+
+
+def both_sums(q, s, h):
+    """The plus and minus sums of sketches(), as lists of Python ints."""
+    return tuple(sketches(q, s, h, *stage).tolist() for stage in ((), ("oriented",)))
 
 
 def test_sketch_matches_packed_table_past_int64():
@@ -344,7 +350,9 @@ def test_sketch_matches_packed_table_past_int64():
     sketch needs no table and has no such limit."""
     lat = lattice_of(tower_family(3)[1])
     assert reduced_counts(lat).total() == 2 * 80 ** 13
-    assert sketches(*sketch_args([lat])) == (sketch_of_table(lat),)
+    plus, minus = sketch_of_table(lat)
+    assert both_sums(*sketch_args([lat])) == ([plus], [minus])
+    assert minus != 0
 
 
 def test_packed_table_total_is_checked(monkeypatch):
@@ -408,9 +416,11 @@ def test_sketches_match_full_tables():
                 continue
             s = tuple(rng.choice(units(q)) for _ in range(m))
             lat = lattice_of(spin_space(q, s, label))
-            got = sketches(*sketch_args([lat]))
-            assert got == (sketch_of_table(lat),), (q, s, label)
-            assert all(type(v) is int for v in got[0])
+            args = sketch_args([lat])
+            assert all(sketches(*args, *stage).dtype == np.int64
+                       for stage in ((), ("oriented",), ("unoriented",)))
+            plus, minus = sketch_of_table(lat)
+            assert both_sums(*args) == ([plus], [minus]), (q, s, label)
 
 
 def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
@@ -419,12 +429,15 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
     lats = [lattice_of(spin_space(20, tuple(rng.choice(units(20)) for _ in range(4)),
                                   rng.choice(("h0", "h1"))))
             for _ in range(10)]
-    one_by_one = tuple(sketches(*sketch_args([lat]))[0] for lat in lats)
+    one_by_one = [both_sums(*sketch_args([lat])) for lat in lats]
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
-    assert sketches(*sketch_args(lats)) == one_by_one
-    assert one_by_one == tuple(sketch_of_table(lat) for lat in lats)
-    assert sketches(20, np.empty((0, 4), dtype=np.int64),
-                    np.empty(0, dtype=np.int64)) == ()
+    plus, minus = both_sums(*sketch_args(lats))
+    assert [([a], [b]) for a, b in zip(plus, minus)] == one_by_one
+    assert list(zip(plus, minus)) == [sketch_of_table(lat) for lat in lats]
+    empty = np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
+    assert both_sums(20, *empty) == ([], [])
+    with pytest.raises(ValueError, match="unknown mode"):
+        sketches(20, *empty, "sideways")
 
 
 def full_sketches(q, s, h):
@@ -444,7 +457,7 @@ def full_sketches(q, s, h):
     for col in s.T:
         acc = acc * tables[:, col[:, None] * j % mod] % p
     plus, minus = acc.sum(axis=2) % p
-    return tuple(zip(((plus + minus) % p).tolist(), ((plus - minus) % p).tolist()))
+    return plus.tolist(), minus.tolist()
 
 
 def random_class_rows(rng, q, m, count):
@@ -459,8 +472,9 @@ def random_class_rows(rng, q, m, count):
 
 def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
     """Folding j with mod - j, and dropping the minus sum for odd m,
-    changes no sketch: odd and even q from q = 1 and q = 2 (mod = 4, where
-    j = 2 pairs with itself), m = 2..10, both spin labels, blocks of 3."""
+    changes no sketch sum: odd and even q from q = 1 and q = 2 (mod = 4,
+    where j = 2 pairs with itself), m = 2..10, both spin labels, blocks
+    of 3.  The unoriented minus sum is the minus sum up to its sign."""
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
     rng = random.Random(1313)
     for m in range(2, 11):
@@ -468,22 +482,55 @@ def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
             if q % 2 == 0 and m % 2 == 1:
                 continue
             s, h = random_class_rows(rng, q, m, 8)
-            got = sketches(q, s, h)
-            assert got == full_sketches(q, s, h), (q, m)
+            plus, minus = full_sketches(q, s, h)
+            assert both_sums(q, s, h) == (plus, minus), (q, m)
+            p, _ = series_field(q, 1 << 30)
+            assert sketches(q, s, h, "unoriented").tolist() == [
+                min(v, p - v) for v in minus], (q, m)
             if m % 2:
-                assert all(even == odd for even, odd in got), (q, m)
+                assert not any(minus), (q, m)
+
+
+def test_two_stage_sketch_survivors_match_the_sketch_pairs(monkeypatch):
+    """The survivors of the two-stage bucketing (plus sums, then
+    (plus, minus) where plus sums collide) are the rows whose pair
+    (P0, P1)(z0), sorted when unoriented, equals another row's.  Rows
+    come in a small pool with repeats, permutations and negations, so
+    both stages see collisions; blocks of 3 rows."""
+    monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
+    rng = random.Random(1818)
+    for m in range(2, 11):
+        for q in (1, 2, 3, 4, 5, 7, 10, 12, 17, 22):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            pool = [[rng.randrange(q) for _ in range(m)] for _ in range(4)]
+            rows = []
+            for _ in range(12):
+                s = rng.sample(rng.choice(pool), m)
+                if rng.randrange(2):
+                    s = [-v % q for v in s]
+                rows.append(s + [rng.randrange(2) if q % 2 == 0 else 0])
+            classes = np.array(rows, dtype=np.int64)
+            plus, minus = full_sketches(q, classes[:, :-1], classes[:, -1])
+            p, _ = series_field(q, 1 << 30)
+            pairs = [((a + b) % p, (a - b) % p) for a, b in zip(plus, minus)]
+            for mode in ("oriented", "unoriented"):
+                keys = [tuple(sorted(pair)) if mode == "unoriented" else pair
+                        for pair in pairs]
+                want = [i for i, key in enumerate(keys) if keys.count(key) > 1]
+                assert _sketch_survivors(q, classes, mode) == want, (q, m, mode)
 
 
 def test_even_q_rows_with_odd_parameter_sum_sketch_to_zero():
     """For even q the frequencies j and j + q give equal terms when
     sum s_i is even and opposite ones when it is odd, so sketches() sums
     one period and doubles or zeroes it.  An odd sum means an empty
-    lattice (every a_j is odd), whose sketch is (0, 0)."""
+    lattice (every a_j is odd), whose sketch sums are 0."""
     for q, row in ((2, (1, 0)), (10, (1, 3, 5, 2)), (22, (1, 3, 7, 9, 13, 4))):
         s = np.array([row, row], dtype=np.int64)
         h = np.array([0, 1], dtype=np.int64)
         assert sum(row) % 2 == 1
-        assert sketches(q, s, h) == full_sketches(q, s, h) == ((0, 0), (0, 0)), q
+        assert both_sums(q, s, h) == full_sketches(q, s, h) == ([0, 0], [0, 0]), q
 
 
 def test_odd_m_tables_are_parity_symmetric():

@@ -261,13 +261,12 @@ def _families_from_full_tables(n, q, mode):
 
 @pytest.mark.parametrize("bits", [0, 1, None], ids=["0", "1", "sketch"])
 def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
-    """Keeping only 0 or 1 low bits of each sketch value makes every or
-    many classes collide in the first phase, so the full tables of the
-    second phase must separate them."""
+    """Keeping only 0 or 1 low bits of each sketch value, plus and minus
+    sums alike, makes every or many classes collide in the first phase,
+    so the full tables of the second phase must separate them."""
     if bits is not None:
         mask, full = (1 << bits) - 1, search.sketches
-        monkeypatch.setattr(search, "sketches", lambda q, s, h: tuple(
-            (a & mask, b & mask) for a, b in full(q, s, h)))
+        monkeypatch.setattr(search, "sketches", lambda *args: full(*args) & mask)
     constant = bits == 0
     cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
              if not (q % 2 == 0 and n % 4 == 1)]
@@ -288,6 +287,13 @@ def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
 def test_census_counts_only_colliding_full_tables():
     res = census(7, 49)
     assert res.classes == 506 and res.fingerprints == 2
+
+
+def test_census_second_sketch_stage_separates_equal_plus_sums():
+    """At these q two classes share a plus sum but not a table, so plus
+    sums alone would send both to a full table."""
+    assert run_census(7, [65])[0].fingerprints == 0
+    assert run_census(11, [17])[0].fingerprints == 0
 
 
 def test_census_builds_spaces_only_for_sketch_collisions(monkeypatch):
