@@ -9,7 +9,10 @@ integer vector a with every a_j odd and
 where (modulus, target) = (q, 0) for odd q and (2q, h_eff * q) for even q
 with h_eff = (h + sum_j floor(s_j/q)) mod 2 for the structure labelled h.
 The set depends only on the space: replacing s_j by s_j mod q is absorbed
-by the matching change of h_eff because every a_j is odd.
+by the matching change of h_eff because every a_j is odd.  So a table
+is keyed by the spin key (q, sorted s mod q, h) with target h q, and a
+lattice no spin lens space has (another modulus or target, or an empty
+one) is refused (_norm_key).
 
 Counting: N(eps, k) is the number of lattice points with
 sum_j |a_j| = 2k + m and #[a_j < 0] == eps (mod 2); these feed the
@@ -35,16 +38,14 @@ integers beyond).
 
 Contraction.  b -> -b - 1 on every coordinate of a half keeps e, moves
 the parity by its length n and sends u to -u - sigma (sigma = sum of
-its s_j), and 2c == -sum s_j (mod q) for targets 0 and q.  So the terms
+its s_j), and 2c == -sum s_j (mod q) for the targets 0 and q.  So the terms
 of u and its mirror -u - sigma repeat each other, and the sum runs over
 one residue of each mirror pair, with weight 2 (1 where u is its own
 mirror).  It runs on parity sums X+- = X_even +- X_odd:
 S = sum_u A+[u] B+[c - u] and D = sum_u A-[u] B-[c - u] give
 even = (S + D)/2 and odd = (S - D)/2, and for odd m the mirror terms of
-D cancel, so only S is computed.  (A target other than 0 and q, which
-no spin lens space has, pairs no residues: every one is contracted.)
-Each sum is float64 matrix products plus an int64 antidiagonal fold over
-e.  Below 2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum
+D cancel, so only S is computed.  Each sum is float64 matrix products
+plus an int64 antidiagonal fold over e.  Below 2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum
 in sight is exact in float64; beyond, the parity sums are cut into
 signed w-bit limbs, w chosen so that each product entry stays at or
 below 2^53 and each fold below 2^63, and the limb products are joined by
@@ -57,6 +58,10 @@ Checks.  A table with the wrong number of rows, a total other than
 under k -> m(q-1) - k, or a half table that does not repeat itself
 under b -> -b - 1 (the reflection the fold relies on) raises
 ArithmeticError.
+
+Census sketches.  sketch_survivors buckets the class rows of one q on
+their tables' generating polynomials at one point of GF(p), summed from
+characters with no table built; only rows that share a bucket need one.
 """
 
 from __future__ import annotations
@@ -172,15 +177,19 @@ class ReducedCountTable:
         return sha256(payload).hexdigest()
 
 
-def _norm_key(lat: CongruenceLattice) -> tuple[int, int, int, tuple[int, ...]]:
-    """Canonical cache key: normalized sorted parameters plus the matching
-    target shift (counts are symmetric under coordinate permutation)."""
+def _norm_key(lat: CongruenceLattice) -> tuple[int, tuple[int, ...], int]:
+    """The spin key (q, sorted s mod q, h), target h q: reducing s_j mod q
+    moves sum a_j s_j by a multiple of q (every a_j is odd).  ValueError
+    for a lattice no spin lens space has: modulus other than q (odd q) or
+    2q (even q), target off the multiples of q, or even q with an odd
+    parameter sum (no points)."""
     q, mod = lat.q, lat.modulus
     sn = tuple(sorted(sj % q for sj in lat.s))
-    # every a_j is odd, so reducing s_j mod q moves sum a_j s_j by
-    # s_j - (s_j mod q), a multiple of q, modulo 2q
     tgt = (lat.target - sum(lat.s) + sum(sn)) % mod
-    return (q, mod, tgt, sn)
+    if mod != (2 * q if q % 2 == 0 else q) or tgt % q or (q % 2 == 0 and sum(sn) % 2):
+        raise ValueError(f"no spin lens space has the lattice of modulus {mod}, "
+                         f"target {lat.target} at q = {q}, s = {lat.s}")
+    return (q, sn, tgt // q)
 
 
 # -------------------------------------------------------- meet in the middle
@@ -402,33 +411,21 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
 # ------------------------------------------------------------ public API
 
 @lru_cache(maxsize=256)
-def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCountTable:
-    """The reduced table of the normalized lattice (q, mod, tgt, sn)."""
+def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
+    """The reduced table of the spin key (q, sn, h) (see _norm_key)."""
     m = len(sn)
     kmax = reduced_level_bound(q, m)
     total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
-    # a_j = 2 b_j + 1: sum a_j s_j == tgt (mod mod) iff
-    # 2 sum b_j s_j == tgt - sum s_j, i.e. sum b_j s_j == c (mod q)
-    diff = tgt - sum(sn)
-    if mod == 2 * q and diff % 2 == 0:
-        c = diff // 2 % q
-    elif mod == q and q % 2:
-        c = diff * (q + 1) // 2 % q
-    else:
-        raise ValueError(f"no residue target mod {q} for modulus {mod} and "
-                         f"target {tgt} at s = {sn}")
+    # a_j = 2 b_j + 1: sum b_j s_j == c (mod q), c = (h q - sum s_j)/2
+    # for even q (modulus 2q) and -sum s_j 2^-1 for odd q (modulus q)
+    c = ((h * q - sum(sn)) // 2 if q % 2 == 0 else -sum(sn) * (q + 1) // 2) % q
     halves = sn[: m // 2], sn[m // 2:]
     ta, tb = (_half_table(q, half) for half in halves)
     # b -> -b - 1 on every coordinate sends u to -u - sum(halves[0]) in the
-    # first half and, when 2c == -sum(sn) (targets 0 and q, as for every
-    # spin lens space), c - u to its own mirror in the second half: the
-    # two terms are equal, and for odd m they cancel in D
-    u = np.arange(q)
-    if (2 * c + sum(sn)) % q:
-        mirror, signs = u, 2
-    else:
-        mirror, signs = (-u - sum(halves[0])) % q, 2 - m % 2
-    plus, minus = _contract(ta, tb, c, mirror, signs, total)
+    # first half and, since 2c == -sum(sn), c - u to its own mirror in the
+    # second half: the two terms are equal, and for odd m they cancel in D
+    mirror = (-np.arange(q) - sum(halves[0])) % q
+    plus, minus = _contract(ta, tb, c, mirror, 2 - m % 2, total)
     if len(plus) != kmax + 1:
         raise ArithmeticError(
             f"table for q={q}, m={m} has {len(plus)} rows, not kmax + 1 = {kmax + 1}")
@@ -442,8 +439,8 @@ def _full_table(q: int, mod: int, tgt: int, sn: tuple[int, ...]) -> ReducedCount
             f"table for q={q}, m={m} has parity sums S and D of different parity")
     rows = tuple(zip(((plus + minus) // 2).tolist(), ((plus - minus) // 2).tolist()))
     # a_j -> sign(a_j) 2q - a_j keeps signs, sends level k to kmax - k and
-    # the target to -target: a spin lens space's table is a palindrome
-    if 2 * tgt % mod == 0 and rows != rows[::-1]:
+    # the target h q to -h q, the same residue: every table is a palindrome
+    if rows != rows[::-1]:
         raise ArithmeticError(
             f"table for q={q}, m={m} is not symmetric under k -> kmax - k")
     for table, half in zip((ta, tb), halves):
@@ -456,18 +453,17 @@ def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
     return _full_table(*_norm_key(lat))
 
 
-# sketches() evaluates at z0 = _SKETCH_POINT (any residue below 2^30
-# works) and takes _SKETCH_BLOCK classes at a time to bound its memory.
+# the sketch sums evaluate at z0 = _SKETCH_POINT (any residue below 2^30
+# works) and take _SKETCH_BLOCK classes at a time to bound their memory.
 _SKETCH_POINT = 0x2545F491
 _SKETCH_BLOCK = 1024
 
 
-@lru_cache(maxsize=1)
-def _sketch_tables(q: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """p and the factor tables of sketches() at q: M[sign, s, j] =
-    T+-[s j mod mod] for j = 0..q//2, and the first factor's table
-    [sign, h, s, j], M times the weighted phase of spin label h.  Built
-    once per q for both of a census's sketch stages."""
+@lru_cache(maxsize=2)
+def _sketch_tables(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """p and the factor tables of the sketch sums of one sign (+1 or -1)
+    at q: M[s, j] = T+-[s j mod mod] for j = 0..q//2, and the first
+    factor's table [h, s, j], M times the weighted phase of spin label h."""
     mod = q if q % 2 else 2 * q
     p, zeta = series_field(q, 1 << 30)
     omega = pow(zeta, 2 * q // mod, p)
@@ -476,30 +472,24 @@ def _sketch_tables(q: int) -> tuple[int, np.ndarray, np.ndarray]:
     exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
     fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
     bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
-    tables = np.stack([fwd + bwd, fwd - bwd]) % p
     j = np.arange(q // 2 + 1)
-    table = tables[:, np.arange(q)[:, None] * j % mod]  # M[sign, s, j]
+    table = ((fwd + sign * bwd) % p)[np.arange(q)[:, None] * j % mod]  # M[s, j]
     weight = np.where((j == 0) | (2 * j == q), 1, 2)
     # the weighted phase w^(-j tgt) of each spin label, tgt = h q
     phase = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
-    first = phase[None, :, None, :] * table[:, None] % p  # [sign, h, s, j]
+    first = phase[:, None, :] * table % p  # [h, s, j]
     table.flags.writeable = first.flags.writeable = False
     return p, table, first
 
 
-def sketches(q: int, s: np.ndarray, h: np.ndarray,
-             minus: Optional[KeyMode] = None) -> np.ndarray:
+def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     """One sketch sum per class row of one q, as an int64 array, with no
     space or lattice built: row i is L(q; s[i]), parameters in [0, q),
     with spin label h[i] (0 for odd q), so its lattice has target h[i] q.
     With P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30)
-    and z0 = _SKETCH_POINT, the plus sum is mod (P0 + P1)(z0) mod p.
-    With minus set, the sum is mod (P0 - P1)(z0) mod p instead, as it is
-    for "oriented" and up to its sign, min(x, p - x), for "unoriented".
-    Swapping the parity columns fixes the plus sum and negates the minus
-    sum, and 2 is invertible mod p, so (plus, minus) is (P0, P1)(z0)
-    and (plus, minus up to sign) is that pair up to the swap.  Both come
-    from the character sum (w a mod-th root of 1)
+    and z0 = _SKETCH_POINT, the sum is mod (P0 + sign P1)(z0) mod p: the
+    plus sum for sign 1, the minus sum for sign -1.  Both come from the
+    character sum (w a mod-th root of 1)
 
         mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
         T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
@@ -510,23 +500,16 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray,
     it is odd (that lattice is empty, every a_j being odd).
     T+[-u] = T+[u], T-[-u] = -T-[u], and w^(-j tgt) is unchanged by
     j -> -j because 2 tgt == 0 (mod mod).  So within one period the
-    terms j and q - j are equal (for even q with even sum s_i), and the
-    sum runs over j = 0..q//2 with weight 2 on j = 1..(q-1)//2 and
-    weight 1 on j = 0 and on j = q/2, times 2 or 0 for even q.  For odd
-    m the minus terms j and q - j cancel, and at a self-paired j every
-    T-[s_i j] is 0: the minus sum is 0, the spectral symmetry of
-    dimensions 4k+1, and is not computed.  Each factor is gathered from
-    one table of _sketch_tables(q).
+    terms j and q - j are equal for even m (and for even q with even
+    sum s_i), and the sum runs over j = 0..q//2 with weight 2 on
+    j = 1..(q-1)//2 and weight 1 on j = 0 and on j = q/2, times 2 or 0
+    for even q.  (For odd m the minus terms j and q - j cancel: the
+    minus sum is 0, and sketch_survivors never asks for it.)  Each
+    factor is gathered from one table of _sketch_tables(q, sign).
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
-    if minus not in (None, "oriented", "unoriented"):
-        raise ValueError(f"unknown mode {minus!r}")
-    if minus is not None and s.shape[1] % 2:
-        return np.zeros(len(s), dtype=np.int64)
-    p, table, first = _sketch_tables(q)
-    sign = 0 if minus is None else 1
-    table, first = table[sign], first[sign]
+    p, table, first = _sketch_tables(q, sign)
     sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
@@ -537,7 +520,44 @@ def sketches(q: int, s: np.ndarray, h: np.ndarray,
         sums[block] = acc.sum(axis=1) % p
     if q % 2 == 0:
         sums = sums * (2 - 2 * (s.sum(axis=1) % 2)) % p
-    return np.minimum(sums, p - sums) if minus == "unoriented" else sums
+    return sums
+
+
+def _shared(keys: np.ndarray) -> np.ndarray:
+    """Whether each key equals another one."""
+    _, bucket, size = np.unique(keys, return_inverse=True, return_counts=True)
+    return size[bucket] > 1
+
+
+def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:
+    """The indices, in order, of the class rows (s..., h) of one q whose
+    sketch key (plus, minus) equals another row's, the minus sum taken up
+    to its sign, min(x, p - x), when unoriented.  Swapping the parity
+    columns fixes the plus sum and negates the minus sum, and 2 is
+    invertible mod p, so these are the buckets of (P0, P1)(z0), up to
+    the swap when unoriented.  Every row is bucketed on one sum, then
+    only rows that share it on both: the minus sum first when oriented
+    with even m (a space and its mirror image share the plus sum), the
+    plus sum otherwise, and alone for odd m (the minus sum is 0).  A
+    sign's factor table is built only when its stage runs."""
+    if mode not in ("oriented", "unoriented"):
+        raise ValueError(f"unknown mode {mode!r}")
+    s, h = rows[:, :-1], rows[:, -1]
+    m = s.shape[1]
+    first, second = (-1, 1) if mode == "oriented" and m % 2 == 0 else (1, -1)
+    key = _sketch_sums(q, s, h, first)
+    shared = _shared(key)
+    pick = np.flatnonzero(shared)
+    if m % 2 == 0 and len(pick):
+        x = _sketch_sums(q, s[pick], h[pick], second)
+        if mode == "unoriented":
+            p = _sketch_tables(q, second)[0]
+            x = np.minimum(x, p - x)
+        # sketch sums are residues below 2^31, so both make one int64 key
+        # (were they not, keys could only merge buckets: more full tables,
+        # never a lost family)
+        shared[pick] = _shared(key[pick] << 31 | x)
+    return np.flatnonzero(shared).tolist()
 
 
 def count(lat: CongruenceLattice, parity: int, k: int) -> int:
@@ -553,8 +573,8 @@ def count(lat: CongruenceLattice, parity: int, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized half tables and count tables (mostly for tests and
-    long multi-census runs)."""
+    """Drop memoized half tables, count tables and sketch factor tables
+    (mostly for tests and long multi-census runs)."""
     _half_table.cache_clear()
     _full_table.cache_clear()
     _sketch_tables.cache_clear()

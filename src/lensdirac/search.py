@@ -6,12 +6,12 @@ families, a from-scratch family verifier, and result persistence.
 Class enumeration is lens._class_rows: the (tuple, spin label) rows that
 equal their own canonical form, which settles the tuples and the even-q
 spin split in one vectorized pass.  A census fingerprints those rows in
-two phases: vectorized sketches of the rows' tables (lattice.sketches,
-the table's generating polynomials at one point of a prime field; the
-plus sum of every row, the minus sum only of rows whose plus sums
-collide), then a SpinLensSpace and its full table only for classes
-whose sketch collides with another's.  Grouping follows enumeration
-order, so output is deterministic.
+two phases: lattice.sketch_survivors buckets the rows on sketches of
+their tables (the table's generating polynomials at one point of a prime
+field, computed from the rows with no space or table built), then a
+SpinLensSpace and its full table are built only for classes whose sketch
+collides with another's.  Grouping follows enumeration order, so output
+is deterministic.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .lens import (
     spin_space,
 )
 from .lens import self_transport_pairs  # noqa: F401  perfbench wrap site lensdirac.search.self_transport_pairs
-from .lattice import ReducedCountTable, sketches
+from .lattice import ReducedCountTable, sketch_survivors
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
 
@@ -141,29 +141,6 @@ def _group_key(rows: tuple[tuple[int, int], ...], mode: KeyMode) -> tuple:
     return rows
 
 
-def _shared(keys: np.ndarray) -> np.ndarray:
-    """Whether each key equals another one."""
-    _, bucket, size = np.unique(keys, return_inverse=True, return_counts=True)
-    return size[bucket] > 1
-
-
-def _sketch_survivors(q: int, classes: np.ndarray, mode: KeyMode) -> list[int]:
-    """The class rows of one q, in order, whose sketch key equals another
-    row's: the plus sum for every row, then (plus, minus) for the rows
-    that share a plus sum, the minus sum up to its sign when unoriented.
-    A table determines its plus sum, so a row alone in its plus bucket
-    is alone under (plus, minus) too."""
-    s, h = classes[:, :-1], classes[:, -1]
-    plus = sketches(q, s, h)
-    shared = _shared(plus)
-    pick = np.flatnonzero(shared)
-    # sketch values are residues below 2^31, so (plus, minus) is one
-    # int64 key (were they not, keys could only merge buckets: more full
-    # tables, never a lost family)
-    shared[pick] = _shared(plus[pick] << 31 | sketches(q, s[pick], h[pick], mode))
-    return np.flatnonzero(shared).tolist()
-
-
 def run_census(n: int, q_range: Iterable[int],
                mode: KeyMode = "unoriented") -> tuple[CensusResult, ...]:
     """Collect, for each q, the groups of >= 2 classes with matching
@@ -175,13 +152,9 @@ def run_census(n: int, q_range: Iterable[int],
     the orientation-free comparison).  Same-key grouping compares full
     tables, never digests alone.
 
-    Two phases.  The first buckets the class rows on lattice.sketches,
-    ring images of their tables, in two stages: every row on its plus
-    sum, then the rows that share a plus sum on (plus, minus), with the
-    minus sum taken up to its sign in unoriented mode.  Equal tables
-    (up to the parity swap, in unoriented mode) have equal keys at both
-    stages, and (plus, minus) carries the same information as the pair
-    (P0, P1) of generating polynomials at one point, so a class alone in
+    Two phases.  The first buckets the class rows on sketches of their
+    tables (lattice.sketch_survivors): equal tables (up to the parity
+    swap, in unoriented mode) have equal sketches, so a class alone in
     its bucket is alone in its spectrum.  Only classes sharing a bucket
     become spaces and get fingerprint(), in enumeration order, and
     CensusResult.fingerprints counts them.
@@ -197,7 +170,7 @@ def run_census(n: int, q_range: Iterable[int],
                 n=n, q=q, mode=mode, families=(), classes=0, fingerprints=0,
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
-        survivors = _sketch_survivors(q, classes, mode)
+        survivors = sketch_survivors(q, classes, mode)
         reps = {i: _row_space(q, classes[i].tolist()) for i in survivors}
         groups: dict[tuple, list[int]] = {}
         for idx in survivors:

@@ -18,11 +18,12 @@ from lensdirac.lattice import (
     point_norm2,
     reduced_counts,
     reduced_level_bound,
-    sketches,
+    sketch_survivors,
 )
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import series_field, units
-from lensdirac.search import _sketch_survivors, tower_family
+from lensdirac.oracle import brute_counts
+from lensdirac.search import tower_family
 
 
 def brute_reduced_rows(lat):
@@ -90,7 +91,8 @@ def packed_rows(lat):
     """Reference table from a coordinate-by-coordinate DP over residues
     that packs the counts for every level into one big Python integer per
     (sign parity, residue)."""
-    q, mod, tgt, sn = lattice._norm_key(lat)
+    q, sn, h = lattice._norm_key(lat)
+    mod, tgt = (2 * q if q % 2 == 0 else q), h * q
     width = ((2 * q) ** len(sn)).bit_length() + 1
     state = [[0] * mod, [0] * mod]  # [parity][residue] -> packed counts by e
     state[0][0] = 1
@@ -155,22 +157,26 @@ def test_random_lattices_match_packed_reference():
         done += 1
 
 
-def test_targets_off_the_mirror_match_packed_reference():
-    """A target other than 0 or q (no spin lens space has one) breaks the
-    mirror pairing of residues, so every residue is contracted; the rows
-    still match the DP.  A modulus and target with no residue target mod q
-    (even q, target - sum s odd: no lattice points) raise ValueError."""
-    rng = random.Random(99)
-    for q, m in [(5, 2), (7, 3), (9, 4), (6, 2), (8, 4), (10, 3)]:
-        mod = q if q % 2 else 2 * q
-        s = tuple(rng.choice(units(q)) for _ in range(m))
-        for tgt in range(1, mod):
-            if tgt % q == 0 or (mod == 2 * q and (tgt - sum(s)) % 2):
-                continue
-            lat = CongruenceLattice(q, s, mod, tgt)
-            assert reduced_counts(lat).rows == packed_rows(lat), lat
-    with pytest.raises(ValueError, match="residue target"):
-        reduced_counts(CongruenceLattice(6, (1, 5, 1), 12, 0))
+def test_lattices_of_no_spin_lens_space_are_rejected():
+    """Tables are keyed by spin lens spaces: a target off the mirror (not
+    a multiple of q), a modulus other than q (odd q) or 2q (even q), and
+    even q with an odd parameter sum (no points at all) raise ValueError.
+    The oracle's enumeration stays general and still counts them."""
+    lats = [CongruenceLattice(5, (1, 2), 5, 1),
+            CongruenceLattice(7, (1, 2, 3), 7, 3),
+            CongruenceLattice(6, (1, 5), 12, 2),
+            CongruenceLattice(5, (1, 2), 10, 0),
+            CongruenceLattice(6, (1, 5), 6, 0),
+            CongruenceLattice(6, (1, 5, 1), 12, 0)]
+    for lat in lats:
+        with pytest.raises(ValueError, match="no spin lens space"):
+            reduced_counts(lat)
+        with pytest.raises(ValueError, match="no spin lens space"):
+            count(lat, 0, 3)
+        assert brute_counts(lat, 3) == tuple(
+            (brute_count(lat, 0, k), brute_count(lat, 1, k)) for k in range(4)), lat
+    assert any(map(any, brute_counts(lats[0], 3)))
+    assert not any(map(any, brute_counts(lats[-1], 3)))
 
 
 def count_limbs(monkeypatch):
@@ -320,17 +326,18 @@ def test_transport_preserves_lattice_membership():
 
 
 def sketch_args(lats):
-    """sketches() arguments for lattices of one q: the parameters and
-    labels (target / q) of their normalised keys."""
+    """_sketch_sums() arguments but the sign, for lattices of one q: the
+    parameters and labels of their spin keys."""
     keys = [lattice._norm_key(lat) for lat in lats]
-    return (keys[0][0], np.array([key[3] for key in keys], dtype=np.int64),
-            np.array([key[2] // key[0] for key in keys], dtype=np.int64))
+    return (keys[0][0], np.array([key[1] for key in keys], dtype=np.int64),
+            np.array([key[2] for key in keys], dtype=np.int64))
 
 
 def sketch_of_table(lat):
     """mod (P0 + P1)(z0) and mod (P0 - P1)(z0) mod p from the rows of the
     full table."""
-    q, mod, _, _ = lattice._norm_key(lat)
+    q = lat.q
+    mod = q if q % 2 else 2 * q
     p, _ = series_field(q, 1 << 30)
     rows = reduced_counts(lat).rows
     return tuple(
@@ -340,8 +347,12 @@ def sketch_of_table(lat):
 
 
 def both_sums(q, s, h):
-    """The plus and minus sums of sketches(), as lists of Python ints."""
-    return tuple(sketches(q, s, h, *stage).tolist() for stage in ((), ("oriented",)))
+    """The plus and minus sums of _sketch_sums(), as lists of Python ints;
+    for odd m the minus sum is 0, which sketch_survivors never computes."""
+    plus = lattice._sketch_sums(q, s, h, 1).tolist()
+    if s.shape[1] % 2:
+        return plus, [0] * len(plus)
+    return plus, lattice._sketch_sums(q, s, h, -1).tolist()
 
 
 def test_sketch_matches_packed_table_past_int64():
@@ -417,8 +428,8 @@ def test_sketches_match_full_tables():
             s = tuple(rng.choice(units(q)) for _ in range(m))
             lat = lattice_of(spin_space(q, s, label))
             args = sketch_args([lat])
-            assert all(sketches(*args, *stage).dtype == np.int64
-                       for stage in ((), ("oriented",), ("unoriented",)))
+            assert all(lattice._sketch_sums(*args, sign).dtype == np.int64
+                       for sign in (1, -1))
             plus, minus = sketch_of_table(lat)
             assert both_sums(*args) == ([plus], [minus]), (q, s, label)
 
@@ -437,11 +448,11 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
     empty = np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
     assert both_sums(20, *empty) == ([], [])
     with pytest.raises(ValueError, match="unknown mode"):
-        sketches(20, *empty, "sideways")
+        sketch_survivors(20, np.empty((0, 5), dtype=np.int64), "sideways")
 
 
 def full_sketches(q, s, h):
-    """Reference for sketches(): the character sum over every frequency
+    """Reference for _sketch_sums(): the character sum over every frequency
     j in [0, mod) and both signs, with the index product s_i j mod mod
     formed for each class."""
     mod = q if q % 2 else 2 * q
@@ -461,7 +472,7 @@ def full_sketches(q, s, h):
 
 
 def random_class_rows(rng, q, m, count):
-    """sketches() arguments for count random rows: parameters in [0, q)
+    """_sketch_sums() arguments for count random rows: parameters in [0, q)
     and, for even q, a random spin label."""
     s = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(count)],
                  dtype=np.int64)
@@ -471,10 +482,11 @@ def random_class_rows(rng, q, m, count):
 
 
 def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
-    """Folding j with mod - j, and dropping the minus sum for odd m,
-    changes no sketch sum: odd and even q from q = 1 and q = 2 (mod = 4,
-    where j = 2 pairs with itself), m = 2..10, both spin labels, blocks
-    of 3.  The unoriented minus sum is the minus sum up to its sign."""
+    """Folding j with mod - j changes no sketch sum, and the minus sum
+    of odd m is 0: odd and even q from q = 1 and q = 2 (mod = 4, where
+    j = 2 pairs with itself), m = 2..10, both spin labels, blocks of 3.
+    (The unoriented fold of the minus sum is checked on the survivors in
+    the next test.)"""
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
     rng = random.Random(1313)
     for m in range(2, 11):
@@ -484,19 +496,16 @@ def test_folded_sketches_match_the_full_frequency_sum(monkeypatch):
             s, h = random_class_rows(rng, q, m, 8)
             plus, minus = full_sketches(q, s, h)
             assert both_sums(q, s, h) == (plus, minus), (q, m)
-            p, _ = series_field(q, 1 << 30)
-            assert sketches(q, s, h, "unoriented").tolist() == [
-                min(v, p - v) for v in minus], (q, m)
             if m % 2:
                 assert not any(minus), (q, m)
 
 
 def test_two_stage_sketch_survivors_match_the_sketch_pairs(monkeypatch):
-    """The survivors of the two-stage bucketing (plus sums, then
-    (plus, minus) where plus sums collide) are the rows whose pair
-    (P0, P1)(z0), sorted when unoriented, equals another row's.  Rows
-    come in a small pool with repeats, permutations and negations, so
-    both stages see collisions; blocks of 3 rows."""
+    """The survivors of the two-stage bucketing (one sum, then both where
+    the first collides; the minus sum first when oriented with even m)
+    are the rows whose pair (P0, P1)(z0), sorted when unoriented, equals
+    another row's.  Rows come in a small pool with repeats, permutations
+    and negations, so both stages see collisions; blocks of 3 rows."""
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
     rng = random.Random(1818)
     for m in range(2, 11):
@@ -518,12 +527,12 @@ def test_two_stage_sketch_survivors_match_the_sketch_pairs(monkeypatch):
                 keys = [tuple(sorted(pair)) if mode == "unoriented" else pair
                         for pair in pairs]
                 want = [i for i, key in enumerate(keys) if keys.count(key) > 1]
-                assert _sketch_survivors(q, classes, mode) == want, (q, m, mode)
+                assert sketch_survivors(q, classes, mode) == want, (q, m, mode)
 
 
 def test_even_q_rows_with_odd_parameter_sum_sketch_to_zero():
     """For even q the frequencies j and j + q give equal terms when
-    sum s_i is even and opposite ones when it is odd, so sketches() sums
+    sum s_i is even and opposite ones when it is odd, so _sketch_sums() sums
     one period and doubles or zeroes it.  An odd sum means an empty
     lattice (every a_j is odd), whose sketch sums are 0."""
     for q, row in ((2, (1, 0)), (10, (1, 3, 5, 2)), (22, (1, 3, 7, 9, 13, 4))):
@@ -535,7 +544,7 @@ def test_even_q_rows_with_odd_parameter_sum_sketch_to_zero():
 
 def test_odd_m_tables_are_parity_symmetric():
     """In dimensions 4k+1 every full table has even = odd in every row,
-    which is why sketches() computes no minus sum for odd m."""
+    which is why sketch_survivors computes no minus sum for odd m."""
     rng = random.Random(41)
     for m, qmax in ((3, 30), (5, 12), (7, 7), (9, 5)):
         for q in range(1, qmax + 1, 2):
@@ -553,7 +562,7 @@ def test_sketch_memory_is_bounded_by_the_block():
     args = sketch_args(lats)
     tracemalloc.start()
     try:
-        sketches(*args)
+        lattice._sketch_sums(*args, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -608,7 +617,7 @@ def test_reflection_is_checked_where_the_fold_never_reads(monkeypatch):
     u <-> -u - sum(s_half) of the first half table.  A count added at the
     larger one changes no row, so only the reflection check catches it."""
     lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
-    q, _, _, sn = lattice._norm_key(lat)
+    q, sn, _ = lattice._norm_key(lat)
     first = sn[:2]
     unread = next(u for u in range(q) if (-u - sum(first)) % q < u)
     clear_caches()  # before _half_table is replaced

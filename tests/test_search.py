@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensdirac import lattice, lens, search
+from lensdirac import lattice, lens
 from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
@@ -20,7 +20,7 @@ from lensdirac.lens import (
     spin_space,
     spin_structures,
 )
-from lensdirac.numtheory import units
+from lensdirac.numtheory import series_field, units
 from lensdirac.search import (
     FORMAT_VERSION,
     FormatError,
@@ -263,10 +263,17 @@ def _families_from_full_tables(n, q, mode):
 def test_two_phase_census_matches_full_table_grouping(monkeypatch, bits):
     """Keeping only 0 or 1 low bits of each sketch value, plus and minus
     sums alike, makes every or many classes collide in the first phase,
-    so the full tables of the second phase must separate them."""
+    so the full tables of the second phase must separate them.  Each sum
+    is folded to min(x, p - x) before the mask, so a minus sum and its
+    negative (a reflected table's) keep equal masked values."""
     if bits is not None:
-        mask, full = (1 << bits) - 1, search.sketches
-        monkeypatch.setattr(search, "sketches", lambda *args: full(*args) & mask)
+        mask, full = (1 << bits) - 1, lattice._sketch_sums
+
+        def masked(q, s, h, sign):
+            x, p = full(q, s, h, sign), series_field(q, 1 << 30)[0]
+            return np.minimum(x, p - x) & mask
+
+        monkeypatch.setattr(lattice, "_sketch_sums", masked)
     constant = bits == 0
     cases = [(n, q) for n in (3, 5, 7) for q in range(1, 31)
              if not (q % 2 == 0 and n % 4 == 1)]
@@ -294,6 +301,51 @@ def test_census_second_sketch_stage_separates_equal_plus_sums():
     sums alone would send both to a full table."""
     assert run_census(7, [65])[0].fingerprints == 0
     assert run_census(11, [17])[0].fingerprints == 0
+
+
+def spy_sketch_sums(monkeypatch):
+    """Record (q, sign, rows) of every sketch stage a census runs."""
+    calls, real = [], lattice._sketch_sums
+
+    def spy(q, s, h, sign):
+        calls.append((q, sign, len(s)))
+        return real(q, s, h, sign)
+
+    monkeypatch.setattr(lattice, "_sketch_sums", spy)
+    return calls
+
+
+def test_oriented_even_m_census_buckets_on_minus_sums_first(monkeypatch):
+    """A space and its mirror image share the plus sum but not the minus
+    sum, so an oriented census with even m buckets on the minus sum
+    first.  In dimension 7 at q = 40..60 that stage leaves only the rows
+    of the two families (at q = 49), so the plus stage separates none."""
+    calls = spy_sketch_sums(monkeypatch)
+    results = run_census(7, range(40, 61), "oriented")
+    assert [(q, sign) for q, sign, _ in calls if sign == -1] == [
+        (r.q, -1) for r in results]
+    assert [(q, rows) for q, sign, rows in calls if sign == 1] == [
+        (r.q, r.fingerprints) for r in results if r.fingerprints] == [(49, 4)]
+    assert sum(len(r.families) for r in results) == 2
+
+
+def test_sketch_tables_of_a_sign_are_built_only_when_read(monkeypatch):
+    """Odd m never reads the minus sum, and a census whose plus sums never
+    collide runs no minus stage: neither builds a T- factor table."""
+    signs, real = [], lattice._sketch_tables
+
+    def spy(q, sign):
+        signs.append(sign)
+        return real(q, sign)
+
+    monkeypatch.setattr(lattice, "_sketch_tables", spy)
+    for mode in ("oriented", "unoriented"):
+        assert run_census(9, [23], mode)[0].fingerprints == 3
+    assert run_census(7, [29])[0].classes == 172
+    assert signs and set(signs) == {1}
+    # where plus sums collide, the minus stage builds T- and reads it
+    assert run_census(7, [49])[0].fingerprints == 2
+    assert -1 in signs
 
 
 def test_census_builds_spaces_only_for_sketch_collisions(monkeypatch):
