@@ -72,11 +72,11 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from hashlib import sha256
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .lens import IsometryWitness, KeyMode, SpinLensSpace, h_shift
+from .lens import KeyMode, SpinLensSpace, h_shift
 from .numtheory import binomial, series_field
 
 _FLOAT_SAFE = 1 << 53
@@ -108,50 +108,6 @@ def lattice_of(x: SpinLensSpace) -> CongruenceLattice:
     return CongruenceLattice(lens.q, lens.s, 2 * lens.q, h_eff * lens.q)
 
 
-def contains(lat: CongruenceLattice, a: Sequence[int]) -> bool:
-    if len(a) != lat.m:
-        return False
-    if any(aj % 2 == 0 for aj in a):
-        return False
-    return sum(aj * sj for aj, sj in zip(a, lat.s)) % lat.modulus == lat.target
-
-
-def point_norm2(a: Sequence[int]) -> int:
-    """Doubled 1-norm sum |a_j|; equals 2k + m on level k."""
-    return sum(abs(aj) for aj in a)
-
-
-def point_neg_parity(a: Sequence[int]) -> int:
-    return sum(1 for aj in a if aj < 0) % 2
-
-
-def point_level(a: Sequence[int]) -> int:
-    """Level k with sum |a_j| = 2k + m; requires every a_j odd."""
-    n2 = point_norm2(a)
-    m = len(a)
-    if (n2 - m) % 2:
-        raise ValueError(f"point {tuple(a)} has no level: sum |a_j| - m is odd, "
-                         "so some coordinate is even")
-    return (n2 - m) // 2
-
-
-def apply_norm_isometry(w: IsometryWitness, a: Sequence[int]) -> tuple[int, ...]:
-    """Transport a lattice point along an isometry witness:
-    out[sigma[j]] = eps[j] * a[j].  Maps the lattice of the witness's
-    source space onto the lattice of its target space, preserving norms
-    and levels."""
-    out = [0] * len(a)
-    for j, aj in enumerate(a):
-        out[w.sigma[j]] = w.eps[j] * aj
-    return tuple(out)
-
-
-def reduced_level_bound(q: int, m: int) -> int:
-    """Largest k with a reduced point: all |a_j| <= 2q-1 forces
-    2k + m <= m(2q-1)."""
-    return m * (q - 1)
-
-
 @dataclass(frozen=True)
 class ReducedCountTable:
     """Rows k = 0..m(q-1) of Nred; rows[k] = (even-parity, odd-parity)."""
@@ -159,18 +115,6 @@ class ReducedCountTable:
     q: int
     m: int
     rows: tuple[tuple[int, int], ...]
-
-    def get(self, parity: int, k: int) -> int:
-        if k < 0 or k >= len(self.rows):
-            return 0
-        return self.rows[k][parity & 1]
-
-    @property
-    def kmax(self) -> int:
-        return len(self.rows) - 1
-
-    def total(self) -> int:
-        return sum(r[0] + r[1] for r in self.rows)
 
     def digest(self) -> str:
         payload = f"{self.q};{self.m};{self.rows!r}".encode()
@@ -414,7 +358,7 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
 def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
     """The reduced table of the spin key (q, sn, h) (see _norm_key)."""
     m = len(sn)
-    kmax = reduced_level_bound(q, m)
+    kmax = m * (q - 1)  # all |a_j| <= 2q - 1 forces 2k + m <= m(2q - 1)
     total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
     # a_j = 2 b_j + 1: sum b_j s_j == c (mod q), c = (h q - sum s_j)/2
     # for even q (modulus 2q) and -sum s_j 2^-1 for odd q (modulus q)
@@ -487,25 +431,25 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     space or lattice built: row i is L(q; s[i]), parameters in [0, q),
     with spin label h[i] (0 for odd q), so its lattice has target h[i] q.
     With P_par(z) = sum_k Nred(par, k) z^k, p = series_field(q, 2^30)
-    and z0 = _SKETCH_POINT, the sum is mod (P0 + sign P1)(z0) mod p: the
-    plus sum for sign 1, the minus sum for sign -1.  Both come from the
-    character sum (w a mod-th root of 1)
+    and z0 = _SKETCH_POINT, the sum is q (P0 + sign P1)(z0) mod p: the
+    plus sum for sign 1, the minus sum for sign -1.  It is one period of
+    the character sum (w a mod-th root of 1)
 
-        mod (P0 +- P1) = sum_j w^(-j tgt) prod_i T+-[s_i j mod mod],
+        mod (P0 +- P1) = sum_{j<mod} w^(-j tgt) prod_i T+-[s_i j mod mod],
         T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
 
-    Period q.  For even q, w^q = -1 and tgt = h q is a multiple of 2q,
-    so the term j + q is the term j times (-1)^(sum s_i): the sum over
-    j < 2q is twice the sum over j < q when sum s_i is even, and 0 when
-    it is odd (that lattice is empty, every a_j being odd).
+    Period q.  For even q, w^q = -1 and q tgt = h q^2 is a multiple of
+    2q, so the phase repeats after q terms, and T+-[u + q] = -T+-[u].  A
+    class row at even q has m even and every s_i odd, so the term j + q
+    is the term j: the sum over j < 2q is twice the sum over j < q.
     T+[-u] = T+[u], T-[-u] = -T-[u], and w^(-j tgt) is unchanged by
     j -> -j because 2 tgt == 0 (mod mod).  So within one period the
-    terms j and q - j are equal for even m (and for even q with even
-    sum s_i), and the sum runs over j = 0..q//2 with weight 2 on
-    j = 1..(q-1)//2 and weight 1 on j = 0 and on j = q/2, times 2 or 0
-    for even q.  (For odd m the minus terms j and q - j cancel: the
-    minus sum is 0, and sketch_survivors never asks for it.)  Each
-    factor is gathered from one table of _sketch_tables(q, sign).
+    terms j and q - j are equal (in the minus sum, for even m), and the
+    sum runs over j = 0..q//2 with weight 2 on j = 1..(q-1)//2 and
+    weight 1 on j = 0 and on j = q/2.  (For odd m the minus terms j and
+    q - j cancel: the minus sum is 0, and sketch_survivors never asks
+    for it.)  Each factor is gathered from one table of
+    _sketch_tables(q, sign).
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
@@ -518,8 +462,6 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
             acc *= table[col]
             acc %= p
         sums[block] = acc.sum(axis=1) % p
-    if q % 2 == 0:
-        sums = sums * (2 - 2 * (s.sum(axis=1) % 2)) % p
     return sums
 
 
@@ -533,7 +475,7 @@ def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:
     """The indices, in order, of the class rows (s..., h) of one q whose
     sketch key (plus, minus) equals another row's, the minus sum taken up
     to its sign, min(x, p - x), when unoriented.  Swapping the parity
-    columns fixes the plus sum and negates the minus sum, and 2 is
+    columns fixes the plus sum and negates the minus sum, and 2q is
     invertible mod p, so these are the buckets of (P0, P1)(z0), up to
     the swap when unoriented.  Every row is bucketed on one sum, then
     only rows that share it on both: the minus sum first when oriented
@@ -565,10 +507,11 @@ def count(lat: CongruenceLattice, parity: int, k: int) -> int:
     parity as given.  Exact for every k via the reduction to Nred."""
     if k < 0:
         return 0
-    table = reduced_counts(lat)
+    rows = reduced_counts(lat).rows
     m, total = lat.m, 0
     for beta in range(k // lat.q + 1):
-        total += binomial(beta + m - 1, m - 1) * table.get(parity, k - beta * lat.q)
+        if k - beta * lat.q < len(rows):
+            total += binomial(beta + m - 1, m - 1) * rows[k - beta * lat.q][parity & 1]
     return total
 
 

@@ -119,17 +119,9 @@ class LensParams:
     def m(self) -> int:
         return len(self.s)
 
-    @property
-    def dim(self) -> int:
-        return 2 * len(self.s) - 1
-
     def normalized(self) -> tuple[int, ...]:
         """Residues of s in [0, q); [1, q) except for q = 1."""
         return tuple(sj % self.q for sj in self.s)
-
-
-def make_lens(q: int, s: Sequence[int]) -> LensParams:
-    return LensParams(q, tuple(s))
 
 
 def h_shift(lens: LensParams) -> int:
@@ -206,19 +198,11 @@ class SpinLensSpace:
         return format_spin_lens(self)
 
 
-def spin_space(q: int, s: Sequence[int], spin: str | SpinLabel | None = None) -> SpinLensSpace:
+def spin_space(q: int, s: Sequence[int], spin: Optional[str] = None) -> SpinLensSpace:
     """Build a SpinLensSpace; spin defaults to the unique structure when
     q is odd and must be given explicitly ("h0"/"h1") when q is even."""
-    lens = make_lens(q, s)
-    if isinstance(spin, str):
-        label = SpinLabel.from_tag(spin)
-    elif isinstance(spin, SpinLabel):
-        label = spin
-    elif spin is None:
-        label = UNIQUE_SPIN
-    else:
-        raise TypeError(f"bad spin {spin!r}")
-    return SpinLensSpace(lens, label)
+    label = UNIQUE_SPIN if spin is None else SpinLabel.from_tag(spin)
+    return SpinLensSpace(LensParams(q, s), label)
 
 
 def format_spin_lens(x: SpinLensSpace) -> str:
@@ -261,13 +245,8 @@ class IsometryWitness:
             return False
         if math.gcd(self.ell, q) != 1:
             return False
-        rho_sum = 0
-        for j in range(m):
-            diff = self.ell * self.eps[j] * la.s[j] - lb.s[self.sigma[j]]
-            if diff % q != 0:
-                return False
-            rho_sum += diff // q
-        if rho_sum % 2 != self.spin_shift:
+        shift = _transport_parity(self.ell, self.sigma, self.eps, la, lb)
+        if shift is None or shift != self.spin_shift:
             return False
         if self.orientation not in allowed:
             return False
@@ -308,17 +287,16 @@ def _build_assignment(v: list[int], sn_b: tuple[int, ...], q: int
     return sigma, eps
 
 
-def _raw_spin_shift(ell: int, sigma: Sequence[int], eps: Sequence[int],
-                    a: LensParams, b: LensParams) -> int:
-    q = a.q
+def _transport_parity(ell: int, sigma: Sequence[int], eps: Sequence[int],
+                      a: LensParams, b: LensParams) -> Optional[int]:
+    """sum_j rho_j mod 2 from the raw parameters, rho_j = (ell eps_j a_j -
+    b_sigma(j)) / q; None when some coordinate does not match mod q."""
     total = 0
     for j in range(a.m):
-        diff = ell * eps[j] * a.s[j] - b.s[sigma[j]]
-        if diff % q:
-            raise ArithmeticError(
-                f"assignment sends parameter {a.s[j]} (x {ell * eps[j]}) to "
-                f"{b.s[sigma[j]]}, which differ mod {q}")
-        total += diff // q
+        rho, rest = divmod(ell * eps[j] * a.s[j] - b.s[sigma[j]], a.q)
+        if rest:
+            return None
+        total += rho
     return total % 2
 
 
@@ -340,15 +318,11 @@ def _witnesses(a: LensParams, b: LensParams) -> Iterator[IsometryWitness]:
         sigma, eps = _build_assignment(v, sn_b, q)
         choices = [eps, eps[:-1] + [-eps[-1]]] if 2 * v[0] % q == 0 else [eps]
         for e in choices:
-            yield IsometryWitness(ell, tuple(sigma), tuple(e),
-                                  _raw_spin_shift(ell, sigma, e, a, b))
-
-
-def find_lens_isometry(a: LensParams, b: LensParams, mode: IsoMode = "any"
-                       ) -> Optional[IsometryWitness]:
-    """Witness of (*) between bare lens spaces (no spin constraint)."""
-    allowed = _orientations(mode)
-    return next((w for w in _witnesses(a, b) if w.orientation in allowed), None)
+            shift = _transport_parity(ell, sigma, e, a, b)
+            if shift is None:
+                raise ArithmeticError(f"assignment {sigma}, {e} at unit {ell} sends "
+                                      f"{a.s} to parameters of {b.s} that differ mod {q}")
+            yield IsometryWitness(ell, tuple(sigma), tuple(e), shift)
 
 
 def find_isometry(a: SpinLensSpace, b: SpinLensSpace, mode: IsoMode = "any"
@@ -520,7 +494,7 @@ def self_transport_pairs(params: tuple[int, ...], q: int) -> frozenset[tuple[int
     structures of an even-q space are exchanged by an isometry, and
     whether the space admits an orientation-reversing self-isometry
     (amphichirality).  A census reads the first from _class_rows instead."""
-    x = make_lens(q, [v % q for v in params])
+    x = LensParams(q, [v % q for v in params])
     out: set[tuple[int, int]] = set()
     for w in _witnesses(x, x):
         out.add(((1 - w.orientation) // 2, w.spin_shift))

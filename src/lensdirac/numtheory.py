@@ -12,18 +12,6 @@ from __future__ import annotations
 import math
 
 
-def units(q: int) -> list[int]:
-    """Residues in [0, q) coprime to q, ascending.
-
-    units(1) == [0]: the single residue class mod 1 counts as the unit.
-    """
-    if q < 1:
-        raise ValueError(f"modulus must be positive, got {q}")
-    if q == 1:
-        return [0]
-    return [a for a in range(1, q) if math.gcd(a, q) == 1]
-
-
 def binomial(n: int, k: int) -> int:
     """binom(n, k), exact; 0 for k < 0 or k > n."""
     if k < 0 or k > n:

@@ -29,7 +29,6 @@ import numpy as np
 from .lens import (
     KeyMode,
     NoSpinStructure,
-    SpinLabel,
     SpinLensSpace,
     _class_rows,
     find_isometry,
@@ -118,7 +117,7 @@ def _census_rows(n: int, q: int, mode: KeyMode) -> np.ndarray:
 
 def _row_space(q: int, row: list[int]) -> SpinLensSpace:
     """The space of a class row (parameters, spin label)."""
-    return spin_space(q, row[:-1], SpinLabel(row[-1] if q % 2 == 0 else None))
+    return spin_space(q, row[:-1], f"h{row[-1]}" if q % 2 == 0 else None)
 
 
 def enumerate_classes(n: int, q: int, mode: KeyMode = "unoriented") -> tuple[SpinLensSpace, ...]:

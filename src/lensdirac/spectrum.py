@@ -65,7 +65,7 @@ def multiplicity(x: SpinLensSpace, sign: int, k: int) -> int:
 def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
     """Multiplicities of every eigenvalue pair for k = 0..kmax."""
     m, q, n = x.m, x.q, max(kmax + 1, 0)
-    rows = (reduced_counts(lattice_of(x)).rows + ((0, 0),) * n)[:n]
+    rows = (fingerprint(x).rows + ((0, 0),) * n)[:n]
     lifted = []
     for sign in (1, -1):  # the series S and D of the module docstring
         series = [e + sign * o for e, o in rows]

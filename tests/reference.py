@@ -1,0 +1,71 @@
+"""Reference helpers the tests compare the package against: lattice
+membership and levels of single points, transport of a point along a
+witness, the units mod q, and witnesses between bare lens spaces.
+
+Like the package, these raise errors rather than assert, so that their
+checks survive python -O."""
+
+from __future__ import annotations
+
+import math
+from typing import Optional, Sequence
+
+from lensdirac.lattice import CongruenceLattice
+from lensdirac.lens import IsoMode, IsometryWitness, LensParams, _orientations, _witnesses
+
+
+def contains(lat: CongruenceLattice, a: Sequence[int]) -> bool:
+    if len(a) != lat.m:
+        return False
+    if any(aj % 2 == 0 for aj in a):
+        return False
+    return sum(aj * sj for aj, sj in zip(a, lat.s)) % lat.modulus == lat.target
+
+
+def point_norm2(a: Sequence[int]) -> int:
+    """Doubled 1-norm sum |a_j|; equals 2k + m on level k."""
+    return sum(abs(aj) for aj in a)
+
+
+def point_neg_parity(a: Sequence[int]) -> int:
+    return sum(1 for aj in a if aj < 0) % 2
+
+
+def point_level(a: Sequence[int]) -> int:
+    """Level k with sum |a_j| = 2k + m; requires every a_j odd."""
+    n2 = point_norm2(a)
+    m = len(a)
+    if (n2 - m) % 2:
+        raise ValueError(f"point {tuple(a)} has no level: sum |a_j| - m is odd, "
+                         "so some coordinate is even")
+    return (n2 - m) // 2
+
+
+def apply_norm_isometry(w: IsometryWitness, a: Sequence[int]) -> tuple[int, ...]:
+    """Transport a lattice point along an isometry witness:
+    out[sigma[j]] = eps[j] * a[j].  Maps the lattice of the witness's
+    source space onto the lattice of its target space, preserving norms
+    and levels."""
+    out = [0] * len(a)
+    for j, aj in enumerate(a):
+        out[w.sigma[j]] = w.eps[j] * aj
+    return tuple(out)
+
+
+def units(q: int) -> list[int]:
+    """Residues in [0, q) coprime to q, ascending.
+
+    units(1) == [0]: the single residue class mod 1 counts as the unit.
+    """
+    if q < 1:
+        raise ValueError(f"modulus must be positive, got {q}")
+    if q == 1:
+        return [0]
+    return [a for a in range(1, q) if math.gcd(a, q) == 1]
+
+
+def find_lens_isometry(a: LensParams, b: LensParams, mode: IsoMode = "any"
+                       ) -> Optional[IsometryWitness]:
+    """Witness of (*) between bare lens spaces (no spin constraint)."""
+    allowed = _orientations(mode)
+    return next((w for w in _witnesses(a, b) if w.orientation in allowed), None)

@@ -15,25 +15,16 @@ family.  Odd q has a unique structure and both candidates coincide.
 import random
 from itertools import product
 
-from lensdirac.lattice import (
-    CongruenceLattice,
-    apply_norm_isometry,
-    contains,
-    count,
-    lattice_of,
-    point_level,
-    reduced_counts,
-)
+from lensdirac.lattice import CongruenceLattice, count, lattice_of, reduced_counts
 from lensdirac.lens import (
     IsometryWitness,
+    LensParams,
     canonical_key,
     find_isometry,
-    h_shift,
-    make_lens,
     spin_space,
     spin_structures,
 )
-from lensdirac.numtheory import binomial, units
+from lensdirac.numtheory import binomial
 from lensdirac.oracle import brute_counts, oracle_compare
 from lensdirac.search import (
     mirror_pair,
@@ -42,7 +33,14 @@ from lensdirac.search import (
     tower_family,
     verify_family,
 )
-from lensdirac.spectrum import fingerprint, multiplicity, spectrum_table
+from lensdirac.spectrum import (
+    dirac_isospectral,
+    fingerprint,
+    inverse_isospectral,
+    multiplicity,
+    spectrum_table,
+)
+from reference import apply_norm_isometry, contains, point_level, units
 
 SEED = 74207281
 
@@ -160,7 +158,7 @@ def random_space(rng, q_max, m_choices):
     while True:
         q = rng.randint(1, q_max)
         m = rng.choice(m_choices)
-        if not spin_structures(make_lens(q, (1,) * m)):
+        if not spin_structures(LensParams(q, (1,) * m)):
             continue
         s = tuple(rng.choice(units(q)) for _ in range(m))
         return q, s
@@ -224,9 +222,9 @@ def test_series_oracle_confirms_exact_multiplicities():
         spaces.append((q, s))
     checked = 0
     for q, s in spaces:
-        for spin in spin_structures(make_lens(q, s)):
+        for spin in spin_structures(LensParams(q, s)):
             # exact GF(p) series against the lattice counts, no tolerance
-            assert oracle_compare(spin_space(q, s, spin), 40) is None
+            assert oracle_compare(spin_space(q, s, spin.tag), 40) is None
             checked += 1
     report(f"exact series oracle equals the lattice counts on 25 random "
            f"spaces ({checked} spin structures, k <= 40)")
@@ -236,11 +234,11 @@ def test_counts_match_brute_enumeration():
     checked = 0
     for q in range(1, 9):
         for m in (2, 3):
-            if not spin_structures(make_lens(q, (1,) * m)):
+            if not spin_structures(LensParams(q, (1,) * m)):
                 continue
             for s in product(units(q), repeat=m):
-                for spin in spin_structures(make_lens(q, s)):
-                    lat = lattice_of(spin_space(q, s, spin))
+                for spin in spin_structures(LensParams(q, s)):
+                    lat = lattice_of(spin_space(q, s, spin.tag))
                     brute = brute_counts(lat, 3 * q)
                     for k in range(3 * q + 1):
                         assert count(lat, 0, k) == brute[k][0], (q, s, k)
@@ -312,8 +310,8 @@ def test_label_swapping_isometry_on_q16():
 def _suite_periodicity(rng, cases):
     for _ in range(cases):
         q, s = random_space(rng, 30, (2, 3, 4))
-        spin = rng.choice(spin_structures(make_lens(q, s)))
-        lat = lattice_of(spin_space(q, s, spin))
+        spin = rng.choice(spin_structures(LensParams(q, s)))
+        lat = lattice_of(spin_space(q, s, spin.tag))
         a = random_lattice_point(rng, lat)
         j = rng.randrange(lat.m)
         step = 2 * q * rng.choice((1, -1, 2))
@@ -324,8 +322,8 @@ def _suite_periodicity(rng, cases):
 def _suite_negation(rng, cases):
     for _ in range(cases):
         q, s = random_space(rng, 30, (2, 3, 4))
-        spin = rng.choice(spin_structures(make_lens(q, s)))
-        lat = lattice_of(spin_space(q, s, spin))
+        spin = rng.choice(spin_structures(LensParams(q, s)))
+        lat = lattice_of(spin_space(q, s, spin.tag))
         a = random_lattice_point(rng, lat)
         neg = tuple(-v for v in a)
         assert contains(lat, neg)
@@ -347,8 +345,8 @@ def _suite_isometry_transport(rng, cases):
     for _ in range(cases):
         q, s = random_space(rng, 20, (2, 3, 4))
         m = len(s)
-        spin = rng.choice(spin_structures(make_lens(q, s)))
-        lat = lattice_of(spin_space(q, s, spin))
+        spin = rng.choice(spin_structures(LensParams(q, s)))
+        lat = lattice_of(spin_space(q, s, spin.tag))
         ell = rng.choice(units(q))
         sigma = list(range(m))
         rng.shuffle(sigma)
@@ -394,14 +392,16 @@ def _suite_canonical_key_vs_witness(rng, cases):
     pair_modes = (("unoriented", "any"), ("oriented", "preserving"))
     for _ in range(cases):
         q, s = random_space(rng, 20, (2, 3, 4))
-        lens = make_lens(q, s)
+        lens = LensParams(q, s)
         spin_a = rng.choice(spin_structures(lens))
-        a = spin_space(q, s, spin_a)
+        a = spin_space(q, s, spin_a.tag)
         partner = _scrambled_partner(rng, q, s)
         stranger = tuple(rng.choice(units(q)) for _ in range(len(s)))
-        for other_s in (partner, stranger):
-            for spin_b in spin_structures(make_lens(q, other_s)):
-                b = spin_space(q, other_s, spin_b)
+        # raw parameters, negative ones included: the witness's spin
+        # transport and the lattice's target must read them alike
+        for other_s in ([v + q * rng.randrange(-2, 3) for v in t] for t in (partner, stranger)):
+            for spin_b in spin_structures(LensParams(q, other_s)):
+                b = spin_space(q, other_s, spin_b.tag)
                 for key_mode, iso_mode in pair_modes:
                     same_key = (canonical_key(a, key_mode)
                                 == canonical_key(b, key_mode))
@@ -410,20 +410,25 @@ def _suite_canonical_key_vs_witness(rng, cases):
                         a, b, key_mode)
                     if witness is not None:
                         assert witness.verify(a, b, iso_mode)
+                        # an isometry keeps the Dirac spectrum, and one
+                        # reversing orientation flips its sign
+                        same = (dirac_isospectral if witness.orientation == 1
+                                else inverse_isospectral)
+                        assert same(a, b), (a, b, witness)
 
 
 def _suite_fingerprint_completeness(rng, cases):
     for _ in range(cases):
         q, s = random_space(rng, 12, (2, 3))
-        lens = make_lens(q, s)
+        lens = LensParams(q, s)
         spin_a = rng.choice(spin_structures(lens))
-        a = spin_space(q, s, spin_a)
+        a = spin_space(q, s, spin_a.tag)
         if rng.random() < 0.5:
             other_s = _scrambled_partner(rng, q, s)
         else:
             other_s = tuple(rng.choice(units(q)) for _ in range(len(s)))
-        spin_b = rng.choice(spin_structures(make_lens(q, other_s)))
-        b = spin_space(q, other_s, spin_b)
+        spin_b = rng.choice(spin_structures(LensParams(q, other_s)))
+        b = spin_space(q, other_s, spin_b.tag)
         kmax = 3 * len(s) * q
         same_tables = (spectrum_table(a, kmax) == spectrum_table(b, kmax))
         same_print = fingerprint(a).rows == fingerprint(b).rows

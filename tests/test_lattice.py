@@ -8,28 +8,30 @@ import pytest
 from lensdirac import lattice
 from lensdirac.lattice import (
     CongruenceLattice,
-    apply_norm_isometry,
     clear_caches,
-    contains,
     count,
     lattice_of,
-    point_level,
-    point_neg_parity,
-    point_norm2,
     reduced_counts,
-    reduced_level_bound,
     sketch_survivors,
 )
 from lensdirac.lens import find_isometry, spin_space
-from lensdirac.numtheory import series_field, units
+from lensdirac.numtheory import series_field
 from lensdirac.oracle import brute_counts
 from lensdirac.search import tower_family
+from reference import (
+    apply_norm_isometry,
+    contains,
+    point_level,
+    point_neg_parity,
+    point_norm2,
+    units,
+)
 
 
 def brute_reduced_rows(lat):
     """Enumerate every q-reduced point directly."""
     q, m = lat.q, lat.m
-    rows = [[0, 0] for _ in range(reduced_level_bound(q, m) + 1)]
+    rows = [[0, 0] for _ in range(m * (q - 1) + 1)]
     for mags in product(range(1, 2 * q, 2), repeat=m):
         for signs in product((1, -1), repeat=m):
             a = [sg * mg for sg, mg in zip(signs, mags)]
@@ -109,7 +111,7 @@ def packed_rows(lat):
         state = new
     mask = (1 << width) - 1
     return tuple(tuple((state[p][tgt] >> (k * width)) & mask for p in (0, 1))
-                 for k in range(reduced_level_bound(q, len(sn)) + 1))
+                 for k in range(len(sn) * (q - 1) + 1))
 
 
 def test_reduced_rows_match_brute_force():
@@ -260,15 +262,13 @@ def test_reduced_total_is_exact():
     # exactly 2*(2q)^(m-1) reduced points land in any such lattice
     for lat in sample_lattices():
         table = reduced_counts(lat)
-        assert table.total() == 2 * (2 * lat.q) ** (lat.m - 1)
+        assert sum(map(sum, table.rows)) == 2 * (2 * lat.q) ** (lat.m - 1)
 
 
 def test_reduced_rows_vanish_at_bound():
     lat = lattice_of(spin_space(5, (1, 2)))
     table = reduced_counts(lat)
-    assert table.kmax == reduced_level_bound(5, 2) == 8
-    assert table.get(0, 9) == 0 and table.get(1, -1) == 0
-    assert table.rows[8] == (table.get(0, 8), table.get(1, 8))
+    assert len(table.rows) == 9  # levels 0..m(q-1), none above
 
 
 def test_q49_level_zero_is_empty():
@@ -334,15 +334,14 @@ def sketch_args(lats):
 
 
 def sketch_of_table(lat):
-    """mod (P0 + P1)(z0) and mod (P0 - P1)(z0) mod p from the rows of the
+    """q (P0 + P1)(z0) and q (P0 - P1)(z0) mod p from the rows of the
     full table."""
     q = lat.q
-    mod = q if q % 2 else 2 * q
     p, _ = series_field(q, 1 << 30)
     rows = reduced_counts(lat).rows
     return tuple(
-        mod * sum((even + sign * odd) * pow(lattice._SKETCH_POINT, k, p)
-                  for k, (even, odd) in enumerate(rows)) % p
+        q * sum((even + sign * odd) * pow(lattice._SKETCH_POINT, k, p)
+                for k, (even, odd) in enumerate(rows)) % p
         for sign in (1, -1))
 
 
@@ -360,7 +359,7 @@ def test_sketch_matches_packed_table_past_int64():
     int64, so its full table is summed from several limb products; the
     sketch needs no table and has no such limit."""
     lat = lattice_of(tower_family(3)[1])
-    assert reduced_counts(lat).total() == 2 * 80 ** 13
+    assert sum(map(sum, reduced_counts(lat).rows)) == 2 * 80 ** 13
     plus, minus = sketch_of_table(lat)
     assert both_sums(*sketch_args([lat])) == ([plus], [minus])
     assert minus != 0
@@ -454,7 +453,7 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
 def full_sketches(q, s, h):
     """Reference for _sketch_sums(): the character sum over every frequency
     j in [0, mod) and both signs, with the index product s_i j mod mod
-    formed for each class."""
+    formed for each class, scaled from mod (P0 +- P1) to q (P0 +- P1)."""
     mod = q if q % 2 else 2 * q
     p, zeta = series_field(q, 1 << 30)
     omega = pow(zeta, 2 * q // mod, p)
@@ -467,14 +466,15 @@ def full_sketches(q, s, h):
     acc = w[-(h * q % mod)[:, None] * j % mod]
     for col in s.T:
         acc = acc * tables[:, col[:, None] * j % mod] % p
-    plus, minus = acc.sum(axis=2) % p
+    # reduced before scaling: the raw sums times the inverse pass int64
+    plus, minus = acc.sum(axis=2) % p * pow(mod // q, -1, p) % p
     return plus.tolist(), minus.tolist()
 
 
 def random_class_rows(rng, q, m, count):
     """_sketch_sums() arguments for count random rows: parameters in [0, q)
-    and, for even q, a random spin label."""
-    s = np.array([[rng.randrange(q) for _ in range(m)] for _ in range(count)],
+    coprime to q, as in class rows, and, for even q, a random spin label."""
+    s = np.array([[rng.choice(units(q)) for _ in range(m)] for _ in range(count)],
                  dtype=np.int64)
     h = np.array([rng.randrange(2) if q % 2 == 0 else 0 for _ in range(count)],
                  dtype=np.int64)
@@ -512,7 +512,7 @@ def test_two_stage_sketch_survivors_match_the_sketch_pairs(monkeypatch):
         for q in (1, 2, 3, 4, 5, 7, 10, 12, 17, 22):
             if q % 2 == 0 and m % 2 == 1:
                 continue
-            pool = [[rng.randrange(q) for _ in range(m)] for _ in range(4)]
+            pool = [[rng.choice(units(q)) for _ in range(m)] for _ in range(4)]
             rows = []
             for _ in range(12):
                 s = rng.sample(rng.choice(pool), m)
@@ -528,18 +528,6 @@ def test_two_stage_sketch_survivors_match_the_sketch_pairs(monkeypatch):
                         for pair in pairs]
                 want = [i for i, key in enumerate(keys) if keys.count(key) > 1]
                 assert sketch_survivors(q, classes, mode) == want, (q, m, mode)
-
-
-def test_even_q_rows_with_odd_parameter_sum_sketch_to_zero():
-    """For even q the frequencies j and j + q give equal terms when
-    sum s_i is even and opposite ones when it is odd, so _sketch_sums() sums
-    one period and doubles or zeroes it.  An odd sum means an empty
-    lattice (every a_j is odd), whose sketch sums are 0."""
-    for q, row in ((2, (1, 0)), (10, (1, 3, 5, 2)), (22, (1, 3, 7, 9, 13, 4))):
-        s = np.array([row, row], dtype=np.int64)
-        h = np.array([0, 1], dtype=np.int64)
-        assert sum(row) % 2 == 1
-        assert both_sums(q, s, h) == full_sketches(q, s, h) == ([0, 0], [0, 0]), q
 
 
 def test_odd_m_tables_are_parity_symmetric():

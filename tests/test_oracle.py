@@ -6,7 +6,7 @@ import pytest
 from lensdirac import oracle
 from lensdirac.lens import spin_space
 from lensdirac.lattice import count, lattice_of
-from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial, units
+from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial
 from lensdirac.oracle import (
     OracleMismatch,
     TooLarge,
@@ -16,6 +16,7 @@ from lensdirac.oracle import (
     series_multiplicities,
 )
 from lensdirac.spectrum import multiplicity, spectrum_table, sphere_multiplicity
+from reference import units
 
 
 def test_sphere_series_closed_form():

@@ -14,13 +14,13 @@ from lensdirac.lens import (
     NoSpinStructure,
     SpinLensSpace,
     canonical_key,
+    LensParams,
     find_isometry,
-    make_lens,
     self_transport_pairs,
     spin_space,
     spin_structures,
 )
-from lensdirac.numtheory import series_field, units
+from lensdirac.numtheory import series_field
 from lensdirac.search import (
     FORMAT_VERSION,
     FormatError,
@@ -38,6 +38,7 @@ from lensdirac.search import (
     verify_family,
 )
 from lensdirac.spectrum import dirac_isospectral, fingerprint, spectrum_table
+from reference import units
 
 _census_memo = {}
 
@@ -62,7 +63,7 @@ def all_spaces(n, q):
     m = (n + 1) // 2
     out = []
     for s in product(units(q), repeat=m):
-        lens = make_lens(q, s)
+        lens = LensParams(q, s)
         for label in spin_structures(lens):
             out.append(SpinLensSpace(lens, label))
     return out
@@ -386,7 +387,7 @@ def test_tower_family_r1():
 def test_tower_family_r2_shape():
     fam = tower_family(2)
     assert len(fam) == 3
-    assert all(x.lens.dim == 19 and x.q == 40 for x in fam)
+    assert all(2 * x.m - 1 == 19 and x.q == 40 for x in fam)
     assert fam[0].s == (1, 11) * 5
     assert fam[2].s == (1, 11) * 3 + (21, 31) * 2
     with pytest.raises(ValueError):

@@ -10,9 +10,10 @@ PACKAGE_DIR = Path(lensdirac.__file__).parent
 
 
 def test_no_assert_statements_in_the_package():
-    # python -O strips asserts, so correctness guards must raise instead
+    # python -O strips asserts, so correctness guards must raise instead;
+    # the same holds for the reference helpers the tests compare against
     found = []
-    for path in sorted(PACKAGE_DIR.glob("*.py")):
+    for path in sorted(PACKAGE_DIR.glob("*.py")) + [Path(__file__).with_name("reference.py")]:
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Assert)]
@@ -27,3 +28,49 @@ def test_exported_names_are_documented_and_importable():
     assert not undocumented, f"exported but not in README's Library: {undocumented}"
     missing = [name for name in lensdirac.__all__ if not hasattr(lensdirac, name)]
     assert not missing, f"in __all__ but not importable: {missing}"
+
+
+def _uses(tree: ast.AST, skip: ast.AST = None, bench: bool = False) -> set:
+    """The names a module reads outside the subtree skip: its names,
+    attributes and imported names.  For a benchmark file, whose own
+    variables do not count, only its attributes, its imported names and
+    the parts of its "lensdirac.x.y" wrap-site strings."""
+    out, todo = set(), [tree]
+    while todo:
+        node = todo.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name) and not bench:
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            out.update(alias.name for alias in node.names)
+        elif (bench and isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and node.value.startswith("lensdirac.")):
+            out.update(node.value.split("."))
+        todo.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_package_names_have_a_caller():
+    # a public function or class of the package must be used by the
+    # package outside its own definition, named in README.md's code, or
+    # used by perfbench; helpers only tests use live in tests/reference.py
+    root = Path(__file__).resolve().parents[1]
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    readme = (root / "README.md").read_text()
+    outside = set(re.findall(r"\w+", " ".join(
+        re.findall(r"```.*?```|`[^`\n]+`", readme, flags=re.S))))
+    for path in sorted((root / "perfbench").glob("*.py")):
+        outside |= _uses(ast.parse(path.read_text(), filename=str(path)), bench=True)
+    unused = []
+    for name, tree in trees.items():
+        others = set().union(*(_uses(t) for n, t in trees.items() if n != name))
+        for node in tree.body:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    and not node.name.startswith("_")
+                    and node.name not in others | outside | _uses(tree, skip=node)):
+                unused.append(f"{name}:{node.name}")
+    assert not unused, f"package names with no caller outside the tests: {unused}"

@@ -4,8 +4,8 @@ from itertools import product
 import pytest
 
 from lensdirac.lattice import count, lattice_of
-from lensdirac.lens import find_isometry, find_lens_isometry, make_lens, spin_space
-from lensdirac.numtheory import binomial, units
+from lensdirac.lens import find_isometry, spin_space
+from lensdirac.numtheory import binomial
 from lensdirac.search import tower_family
 from lensdirac.spectrum import (
     LevelMultiplicities,
@@ -16,6 +16,7 @@ from lensdirac.spectrum import (
     spectrum_table,
     sphere_multiplicity,
 )
+from reference import find_lens_isometry, units
 
 
 def direct_multiplicity(x, sign, k):
