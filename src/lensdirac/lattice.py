@@ -516,8 +516,9 @@ def count(lat: CongruenceLattice, parity: int, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized half tables, count tables and sketch factor tables
-    (mostly for tests and long multi-census runs)."""
+    """Drop memoized half tables, count tables and sketch factor tables.
+    Every one is keyed by q, so run_census calls this when each q
+    finishes; tests call it to start cold."""
     _half_table.cache_clear()
     _full_table.cache_clear()
     _sketch_tables.cache_clear()

@@ -54,9 +54,13 @@ amphichiral, so oriented canonical forms are the unoriented ones.
 
 Classes.  A canonical tuple is (1 mod q, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
-it equals its canonical form: the spin split is the label column, as
-(t, 1) stays unless an isometry of the mode fixing t takes label 1 to 0.
-A row is not canonical when the unit sending some entry to 1 sends
+it equals its canonical form.  The tuple part of a form does not depend
+on the input label, and the identity unit gives (A, 0) itself, so one
+form per tuple A, taken with input label 1 at even q, settles both rows:
+(A, 0) is a class iff the form's tuple part is A, and (A, 1) iff the
+whole form is (A, 1), i.e. no isometry of the mode fixing A takes label
+1 to 0.  At odd q (input label 0) no canonical tuple gets label 1.  A
+tuple is not canonical when the unit sending some entry to 1 sends
 another below f_2 (_class_candidates), a test far cheaper than the form.
 """
 
@@ -410,21 +414,21 @@ def _fold_below(x: np.ndarray, bound: np.ndarray, q: int) -> np.ndarray:
 
 
 def _class_candidates(q: int, m: int, mode: KeyMode) -> np.ndarray:
-    """The rows _class_rows runs the canonical form on: (1 mod q, f_2 <=
-    ... <= f_m, spin label) over the folded units in [0, q/2], with the
-    oriented mirrors of even m (q > 2 only: at q = 2 a mirror is the row
-    itself; odd m mirrors are never canonical), less those the prefilter
-    rejects.
+    """The tuples _class_rows runs the canonical form on, with no label
+    column: (1 mod q, f_2 <= ... <= f_m) over the folded units in
+    [0, q/2], with the oriented mirrors of even m (q > 2 only: at q = 2 a
+    mirror is the tuple itself; odd m mirrors are never canonical), less
+    those the prefilter rejects.
 
     Prefilter.  The unit l = f_j^-1 (j >= 2) sends f_j to 1, so its
     sorted folded tuple is (1, min_{k != j} fold(l f_k), ...), with the
-    leading 1 as f_1.  If that second entry is below f_2, the tuple is
-    smaller than the row's, and no label or mirror makes the row
-    canonical.  The entries are added one column at a time, each new
-    column tested against the earlier ones, so a rejected prefix is
-    never extended (orderly generation).  In oriented m = 2 the second
-    entry is the unfolded last entry, so nothing is rejected there; at
-    q <= 2 every folded value is f_2 and nothing is rejected either.
+    leading 1 as f_1.  If that second entry is below f_2, that tuple is
+    smaller, and no label or mirror makes the candidate canonical.  The
+    entries are added one column at a time, each new column tested
+    against the earlier ones, so a rejected prefix is never extended
+    (orderly generation).  In oriented m = 2 the second entry is the
+    unfolded last entry, so nothing is rejected there; at q <= 2 every
+    folded value is f_2 and nothing is rejected either.
     The products l f_k are int64, so q^2 must stay below 2^63.
     """
     if q * q >= 2**63:
@@ -458,18 +462,21 @@ def _class_candidates(q: int, m: int, mode: KeyMode) -> np.ndarray:
         mirror = A.copy()
         mirror[:, -1] = q - mirror[:, -1]
         A = np.vstack([A, mirror])
-    labels = (0,) if q % 2 else (0, 1)
-    return np.column_stack([np.tile(A, (len(labels), 1)), np.repeat(labels, len(A))])
+    return A
 
 
 def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     """Sorted int64 rows (canonical tuple, spin label), one per class of
     spin lens spaces of order q with m parameters (m even when q is;
-    label 0 for the unique structure of odd q): the _class_candidates
-    rows that are their own canonical form."""
-    rows = _class_candidates(q, m, mode)
-    keep = np.all(_canonical_rows(rows[:, :-1], q, mode, rows[:, -1]) == rows, axis=1)
-    rows = rows[keep]
+    label 0 for the unique structure of odd q).  One canonical form per
+    _class_candidates tuple A, with input label 1 at even q and 0 at odd
+    q: (A, 0) is a class iff the form's tuple part is A, and (A, 1) iff
+    the whole form is (A, 1) ("Classes")."""
+    A = _class_candidates(q, m, mode)
+    form = _canonical_rows(A, q, mode, np.full(len(A), 1 - q % 2))
+    fixed = np.all(form[:, :-1] == A, axis=1)
+    rows = np.vstack([np.column_stack([A[fixed], np.zeros(fixed.sum(), dtype=np.int64)]),
+                      form[fixed & (form[:, -1] == 1)]])
     return rows[np.lexsort(rows.T[::-1])]
 
 

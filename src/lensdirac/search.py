@@ -4,13 +4,14 @@ into isospectral families.  Also: generators for the known infinite
 families, a from-scratch family verifier, and result persistence.
 
 Class enumeration is lens._class_rows: the (tuple, spin label) rows that
-equal their own canonical form, which settles the tuples and the even-q
-spin split in one vectorized pass.  A census fingerprints those rows in
-two phases: lattice.sketch_survivors buckets the rows on sketches of
-their tables (the table's generating polynomials at one point of a prime
-field, computed from the rows with no space or table built), then a
-SpinLensSpace and its full table are built only for classes whose sketch
-collides with another's.  Grouping follows enumeration order, so output
+equal their own canonical form.  It runs the form once per candidate
+tuple, with input label 1 at even q: (A, 0) is a class when the form's
+tuple part is A, and (A, 1) when the whole form is (A, 1).  A census
+fingerprints those rows in two phases: lattice.sketch_survivors buckets
+the rows on sketches of their tables (the table's generating polynomials
+at one point of a prime field, computed from the rows with no space or
+table built), then a SpinLensSpace and its full table are built only for
+classes whose sketch collides with another's.  Grouping follows enumeration order, so output
 is deterministic.
 """
 
@@ -36,7 +37,7 @@ from .lens import (
     spin_space,
 )
 from .lens import self_transport_pairs  # noqa: F401  perfbench wrap site lensdirac.search.self_transport_pairs
-from .lattice import ReducedCountTable, sketch_survivors
+from .lattice import ReducedCountTable, clear_caches, sketch_survivors
 from .spectrum import dirac_isospectral, fingerprint, inverse_isospectral
 
 
@@ -157,6 +158,10 @@ def run_census(n: int, q_range: Iterable[int],
     its bucket is alone in its spectrum.  Only classes sharing a bucket
     become spaces and get fingerprint(), in enumeration order, and
     CensusResult.fingerprints counts them.
+
+    Every half, full and sketch table is keyed by q, so none is reused
+    at another q: the table caches are cleared (lattice.clear_caches)
+    when each q finishes, so a long sweep holds the tables of one q.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []
@@ -187,6 +192,7 @@ def run_census(n: int, q_range: Iterable[int],
         results.append(CensusResult(
             n=n, q=q, mode=mode, families=tuple(families), classes=len(classes),
             fingerprints=len(survivors), seconds=time.perf_counter() - started))
+        clear_caches()
     return tuple(results)
 
 

@@ -332,9 +332,9 @@ def test_canonical_key_representative_is_in_orbit():
 
 
 def test_oriented_key_is_the_brute_force_minimum():
-    """The oriented canonical tuple is the lexicographic minimum of
-    sorted((eps_j * l * s_j) mod q) over units l and sign vectors eps
-    with an even number of -1 entries."""
+    """The oriented canonical key is the lexicographic minimum of
+    (sorted (eps_j * l * s_j) mod q, transported label) over units l and
+    sign vectors eps with an even number of -1 entries."""
     for m in (2, 3, 4):
         for q in range(1, 16 if m < 4 else 12):
             if q % 2 == 0 and m % 2 == 1:
@@ -342,12 +342,16 @@ def test_oriented_key_is_the_brute_force_minimum():
             even_signs = [e for e in product((1, -1), repeat=m)
                           if e.count(-1) % 2 == 0]
             for s in combinations_with_replacement(units(q), m):
-                want = min(tuple(sorted((e * ell * sj) % q
-                                        for e, sj in zip(eps, s)))
-                           for ell in units(q) for eps in even_signs)
                 for label in spin_structures(LensParams(q, s)):
+                    h = label.h or 0
+                    want = min(
+                        (tuple(sorted(x % q for x in xs)),
+                         (h + sum(x // q for x in xs)) % 2)
+                        for ell in units(q) for eps in even_signs
+                        for xs in [[e * ell * sj for e, sj in zip(eps, s)]])
                     key = canonical_key(spin_space(q, s, label.tag), "oriented")
-                    assert key.s == want, (q, s, label)
+                    spin = "unique" if label.h is None else f"h{want[1]}"
+                    assert (key.s, key.spin) == (want[0], spin), (q, s, label)
 
 
 def test_unoriented_key_is_the_brute_force_minimum():
@@ -393,10 +397,12 @@ def row_keys(rows):
 
 
 def test_class_rows_prefilter_drops_only_noncanonical_rows():
-    """_class_rows equals the canonical-form filter over every candidate,
-    and each candidate the prefilter drops is not its own canonical form:
-    q = 1..40 (q <= 2, where nothing is dropped), m = 2..7 (m = 2, where
-    the second entry is the last one), both modes (oriented mirrors)."""
+    """_class_rows equals the canonical-form filter over both label rows
+    of every candidate tuple (the reference for its one form per tuple),
+    and each tuple the prefilter drops has no label row that is its own
+    canonical form: q = 1..40 (q <= 2, where nothing is dropped),
+    m = 2..7 (m = 2, where the second entry is the last one), both modes
+    (oriented mirrors)."""
     dropped = 0
     for m in range(2, 8):
         for q in range(1, 41):
@@ -407,10 +413,12 @@ def test_class_rows_prefilter_drops_only_noncanonical_rows():
                 fixed = np.all(canon == rows, axis=1)
                 want = rows[fixed][np.lexsort(rows[fixed].T[::-1])]
                 assert np.array_equal(lens._class_rows(q, m, mode), want), (q, m, mode)
+                tuples = np.unique(rows[:, :-1], axis=0)
+                canonical = np.isin(row_keys(tuples), row_keys(rows[fixed, :-1]))
                 survivors = lens._class_candidates(q, m, mode)
-                kept = np.isin(row_keys(rows), row_keys(survivors))
+                kept = np.isin(row_keys(tuples), row_keys(survivors))
                 assert kept.sum() == len(survivors), (q, m, mode)  # a subset
-                assert not fixed[~kept].any(), (q, m, mode, rows[~kept & fixed][:1])
+                assert not canonical[~kept].any(), (q, m, mode, tuples[~kept & canonical][:1])
                 if q <= 2 or (mode == "oriented" and m == 2):
                     assert kept.all(), (q, m, mode)
                 dropped += (~kept).sum()

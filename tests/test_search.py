@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensdirac import lattice, lens
+from lensdirac import lattice, lens, search
 from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
@@ -339,6 +339,7 @@ def test_sketch_tables_of_a_sign_are_built_only_when_read(monkeypatch):
         signs.append(sign)
         return real(q, sign)
 
+    spy.cache_clear = real.cache_clear  # run_census clears it after each q
     monkeypatch.setattr(lattice, "_sketch_tables", spy)
     for mode in ("oriented", "unoriented"):
         assert run_census(9, [23], mode)[0].fingerprints == 3
@@ -347,6 +348,38 @@ def test_sketch_tables_of_a_sign_are_built_only_when_read(monkeypatch):
     # where plus sums collide, the minus stage builds T- and reads it
     assert run_census(7, [49])[0].fingerprints == 2
     assert -1 in signs
+
+
+def test_census_clears_the_table_caches_after_each_q():
+    """Half, full and sketch tables are keyed by q, so run_census drops
+    them when each q finishes.  q = 40 and 41 build sketch tables only;
+    q = 49 fingerprints two classes, so it builds full and half tables."""
+    results = run_census(7, [40, 41, 49])
+    assert results[-1].fingerprints == 2
+    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_tables):
+        assert cached.cache_info().currsize == 0, cached
+
+
+# (n, q): unoriented and oriented (classes, classes with label 1)
+EVEN_Q_CLASS_COUNTS = {
+    (7, 76): ((670, 335), (1_340, 670)),
+    (7, 78): ((232, 116), (464, 232)),
+    (7, 80): ((500, 248), (1_000, 496)),
+    (7, 196): ((7_106, 3_553), (14_212, 7_106)),
+    (11, 40): ((434, 212), (868, 424)),
+    (11, 44): ((1_008, 504), (2_016, 1_008)),
+    (11, 48): ((434, 212), (868, 424)),
+    (19, 24): ((146, 70), (292, 140)),
+}
+
+
+@pytest.mark.parametrize("n, q", sorted(EVEN_Q_CLASS_COUNTS))
+def test_even_q_class_counts(n, q):
+    """Even-q class counts and their label-1 share, as recorded when
+    both label rows of every tuple went through the canonical form."""
+    for mode, want in zip(("unoriented", "oriented"), EVEN_Q_CLASS_COUNTS[n, q]):
+        rows = search._census_rows(n, q, mode)
+        assert (len(rows), int(rows[:, -1].sum())) == want, (n, q, mode)
 
 
 def test_census_builds_spaces_only_for_sketch_collisions(monkeypatch):
