@@ -44,12 +44,9 @@ class UsageError(Exception):
 
 def _parse_params(text: str) -> tuple[int, ...]:
     try:
-        s = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise UsageError(f"parameters must be comma-separated integers, got {text!r}")
-    if not s:
-        raise UsageError("empty parameter list")
-    return s
 
 
 def _build_space(q: int, s_text: str, spin: Optional[str]) -> SpinLensSpace:

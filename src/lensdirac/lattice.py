@@ -1,4 +1,5 @@
-"""Affine congruence lattices and exact counting of their points by norm.
+"""Exact counting, by norm, of the points of the affine lattice of a spin
+lens space.
 
 The spinor eigenspaces of L(q; s_1,...,s_m) are indexed by points of an
 affine lattice in (1/2)Z^m.  Doubling coordinates, a lattice point is an
@@ -8,11 +9,12 @@ integer vector a with every a_j odd and
 
 where (modulus, target) = (q, 0) for odd q and (2q, h_eff * q) for even q
 with h_eff = (h + sum_j floor(s_j/q)) mod 2 for the structure labelled h.
-The set depends only on the space: replacing s_j by s_j mod q is absorbed
-by the matching change of h_eff because every a_j is odd.  So a table
-is keyed by the spin key (q, sorted s mod q, h) with target h q, and a
-lattice no spin lens space has (another modulus or target, or an empty
-one) is refused (_norm_key).
+The set depends only on the space: replacing s_j by s_j mod q moves
+sum_j a_j s_j by q sum_j floor(s_j/q) == h(q;s) q (mod 2q), because every
+a_j is odd, which the matching change of h_eff absorbs.  So a table is
+keyed by the space's own spin key (q, sorted s mod q, h), h = 0 for odd
+q, with target h q; every spin lens space has one, and nothing is
+refused.
 
 Counting: N(eps, k) is the number of lattice points with
 sum_j |a_j| = 2k + m and #[a_j < 0] == eps (mod 2); these feed the
@@ -76,36 +78,11 @@ from typing import Callable, Iterator, Optional
 
 import numpy as np
 
-from .lens import KeyMode, SpinLensSpace, h_shift
+from .lens import KeyMode, SpinLensSpace
 from .numtheory import binomial, series_field
 
 _FLOAT_SAFE = 1 << 53
 _INT64_MAX = (1 << 63) - 1
-
-
-@dataclass(frozen=True)
-class CongruenceLattice:
-    """The lattice {a in Z^m : a_j odd, sum a_j s_j == target (mod modulus)}
-    in doubled coordinates."""
-
-    q: int
-    s: tuple[int, ...]
-    modulus: int
-    target: int
-
-    @property
-    def m(self) -> int:
-        return len(self.s)
-
-
-def lattice_of(x: SpinLensSpace) -> CongruenceLattice:
-    """Congruence lattice of a spin lens space (SpinLensSpace construction
-    already rules out even q with odd m, which has no spin structure)."""
-    lens = x.lens
-    if lens.q % 2 == 1:
-        return CongruenceLattice(lens.q, lens.s, lens.q, 0)
-    h_eff = (x.spin.h + h_shift(lens)) % 2
-    return CongruenceLattice(lens.q, lens.s, 2 * lens.q, h_eff * lens.q)
 
 
 @dataclass(frozen=True)
@@ -119,21 +96,6 @@ class ReducedCountTable:
     def digest(self) -> str:
         payload = f"{self.q};{self.m};{self.rows!r}".encode()
         return sha256(payload).hexdigest()
-
-
-def _norm_key(lat: CongruenceLattice) -> tuple[int, tuple[int, ...], int]:
-    """The spin key (q, sorted s mod q, h), target h q: reducing s_j mod q
-    moves sum a_j s_j by a multiple of q (every a_j is odd).  ValueError
-    for a lattice no spin lens space has: modulus other than q (odd q) or
-    2q (even q), target off the multiples of q, or even q with an odd
-    parameter sum (no points)."""
-    q, mod = lat.q, lat.modulus
-    sn = tuple(sorted(sj % q for sj in lat.s))
-    tgt = (lat.target - sum(lat.s) + sum(sn)) % mod
-    if mod != (2 * q if q % 2 == 0 else q) or tgt % q or (q % 2 == 0 and sum(sn) % 2):
-        raise ValueError(f"no spin lens space has the lattice of modulus {mod}, "
-                         f"target {lat.target} at q = {q}, s = {lat.s}")
-    return (q, sn, tgt // q)
 
 
 # -------------------------------------------------------- meet in the middle
@@ -158,7 +120,7 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
         flat = np.concatenate([np.add.outer(first + neg, second[:q]),
                                np.add.outer(first + 1 - neg, second[q:])], axis=1).ravel()
     else:
-        flat = codes[0] + neg if codes else np.zeros(1, dtype=np.int64)
+        flat = codes[0] + neg
     table = np.bincount(flat, minlength=4 * q * width).reshape(2, q * width, 2)
     table = table[0] + table[1]
     # the cumsums below never exceed the half table's total (2q)^n; past
@@ -356,7 +318,8 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
 
 @lru_cache(maxsize=256)
 def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
-    """The reduced table of the spin key (q, sn, h) (see _norm_key)."""
+    """The reduced table of the spin key (q, sn, h): sn the sorted
+    parameters in [0, q), h the spin label (0 for odd q)."""
     m = len(sn)
     kmax = m * (q - 1)  # all |a_j| <= 2q - 1 forces 2k + m <= m(2q - 1)
     total = 2 * (2 * q) ** (m - 1)  # exact number of reduced points
@@ -392,9 +355,10 @@ def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
     return ReducedCountTable(q, m, rows)
 
 
-def reduced_counts(lat: CongruenceLattice) -> ReducedCountTable:
-    """Exact table of Nred(parity, k) for k = 0..m(q-1)."""
-    return _full_table(*_norm_key(lat))
+def reduced_counts(x: SpinLensSpace) -> ReducedCountTable:
+    """Exact table of Nred(parity, k) for k = 0..m(q-1) of the lattice of
+    x, read from x's spin key (q, sorted s mod q, h), h = 0 for odd q."""
+    return _full_table(x.q, tuple(sorted(x.lens.normalized())), x.spin.h or 0)
 
 
 # the sketch sums evaluate at z0 = _SKETCH_POINT (any residue below 2^30
@@ -406,8 +370,8 @@ _SKETCH_BLOCK = 1024
 @lru_cache(maxsize=2)
 def _sketch_tables(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
     """p and the factor tables of the sketch sums of one sign (+1 or -1)
-    at q: M[s, j] = T+-[s j mod mod] for j = 0..q//2, and the first
-    factor's table [h, s, j], M times the weighted phase of spin label h."""
+    at q: M[s, j] = T+-[s j mod mod] for s < mod and j = 0..q//2, and
+    the first factor's table, M times the weight of frequency j."""
     mod = q if q % 2 else 2 * q
     p, zeta = series_field(q, 1 << 30)
     omega = pow(zeta, 2 * q // mod, p)
@@ -417,11 +381,8 @@ def _sketch_tables(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
     fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
     bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
     j = np.arange(q // 2 + 1)
-    table = ((fwd + sign * bwd) % p)[np.arange(q)[:, None] * j % mod]  # M[s, j]
-    weight = np.where((j == 0) | (2 * j == q), 1, 2)
-    # the weighted phase w^(-j tgt) of each spin label, tgt = h q
-    phase = weight * w[-np.arange(2)[:, None] * q * j % mod] % p
-    first = phase[:, None, :] * table % p  # [h, s, j]
+    table = ((fwd + sign * bwd) % p)[np.arange(mod)[:, None] * j % mod]  # M[s, j]
+    first = np.where((j == 0) | (2 * j == q), 1, 2) * table % p
     table.flags.writeable = first.flags.writeable = False
     return p, table, first
 
@@ -435,21 +396,24 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     plus sum for sign 1, the minus sum for sign -1.  It is one period of
     the character sum (w a mod-th root of 1)
 
-        mod (P0 +- P1) = sum_{j<mod} w^(-j tgt) prod_i T+-[s_i j mod mod],
-        T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))).
+        mod (P0 +- P1) = sum_{j<mod} w^(-j tgt) prod_i T+-[s_i j mod mod]
+                       = sum_{j<mod} prod_i T+-[s'_i j mod mod],
+        T+-[u] = sum_{e<q} z0^e (w^(u(2e+1)) +- w^(-u(2e+1))),
 
-    Period q.  For even q, w^q = -1 and q tgt = h q^2 is a multiple of
-    2q, so the phase repeats after q terms, and T+-[u + q] = -T+-[u].  A
-    class row at even q has m even and every s_i odd, so the term j + q
-    is the term j: the sum over j < 2q is twice the sum over j < q.
-    T+[-u] = T+[u], T-[-u] = -T-[u], and w^(-j tgt) is unchanged by
-    j -> -j because 2 tgt == 0 (mod mod).  So within one period the
-    terms j and q - j are equal (in the minus sum, for even m), and the
-    sum runs over j = 0..q//2 with weight 2 on j = 1..(q-1)//2 and
-    weight 1 on j = 0 and on j = q/2.  (For odd m the minus terms j and
-    q - j cancel: the minus sum is 0, and sketch_survivors never asks
-    for it.)  Each factor is gathered from one table of
-    _sketch_tables(q, sign).
+    with the label read as s'_1 = s_1 + h q (s'_i = s_i otherwise): for
+    even q, w^q = -1 and T+-[u + q] = -T+-[u], so the phase
+    w^(-j h q) = (-1)^(h j) is T+-[s'_1 j] / T+-[s_1 j], the identity by
+    which shifting one parameter by q moves the label (module docstring).
+
+    Period q.  A class row at even q has m even and every s'_i odd, so
+    the term j + q is the term j: the sum over j < 2q is twice the sum
+    over j < q.  T+[-u] = T+[u] and T-[-u] = -T-[u], so within one
+    period the terms j and q - j are equal (in the minus sum, for even
+    m), and the sum runs over j = 0..q//2 with weight 2 on
+    j = 1..(q-1)//2 and weight 1 on j = 0 and on j = q/2.  (For odd m the
+    minus terms j and q - j cancel: the minus sum is 0, and
+    sketch_survivors never asks for it.)  Each factor is gathered from
+    one table of _sketch_tables(q, sign), the first at row s_1 + h q.
 
     p < 2^31 for any q whose T table fits in memory, so products of two
     residues stay below 2^62 and int64 is exact."""
@@ -457,7 +421,7 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
-        acc = first[h[block], s[block, 0]]
+        acc = first[s[block, 0] + q * h[block]]
         for col in s[block, 1:].T:
             acc *= table[col]
             acc %= p
@@ -502,16 +466,17 @@ def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:
     return np.flatnonzero(shared).tolist()
 
 
-def count(lat: CongruenceLattice, parity: int, k: int) -> int:
-    """N(parity, k): lattice points with sum |a_j| = 2k + m and sign
-    parity as given.  Exact for every k via the reduction to Nred."""
+def count(x: SpinLensSpace, parity: int, k: int) -> int:
+    """N(parity, k): points of the lattice of x with sum |a_j| = 2k + m
+    and sign parity as given.  Exact for every k via the reduction to
+    Nred."""
     if k < 0:
         return 0
-    rows = reduced_counts(lat).rows
-    m, total = lat.m, 0
-    for beta in range(k // lat.q + 1):
-        if k - beta * lat.q < len(rows):
-            total += binomial(beta + m - 1, m - 1) * rows[k - beta * lat.q][parity & 1]
+    rows = reduced_counts(x).rows
+    m, total = x.m, 0
+    for beta in range(k // x.q + 1):
+        if k - beta * x.q < len(rows):
+            total += binomial(beta + m - 1, m - 1) * rows[k - beta * x.q][parity & 1]
     return total
 
 

@@ -22,7 +22,6 @@ from functools import lru_cache
 import numpy as np
 
 from .lens import SpinLensSpace, h_shift
-from .lattice import CongruenceLattice
 from .numtheory import series_field
 from .spectrum import spectrum_table, sphere_multiplicity
 from .spectrum import multiplicity  # noqa: F401  perfbench wrap site lensdirac.oracle.multiplicity
@@ -138,19 +137,23 @@ def _odd_points(m: int, k_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return a, level, parity
 
 
-def brute_counts(lat: CongruenceLattice, k_max: int,
+def brute_counts(x: SpinLensSpace, k_max: int,
                  limit: int = DEFAULT_ENUM_LIMIT) -> tuple[tuple[int, int], ...]:
-    """N(parity, k) for k <= k_max by direct enumeration of every odd
-    vector in range, membership-tested one by one.  rows[k] is the pair
-    (even parity, odd parity), the same orientation the DP tables use."""
-    m = lat.m
+    """N(parity, k) for k <= k_max on the lattice of x by direct
+    enumeration of every odd vector in range, membership-tested one by
+    one against sum a_j s_j == target (mod modulus), from the raw
+    parameters: (q, 0) for odd q, (2q, (h + h(q;s)) mod 2 * q) for even
+    q.  rows[k] is the pair (even parity, odd parity), the same
+    orientation the DP tables use."""
+    q, m = x.q, x.m
     bound = (2 * k_max + m) ** m
     if bound > limit:
         raise TooLarge(bound, limit)
     a, level, parity = _odd_points(m, k_max)
+    mod, target = (q, 0) if q % 2 else (2 * q, (x.spin.h + h_shift(x.lens)) % 2 * q)
     # membership is mod the modulus: reducing s is exact and keeps a @ s in int64
-    s = np.array([sj % lat.modulus for sj in lat.s], dtype=np.int64)
-    member = (a @ s) % lat.modulus == lat.target % lat.modulus
+    s = np.array([sj % mod for sj in x.s], dtype=np.int64)
+    member = (a @ s) % mod == target
     rows = np.zeros((2, k_max + 1), dtype=np.int64)
     np.add.at(rows, (parity[member], level[member]), 1)
     return tuple((int(rows[0, k]), int(rows[1, k])) for k in range(k_max + 1))

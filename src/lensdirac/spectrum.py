@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .lattice import ReducedCountTable, lattice_of, reduced_counts
+from .lattice import ReducedCountTable, reduced_counts
 from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
 from .lens import SpinLensSpace
 from .numtheory import binomial
@@ -82,7 +82,7 @@ def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
 def fingerprint(x: SpinLensSpace) -> ReducedCountTable:
     """The finite exact invariant deciding Dirac isospectrality: the
     reduced count table of the space's congruence lattice."""
-    return reduced_counts(lattice_of(x))
+    return reduced_counts(x)
 
 
 def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:

@@ -1,6 +1,8 @@
-"""Reference helpers the tests compare the package against: lattice
-membership and levels of single points, transport of a point along a
-witness, the units mod q, and witnesses between bare lens spaces.
+"""Reference helpers the tests compare the package against: the
+congruence lattice of a spin lens space, membership and levels of single
+points, transport of a point along a witness, the units mod q, and
+witnesses between bare lens spaces.  The package never builds a lattice:
+it reads its tables off the space's spin key.
 
 Like the package, these raise errors rather than assert, so that their
 checks survive python -O."""
@@ -8,10 +10,43 @@ checks survive python -O."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from lensdirac.lattice import CongruenceLattice
-from lensdirac.lens import IsoMode, IsometryWitness, LensParams, _orientations, _witnesses
+from lensdirac.lens import (
+    IsoMode,
+    IsometryWitness,
+    LensParams,
+    SpinLensSpace,
+    _orientations,
+    _witnesses,
+    h_shift,
+)
+
+
+@dataclass(frozen=True)
+class CongruenceLattice:
+    """The lattice {a in Z^m : a_j odd, sum a_j s_j == target (mod modulus)}
+    in doubled coordinates."""
+
+    q: int
+    s: tuple[int, ...]
+    modulus: int
+    target: int
+
+    @property
+    def m(self) -> int:
+        return len(self.s)
+
+
+def lattice_of(x: SpinLensSpace) -> CongruenceLattice:
+    """Congruence lattice of a spin lens space (SpinLensSpace construction
+    already rules out even q with odd m, which has no spin structure)."""
+    lens = x.lens
+    if lens.q % 2 == 1:
+        return CongruenceLattice(lens.q, lens.s, lens.q, 0)
+    h_eff = (x.spin.h + h_shift(lens)) % 2
+    return CongruenceLattice(lens.q, lens.s, 2 * lens.q, h_eff * lens.q)
 
 
 def contains(lat: CongruenceLattice, a: Sequence[int]) -> bool:

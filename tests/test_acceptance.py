@@ -15,7 +15,7 @@ family.  Odd q has a unique structure and both candidates coincide.
 import random
 from itertools import product
 
-from lensdirac.lattice import CongruenceLattice, count, lattice_of, reduced_counts
+from lensdirac.lattice import count, reduced_counts
 from lensdirac.lens import (
     IsometryWitness,
     LensParams,
@@ -40,7 +40,14 @@ from lensdirac.spectrum import (
     multiplicity,
     spectrum_table,
 )
-from reference import apply_norm_isometry, contains, point_level, units
+from reference import (
+    CongruenceLattice,
+    apply_norm_isometry,
+    contains,
+    lattice_of,
+    point_level,
+    units,
+)
 
 SEED = 74207281
 
@@ -238,11 +245,11 @@ def test_counts_match_brute_enumeration():
                 continue
             for s in product(units(q), repeat=m):
                 for spin in spin_structures(LensParams(q, s)):
-                    lat = lattice_of(spin_space(q, s, spin.tag))
-                    brute = brute_counts(lat, 3 * q)
+                    x = spin_space(q, s, spin.tag)
+                    brute = brute_counts(x, 3 * q)
                     for k in range(3 * q + 1):
-                        assert count(lat, 0, k) == brute[k][0], (q, s, k)
-                        assert count(lat, 1, k) == brute[k][1], (q, s, k)
+                        assert count(x, 0, k) == brute[k][0], (q, s, k)
+                        assert count(x, 1, k) == brute[k][1], (q, s, k)
                     checked += 1
     report(f"exact counts equal brute enumeration on {checked} lattices "
            f"(q <= 8, m <= 3, all labels, k <= 3q)")
@@ -337,7 +344,7 @@ def _suite_odd_m_symmetry(rng, cases):
         q = rng.randrange(1, 26, 2)
         m = rng.choice((3, 5))
         s = tuple(rng.choice(units(q)) for _ in range(m))
-        table = reduced_counts(lattice_of(spin_space(q, s)))
+        table = reduced_counts(spin_space(q, s))
         assert all(even == odd for even, odd in table.rows), (q, s)
 
 
@@ -346,7 +353,8 @@ def _suite_isometry_transport(rng, cases):
         q, s = random_space(rng, 20, (2, 3, 4))
         m = len(s)
         spin = rng.choice(spin_structures(LensParams(q, s)))
-        lat = lattice_of(spin_space(q, s, spin.tag))
+        x = spin_space(q, s, spin.tag)
+        lat = lattice_of(x)
         ell = rng.choice(units(q))
         sigma = list(range(m))
         rng.shuffle(sigma)
@@ -361,6 +369,9 @@ def _suite_isometry_transport(rng, cases):
         # per unit of carry, because every lattice coordinate is odd
         target = (ell * lat.target - q * carry) % lat.modulus
         image = CongruenceLattice(q, tuple(image_s), lat.modulus, target)
+        # the image parameters lie in [0, q), so target h q carries label h
+        image_x = spin_space(q, image_s, None if q % 2 else f"h{target // q}")
+        assert lattice_of(image_x) == image
         w = IsometryWitness(ell=ell, sigma=tuple(sigma), eps=eps, spin_shift=0)
         for _ in range(3):
             a = random_lattice_point(rng, lat)
@@ -368,8 +379,8 @@ def _suite_isometry_transport(rng, cases):
             assert contains(image, out), (q, s, ell, sigma, eps, a)
             assert point_level(out) == point_level(a)
         flips = sum(1 for e in eps if e < 0) % 2
-        rows = reduced_counts(lat).rows
-        image_rows = reduced_counts(image).rows
+        rows = reduced_counts(x).rows
+        image_rows = reduced_counts(image_x).rows
         if flips == 0:
             assert image_rows == rows
         else:

@@ -76,6 +76,17 @@ def test_spectrum_bad_params(capsys):
     code, _, err = run(capsys, "spectrum", "-q", "7", "-s", "1,x")
     assert code == 2
     assert "integers" in err
+    # an empty list and an empty entry both fail as integers
+    for text in ("", "1,,2"):
+        code, _, err = run(capsys, "spectrum", "-q", "7", "-s", text)
+        assert code == 2, text
+        assert err.startswith("error: parameters must be comma-separated integers"), text
+
+
+def test_spectrum_negative_k(capsys):
+    code, _, err = run(capsys, "spectrum", "-q", "7", "-s", "1,2", "-k", "-1")
+    assert code == 2
+    assert err == "error: k must be >= 0, got -1\n"
 
 
 def test_spectrum_csv(capsys):
@@ -153,6 +164,9 @@ def test_isospec_bad_spec(capsys):
     code, _, err = run(capsys, "isospec", "49:1,6,8,20", "49:1,6,8,20:h7")
     assert code == 2
     assert "spin tag" in err
+    code, _, err = run(capsys, "isospec", "x:1,2", "7:1,2")
+    assert code == 2
+    assert err.startswith("error: bad order 'x'")
 
 
 def test_isospec_even_q_spec_needs_spin(capsys):
@@ -281,6 +295,12 @@ def test_family_usage_errors(capsys):
     assert "-r" in err
     code, _, err = run(capsys, "family", "52", "-t", "0")
     assert code == 2
+    code, _, err = run(capsys, "family", "spin-pair")
+    assert code == 2
+    assert "-t" in err
+    code, _, err = run(capsys, "family", "mirror", "-t", "2")
+    assert code == 2
+    assert "-r" in err
     code, _, err = run(capsys, "family", "53", "-r", "6")
     assert code == 2
     for t in ("0", "-1"):

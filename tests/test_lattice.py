@@ -6,21 +6,14 @@ import numpy as np
 import pytest
 
 from lensdirac import lattice
-from lensdirac.lattice import (
-    CongruenceLattice,
-    clear_caches,
-    count,
-    lattice_of,
-    reduced_counts,
-    sketch_survivors,
-)
+from lensdirac.lattice import clear_caches, count, reduced_counts, sketch_survivors
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import series_field
-from lensdirac.oracle import brute_counts
 from lensdirac.search import tower_family
 from reference import (
     apply_norm_isometry,
     contains,
+    lattice_of,
     point_level,
     point_neg_parity,
     point_norm2,
@@ -28,9 +21,9 @@ from reference import (
 )
 
 
-def brute_reduced_rows(lat):
-    """Enumerate every q-reduced point directly."""
-    q, m = lat.q, lat.m
+def brute_reduced_rows(x):
+    """Enumerate every q-reduced point of the lattice of x directly."""
+    lat, q, m = lattice_of(x), x.q, x.m
     rows = [[0, 0] for _ in range(m * (q - 1) + 1)]
     for mags in product(range(1, 2 * q, 2), repeat=m):
         for signs in product((1, -1), repeat=m):
@@ -40,9 +33,10 @@ def brute_reduced_rows(lat):
     return [tuple(r) for r in rows]
 
 
-def brute_count(lat, parity, k):
-    """Enumerate all points of norm 2k + m (not just reduced ones)."""
-    m = lat.m
+def brute_count(x, parity, k):
+    """Enumerate all points of norm 2k + m of the lattice of x (not just
+    reduced ones)."""
+    lat, m = lattice_of(x), x.m
     top = 2 * k + m
     total = 0
     for mags in product(range(1, top + 1, 2), repeat=m):
@@ -55,15 +49,21 @@ def brute_count(lat, parity, k):
     return total
 
 
-def sample_lattices():
+def sample_spaces():
     out = []
     for q, s in [(1, (1, 1)), (3, (1, 2)), (5, (1, 2)), (5, (2, 3)),
                  (7, (1, 2, 3)), (5, (1, 1, 4)), (3, (1, 1, 1))]:
-        out.append(lattice_of(spin_space(q, s)))
+        out.append(spin_space(q, s))
     for q, s in [(2, (1, 1)), (4, (1, 3)), (6, (1, 5)), (4, (1, 1, 3, 3))]:
         for h in ("h0", "h1"):
-            out.append(lattice_of(spin_space(q, s, h)))
+            out.append(spin_space(q, s, h))
     return out
+
+
+def spin_key(x):
+    """The key reduced_counts reads off a space: (q, sorted s mod q, h),
+    h = 0 for odd q."""
+    return x.q, tuple(sorted(sj % x.q for sj in x.s)), x.spin.h or 0
 
 
 def test_lattice_of_parity_split():
@@ -89,11 +89,11 @@ def test_membership_example_q32():
     assert point_level((9, 1, 1, 1)) == 4
 
 
-def packed_rows(lat):
+def packed_rows(x):
     """Reference table from a coordinate-by-coordinate DP over residues
     that packs the counts for every level into one big Python integer per
-    (sign parity, residue)."""
-    q, sn, h = lattice._norm_key(lat)
+    (sign parity, residue), on the lattice of the spin key of x."""
+    q, sn, h = spin_key(x)
     mod, tgt = (2 * q if q % 2 == 0 else q), h * q
     width = ((2 * q) ** len(sn)).bit_length() + 1
     state = [[0] * mod, [0] * mod]  # [parity][residue] -> packed counts by e
@@ -115,10 +115,10 @@ def packed_rows(lat):
 
 
 def test_reduced_rows_match_brute_force():
-    for lat in sample_lattices():
-        expect = tuple(brute_reduced_rows(lat))
-        assert reduced_counts(lat).rows == expect, lat
-        assert packed_rows(lat) == expect, lat
+    for x in sample_spaces():
+        expect = tuple(brute_reduced_rows(x))
+        assert reduced_counts(x).rows == expect, x
+        assert packed_rows(x) == expect, x
 
 
 def test_backends_agree_on_larger_cases():
@@ -130,20 +130,19 @@ def test_backends_agree_on_larger_cases():
         spin_space(8, (1, 3, 5, 7), "h1"),
     ]
     for x in cases:
-        lat = lattice_of(x)
-        assert reduced_counts(lat).rows == packed_rows(lat), x
+        assert reduced_counts(x).rows == packed_rows(x), x
 
 
-def random_spin_lattice(rng, q, m):
-    """The lattice of a random spin lens space L(q; s) with raw parameters:
-    units shifted by multiples of q, negative ones included, and a random
-    spin label for even q."""
+def random_spin_space(rng, q, m):
+    """A random spin lens space L(q; s) with raw parameters: units
+    shifted by multiples of q, negative ones included, and a random spin
+    label for even q."""
     s = tuple(rng.choice(units(q)) + q * rng.randrange(-3, 4) for _ in range(m))
-    return lattice_of(spin_space(q, s, rng.choice(("h0", "h1")) if q % 2 == 0 else None))
+    return spin_space(q, s, rng.choice(("h0", "h1")) if q % 2 == 0 else None)
 
 
 def test_random_lattices_match_packed_reference():
-    """320 random lattices, q from 1 (odd and even), m = 2..7, raw
+    """320 random spaces, q from 1 (odd and even), m = 2..7, raw
     parameters, both spin labels: the half-integer tables mod q and the
     folded contraction agree with the DP in a_j coordinates."""
     rng = random.Random(1515)
@@ -154,31 +153,9 @@ def test_random_lattices_match_packed_reference():
         q = rng.randrange(1, qmax[m] + 1)
         if q % 2 == 0 and m % 2:
             continue
-        lat = random_spin_lattice(rng, q, m)
-        assert reduced_counts(lat).rows == packed_rows(lat), lat
+        x = random_spin_space(rng, q, m)
+        assert reduced_counts(x).rows == packed_rows(x), x
         done += 1
-
-
-def test_lattices_of_no_spin_lens_space_are_rejected():
-    """Tables are keyed by spin lens spaces: a target off the mirror (not
-    a multiple of q), a modulus other than q (odd q) or 2q (even q), and
-    even q with an odd parameter sum (no points at all) raise ValueError.
-    The oracle's enumeration stays general and still counts them."""
-    lats = [CongruenceLattice(5, (1, 2), 5, 1),
-            CongruenceLattice(7, (1, 2, 3), 7, 3),
-            CongruenceLattice(6, (1, 5), 12, 2),
-            CongruenceLattice(5, (1, 2), 10, 0),
-            CongruenceLattice(6, (1, 5), 6, 0),
-            CongruenceLattice(6, (1, 5, 1), 12, 0)]
-    for lat in lats:
-        with pytest.raises(ValueError, match="no spin lens space"):
-            reduced_counts(lat)
-        with pytest.raises(ValueError, match="no spin lens space"):
-            count(lat, 0, 3)
-        assert brute_counts(lat, 3) == tuple(
-            (brute_count(lat, 0, k), brute_count(lat, 1, k)) for k in range(4)), lat
-    assert any(map(any, brute_counts(lats[0], 3)))
-    assert not any(map(any, brute_counts(lats[-1], 3)))
 
 
 def count_limbs(monkeypatch):
@@ -203,18 +180,17 @@ def test_towers_match_packed_reference(monkeypatch, r):
     seen = count_limbs(monkeypatch)
     clear_caches()
     for x in tower_family(r):
-        lat = lattice_of(x)
-        assert reduced_counts(lat).rows == packed_rows(lat), x
+        assert reduced_counts(x).rows == packed_rows(x), x
     assert (max(seen) > 1) == (r > 2)
 
 
 def test_object_half_tables_match_packed_reference():
     """At q = 3, m = 50 each half table totals 6^25 > 2^63, so it is built
     on Python integers."""
-    lat = lattice_of(spin_space(3, (1, 2) * 25))
+    x = spin_space(3, (1, 2) * 25)
     clear_caches()
-    assert lattice._half_table(3, lat.s[:25]).dtype == object
-    assert reduced_counts(lat).rows == packed_rows(lat)
+    assert lattice._half_table(3, x.s[:25]).dtype == object
+    assert reduced_counts(x).rows == packed_rows(x)
 
 
 def test_object_half_tables_match_int64_ones(monkeypatch):
@@ -236,8 +212,8 @@ def test_many_limbs_match_packed_reference(monkeypatch):
     seen = count_limbs(monkeypatch)
     monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: 1)
     clear_caches()
-    for lat in sample_lattices():
-        assert reduced_counts(lat).rows == packed_rows(lat), lat
+    for x in sample_spaces():
+        assert reduced_counts(x).rows == packed_rows(x), x
     assert max(seen) > 2
     clear_caches()
 
@@ -260,29 +236,26 @@ def test_limb_width_keeps_products_exact():
 
 def test_reduced_total_is_exact():
     # exactly 2*(2q)^(m-1) reduced points land in any such lattice
-    for lat in sample_lattices():
-        table = reduced_counts(lat)
-        assert sum(map(sum, table.rows)) == 2 * (2 * lat.q) ** (lat.m - 1)
+    for x in sample_spaces():
+        table = reduced_counts(x)
+        assert sum(map(sum, table.rows)) == 2 * (2 * x.q) ** (x.m - 1)
 
 
 def test_reduced_rows_vanish_at_bound():
-    lat = lattice_of(spin_space(5, (1, 2)))
-    table = reduced_counts(lat)
+    table = reduced_counts(spin_space(5, (1, 2)))
     assert len(table.rows) == 9  # levels 0..m(q-1), none above
 
 
 def test_q49_level_zero_is_empty():
-    lat = lattice_of(spin_space(49, (1, 6, 8, 22)))
-    table = reduced_counts(lat)
+    table = reduced_counts(spin_space(49, (1, 6, 8, 22)))
     assert table.rows[0] == (0, 0)
 
 
 def test_sphere_lattice_rows():
-    lat = lattice_of(spin_space(1, (1, 1)))
-    table = reduced_counts(lat)
-    assert table.rows == ((2, 2),)
-    assert count(lat, 0, 5) == 12  # 2*(k+1) at k = 5
-    assert count(lat, 1, 5) == 12
+    x = spin_space(1, (1, 1))
+    assert reduced_counts(x).rows == ((2, 2),)
+    assert count(x, 0, 5) == 12  # 2*(k+1) at k = 5
+    assert count(x, 1, 5) == 12
 
 
 def test_count_matches_brute_force():
@@ -292,17 +265,16 @@ def test_count_matches_brute_force():
         if q % 2 == 0 and len(s) % 2 == 1:
             continue
         for lb in labels:
-            lat = lattice_of(spin_space(q, s, lb))
+            x = spin_space(q, s, lb)
             for k in range(0, 2 * q + 3):
                 for parity in (0, 1):
-                    assert count(lat, parity, k) == brute_count(lat, parity, k), \
+                    assert count(x, parity, k) == brute_count(x, parity, k), \
                         (q, s, lb, parity, k)
 
 
 def test_negation_symmetry_odd_q_odd_m():
     # a -> -a preserves odd-q lattices and flips parity when m is odd
-    lat = lattice_of(spin_space(7, (1, 2, 3)))
-    table = reduced_counts(lat)
+    table = reduced_counts(spin_space(7, (1, 2, 3)))
     assert all(r[0] == r[1] for r in table.rows)
 
 
@@ -325,20 +297,20 @@ def test_transport_preserves_lattice_membership():
     assert moved > 0
 
 
-def sketch_args(lats):
-    """_sketch_sums() arguments but the sign, for lattices of one q: the
+def sketch_args(spaces):
+    """_sketch_sums() arguments but the sign, for spaces of one q: the
     parameters and labels of their spin keys."""
-    keys = [lattice._norm_key(lat) for lat in lats]
+    keys = [spin_key(x) for x in spaces]
     return (keys[0][0], np.array([key[1] for key in keys], dtype=np.int64),
             np.array([key[2] for key in keys], dtype=np.int64))
 
 
-def sketch_of_table(lat):
+def sketch_of_table(x):
     """q (P0 + P1)(z0) and q (P0 - P1)(z0) mod p from the rows of the
     full table."""
-    q = lat.q
+    q = x.q
     p, _ = series_field(q, 1 << 30)
-    rows = reduced_counts(lat).rows
+    rows = reduced_counts(x).rows
     return tuple(
         q * sum((even + sign * odd) * pow(lattice._SKETCH_POINT, k, p)
                 for k, (even, odd) in enumerate(rows)) % p
@@ -358,10 +330,10 @@ def test_sketch_matches_packed_table_past_int64():
     """A tower member (q = 40, m = 14) has 2*80^13 reduced points, past
     int64, so its full table is summed from several limb products; the
     sketch needs no table and has no such limit."""
-    lat = lattice_of(tower_family(3)[1])
-    assert sum(map(sum, reduced_counts(lat).rows)) == 2 * 80 ** 13
-    plus, minus = sketch_of_table(lat)
-    assert both_sums(*sketch_args([lat])) == ([plus], [minus])
+    x = tower_family(3)[1]
+    assert sum(map(sum, reduced_counts(x).rows)) == 2 * 80 ** 13
+    plus, minus = sketch_of_table(x)
+    assert both_sums(*sketch_args([x])) == ([plus], [minus])
     assert minus != 0
 
 
@@ -380,10 +352,9 @@ def test_packed_table_total_is_checked(monkeypatch):
         return [*low, top]
 
     monkeypatch.setattr(lattice, "_limbs", off_by_one)
-    lat = lattice_of(tower_family(3)[0])
     clear_caches()
     with pytest.raises(ArithmeticError, match="reduced points"):
-        reduced_counts(lat)
+        reduced_counts(tower_family(3)[0])
     assert min(seen) > 1
 
 
@@ -425,25 +396,25 @@ def test_sketches_match_full_tables():
             if q % 2 == 0 and m % 2 == 1:
                 continue
             s = tuple(rng.choice(units(q)) for _ in range(m))
-            lat = lattice_of(spin_space(q, s, label))
-            args = sketch_args([lat])
+            x = spin_space(q, s, label)
+            args = sketch_args([x])
             assert all(lattice._sketch_sums(*args, sign).dtype == np.int64
                        for sign in (1, -1))
-            plus, minus = sketch_of_table(lat)
+            plus, minus = sketch_of_table(x)
             assert both_sums(*args) == ([plus], [minus]), (q, s, label)
 
 
 def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
-    """Blocks of the class axis (here 3 lattices) change nothing."""
+    """Blocks of the class axis (here 3 spaces) change nothing."""
     rng = random.Random(77)
-    lats = [lattice_of(spin_space(20, tuple(rng.choice(units(20)) for _ in range(4)),
-                                  rng.choice(("h0", "h1"))))
-            for _ in range(10)]
-    one_by_one = [both_sums(*sketch_args([lat])) for lat in lats]
+    spaces = [spin_space(20, tuple(rng.choice(units(20)) for _ in range(4)),
+                         rng.choice(("h0", "h1")))
+              for _ in range(10)]
+    one_by_one = [both_sums(*sketch_args([x])) for x in spaces]
     monkeypatch.setattr(lattice, "_SKETCH_BLOCK", 3)
-    plus, minus = both_sums(*sketch_args(lats))
+    plus, minus = both_sums(*sketch_args(spaces))
     assert [([a], [b]) for a, b in zip(plus, minus)] == one_by_one
-    assert list(zip(plus, minus)) == [sketch_of_table(lat) for lat in lats]
+    assert list(zip(plus, minus)) == [sketch_of_table(x) for x in spaces]
     empty = np.empty((0, 4), dtype=np.int64), np.empty(0, dtype=np.int64)
     assert both_sums(20, *empty) == ([], [])
     with pytest.raises(ValueError, match="unknown mode"):
@@ -537,17 +508,17 @@ def test_odd_m_tables_are_parity_symmetric():
     for m, qmax in ((3, 30), (5, 12), (7, 7), (9, 5)):
         for q in range(1, qmax + 1, 2):
             s = tuple(rng.choice(units(q)) for _ in range(m))
-            lat = lattice_of(spin_space(q, s))
-            assert all(even == odd for even, odd in reduced_counts(lat).rows), (q, s)
+            table = reduced_counts(spin_space(q, s))
+            assert all(even == odd for even, odd in table.rows), (q, s)
 
 
 def test_sketch_memory_is_bounded_by_the_block():
     """10,000 dimension-7 classes at q = 199: one unblocked pass would hold
     about 94 MB of int64 arrays; blocks keep the peak under 32 MB."""
     rng, pool = random.Random(7), units(199)
-    lats = [CongruenceLattice(199, tuple(rng.choice(pool) for _ in range(4)), 199, 0)
-            for _ in range(10_000)]
-    args = sketch_args(lats)
+    s = np.array([[rng.choice(pool) for _ in range(4)] for _ in range(10_000)],
+                 dtype=np.int64)
+    args = 199, np.sort(s, axis=1), np.zeros(10_000, dtype=np.int64)
     tracemalloc.start()
     try:
         lattice._sketch_sums(*args, 1)
@@ -567,9 +538,8 @@ def test_mim_rejects_half_tables_of_the_wrong_size(monkeypatch):
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
                         lambda q, s_half: real(q, s_half)[:, :-1])
-    lat = lattice_of(spin_space(11, (1, 2, 3, 5)))
     with pytest.raises(ArithmeticError, match="kmax"):
-        reduced_counts(lat)
+        reduced_counts(spin_space(11, (1, 2, 3, 5)))
 
 
 def test_mim_rejects_non_integer_float_counts(monkeypatch):
@@ -579,9 +549,8 @@ def test_mim_rejects_non_integer_float_counts(monkeypatch):
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
                         lambda q, s_half: real(q, s_half) + np.array([0.5, 0.0]))
-    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="reduced points"):
-        reduced_counts(lat)
+        reduced_counts(spin_space(13, (1, 2, 3, 4)))
 
 
 @pytest.mark.parametrize("limb_bits", [None, 1], ids=["one-limb", "1-bit-limbs"])
@@ -595,17 +564,16 @@ def test_mim_rejects_integer_corruption(monkeypatch, limb_bits):
                         lambda q, s_half: real(q, s_half) + 1)
     if limb_bits is not None:
         monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: limb_bits)
-    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
     with pytest.raises(ArithmeticError, match="reduced points"):
-        reduced_counts(lat)
+        reduced_counts(spin_space(13, (1, 2, 3, 4)))
 
 
 def test_reflection_is_checked_where_the_fold_never_reads(monkeypatch):
     """The contraction reads the smaller residue u of each mirror pair
     u <-> -u - sum(s_half) of the first half table.  A count added at the
     larger one changes no row, so only the reflection check catches it."""
-    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
-    q, sn, _ = lattice._norm_key(lat)
+    x = spin_space(13, (1, 2, 3, 4))
+    q, sn, _ = spin_key(x)
     first = sn[:2]
     unread = next(u for u in range(q) if (-u - sum(first)) % q < u)
     clear_caches()  # before _half_table is replaced
@@ -621,7 +589,7 @@ def test_reflection_is_checked_where_the_fold_never_reads(monkeypatch):
 
     monkeypatch.setattr(lattice, "_half_table", corrupt)
     with pytest.raises(ArithmeticError, match="symmetric under b"):
-        reduced_counts(lat)
+        reduced_counts(x)
 
 
 def test_parity_sums_of_different_parity_are_rejected(monkeypatch):
@@ -637,7 +605,7 @@ def test_parity_sums_of_different_parity_are_rejected(monkeypatch):
     monkeypatch.setattr(lattice, "_contract", off_by_one)
     clear_caches()
     with pytest.raises(ArithmeticError, match="parity sums"):
-        reduced_counts(lattice_of(spin_space(13, (1, 2, 3, 4))))
+        reduced_counts(spin_space(13, (1, 2, 3, 4)))
     clear_caches()
 
 
@@ -645,11 +613,11 @@ def test_tower_table_memory_is_bounded():
     """A tower member (q = 40, m = 14, 274 levels per half) built cold:
     one 274 x 548 float64 skew buffer (1.2 MB) and limbs over one residue
     of each mirror pair keep the traced peak under 3 MB."""
-    lat = lattice_of(tower_family(3)[1])
+    x = tower_family(3)[1]
     clear_caches()
     tracemalloc.start()
     try:
-        reduced_counts(lat)
+        reduced_counts(x)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -674,14 +642,14 @@ def test_asymmetric_tables_are_rejected(monkeypatch):
     real = lattice._half_table
     monkeypatch.setattr(lattice, "_half_table",
                         lambda q, s_half: _move_one_count_up(real(q, s_half)))
-    lat = lattice_of(spin_space(13, (1, 2, 3, 4)))
+    x = spin_space(13, (1, 2, 3, 4))
     with pytest.raises(ArithmeticError, match="symmetric"):
-        reduced_counts(lat)
+        reduced_counts(x)
 
     seen = count_limbs(monkeypatch)
     monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: 1)
     with pytest.raises(ArithmeticError, match="symmetric"):
-        reduced_counts(lat)
+        reduced_counts(x)
     assert min(seen) > 1
 
 
@@ -702,7 +670,7 @@ def test_table_products_run_on_one_blas_thread(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", spy)
     clear_caches()
-    reduced_counts(lattice_of(spin_space(81, (1, 8, 19, 37))))
+    reduced_counts(spin_space(81, (1, 8, 19, 37)))
     assert seen and set(seen) == {1}
     assert get() == before
 

@@ -5,7 +5,7 @@ import pytest
 
 from lensdirac import oracle
 from lensdirac.lens import spin_space
-from lensdirac.lattice import count, lattice_of
+from lensdirac.lattice import count
 from lensdirac.numtheory import PRIME_TEST_LIMIT, binomial
 from lensdirac.oracle import (
     OracleMismatch,
@@ -114,8 +114,7 @@ def test_compare_random_sample():
 
 
 def test_brute_counts_sphere_closed_form():
-    lat = lattice_of(spin_space(1, (1, 1)))
-    rows = brute_counts(lat, 20)
+    rows = brute_counts(spin_space(1, (1, 1)), 20)
     for k in range(21):
         assert rows[k] == (2 * (k + 1), 2 * (k + 1))
 
@@ -124,26 +123,36 @@ def test_brute_counts_match_dp():
     cases = ((5, (1, 2), None), (8, (1, 3), "h0"), (8, (1, 3), "h1"),
              (7, (1, 2, 3), None), (9, (1, 2, 4), None))
     for q, s, tag in cases:
-        lat = lattice_of(spin_space(q, s, tag))
-        rows = brute_counts(lat, 15)
+        x = spin_space(q, s, tag)
+        rows = brute_counts(x, 15)
         for k in range(16):
-            assert rows[k] == (count(lat, 0, k), count(lat, 1, k))
+            assert rows[k] == (count(x, 0, k), count(x, 1, k))
 
 
-@pytest.mark.parametrize("raw, small", [(2 ** 62 + 2, 1), (2 ** 62 + 3, 2)],
-                         ids=["2^62+2", "2^62+3"])
-def test_brute_counts_reduce_raw_parameters(raw, small):
-    # odd coordinates times 2^62 + c leave int64 unless s is reduced first
-    lat = lattice_of(spin_space(5, (1, raw)))
-    want = brute_counts(lattice_of(spin_space(5, (1, small))), 6)
-    assert brute_counts(lat, 6) == want
-    assert want == tuple((count(lat, 0, k), count(lat, 1, k)) for k in range(7))
+@pytest.mark.parametrize("q, raw, small, tag", [
+    (5, 2 ** 62 + 2, 1, None),
+    (5, 2 ** 62 + 3, 2, None),
+    (8, 2 ** 62 + 9, 1, "h0"),
+    (8, 2 ** 62 + 9, 1, "h1"),
+], ids=["2^62+2", "2^62+3", "q8-2^62+9-h0", "q8-2^62+9-h1"])
+def test_brute_counts_reduce_raw_parameters(q, raw, small, tag):
+    """Odd coordinates times 2^62 + c leave int64 unless s is reduced
+    first.  At q = 8, 2^62 + 9 = 1 + 8 (2^59 + 1) shifts h(q;s) by an odd
+    amount, so the raw space keeps its label only if the target of the
+    enumeration and the key of count both account for the shift; the
+    other label counts differently, so a lost label shows."""
+    x = spin_space(q, (1, raw), tag)
+    want = brute_counts(spin_space(q, (1, small), tag), 12)
+    assert brute_counts(x, 12) == want
+    assert want == tuple((count(x, 0, k), count(x, 1, k)) for k in range(13))
+    if tag is not None:
+        other = {"h0": "h1", "h1": "h0"}[tag]
+        assert brute_counts(spin_space(q, (1, small), other), 12) != want
 
 
 def test_brute_counts_guard():
-    lat = lattice_of(spin_space(5, (1, 1, 2, 3)))
     with pytest.raises(TooLarge):
-        brute_counts(lat, 144)
+        brute_counts(spin_space(5, (1, 1, 2, 3)), 144)
 
 
 def test_series_multiplicities_match_exact_table():

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lensdirac import lattice, lens, search
+from lensdirac import lattice, lens, search, spectrum
 from lensdirac.lattice import ReducedCountTable
 from lensdirac.lens import (
     NoSpinStructure,
@@ -384,20 +384,20 @@ def test_even_q_class_counts(n, q):
 
 def test_census_builds_spaces_only_for_sketch_collisions(monkeypatch):
     """Classes reach the sketch as rows; only the classes that share a
-    sketch become spaces, lattices and normalised table keys."""
+    sketch become spaces and ask for a table by their spin key."""
     built = {"spaces": 0, "keys": 0}
-    post_init, norm_key = SpinLensSpace.__post_init__, lattice._norm_key
+    post_init, reduced_counts = SpinLensSpace.__post_init__, spectrum.reduced_counts
 
     def counted_post_init(self):
         built["spaces"] += 1
         post_init(self)
 
-    def counted_norm_key(lat):
+    def counted_reduced_counts(x):
         built["keys"] += 1
-        return norm_key(lat)
+        return reduced_counts(x)
 
     monkeypatch.setattr(SpinLensSpace, "__post_init__", counted_post_init)
-    monkeypatch.setattr(lattice, "_norm_key", counted_norm_key)
+    monkeypatch.setattr(spectrum, "reduced_counts", counted_reduced_counts)
     res = run_census(7, [49])[0]
     assert (res.classes, res.fingerprints) == (506, 2)
     assert built == {"spaces": 2, "keys": 2}
@@ -642,6 +642,13 @@ def test_load_rejects_member_shape_mismatches(tmp_path):
 
     doc = _census_doc(mode="diagonal")
     with pytest.raises(FormatError, match="mode"):
+        load_results(_write_doc(tmp_path, doc))
+
+    # every field well formed, but no lens space has these parameters
+    doc = _census_doc(dimension=3, q=6)
+    doc["censuses"][0]["families"][0]["members"] = [
+        {"q": 6, "s": [1, 2], "spin": "h0"}, {"q": 6, "s": [1, 5], "spin": "h0"}]
+    with pytest.raises(FormatError, match=r"s\[1\] = 2 is not coprime to q = 6$"):
         load_results(_write_doc(tmp_path, doc))
 
 

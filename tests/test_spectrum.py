@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from lensdirac.lattice import count, lattice_of
+from lensdirac.lattice import count
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import binomial
 from lensdirac.search import tower_family
@@ -24,9 +24,9 @@ def direct_multiplicity(x, sign, k):
     lattice.count per r: the reference for spectrum_table's running sums."""
     if k < 0:
         return 0
-    lat, m = lattice_of(x), x.m
+    m = x.m
     offset = 0 if sign < 0 else 1
-    return sum(binomial(r + m - 2, m - 2) * count(lat, (r + offset) % 2, k - r)
+    return sum(binomial(r + m - 2, m - 2) * count(x, (r + offset) % 2, k - r)
                for r in range(k + 1))
 
 
