@@ -65,8 +65,12 @@ def generating_coeffs(x: SpinLensSpace,
     inserts the factor (q+1); for even q the label h enters through a
     global sign on the j-th summand.  In GF(p) the cosines and sines
     become zeta^t + zeta^-t and zeta^t - zeta^-t, and the j-th summand
-    has denominator prod (1 - (zeta^2t + zeta^-2t) z + z^2), divided out
-    one quadratic factor at a time.
+    has denominator prod (1 - (zeta^2t + zeta^-2t) z + z^2).  Summands
+    with the same denominator form one group, whose characters are summed
+    to chi+ and chi-.  Each group builds the reciprocal series
+    inv = 1 / prod (1 - c z + z^2) once, one quadratic factor at a time,
+    and adds chi- inv - chi+ z inv to F-plus and chi+ inv - chi- z inv to
+    F-minus.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
@@ -97,16 +101,18 @@ def generating_coeffs(x: SpinLensSpace,
         acc[0] += chi_plus
         acc[1] += chi_minus
 
-    plus = [0] * (k_max + 1)
-    minus = [0] * (k_max + 1)
+    # F-plus = v - z u and F-minus = u - z v
+    u = [0] * (k_max + 1)  # sum of chi_plus inv over the groups
+    v = [0] * (k_max + 1)  # sum of chi_minus inv over the groups
     for cos2, (chi_plus, chi_minus) in numerators.items():
-        for acc, num in ((plus, [chi_minus, -chi_plus]),
-                         (minus, [chi_plus, -chi_minus])):
-            series = (num + [0] * k_max)[:k_max + 1]
-            for c in cos2:
-                series = _divide_quadratic(series, c, p)
-            for k, c in enumerate(series):
-                acc[k] += c
+        inv = [1] + [0] * k_max
+        for c in cos2:
+            inv = _divide_quadratic(inv, c, p)
+        for k, c in enumerate(inv):
+            u[k] += chi_plus * c
+            v[k] += chi_minus * c
+    plus = [a - b for a, b in zip(v, [0] + u)]
+    minus = [a - b for a, b in zip(u, [0] + v)]
     # the half in each character and the 1/q of the average
     scale = pow(two_q, -1, p)
     return tuple(c * scale % p for c in plus), tuple(c * scale % p for c in minus)

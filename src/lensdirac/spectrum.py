@@ -16,8 +16,13 @@ sign (-1)^r being what separates M- from M+:
     S = sum_k (M-(k) + M+(k)) z^k = (P0 + P1)(z) / ((1 - z)^(m-1) (1 - z^q)^m)
     D = sum_k (M-(k) - M+(k)) z^k = (P0 - P1)(z) / ((1 + z)^(m-1) (1 - z^q)^m)
 
-Each division is a running sum (at stride q, plain, alternating), so
-spectrum_table is 2m - 1 passes per series, and M-+ = (S +- D) / 2.
+Dividing by 1 - z^q adds each block of q levels, in order, to the block
+before it (already divided), one slice addition per block; dividing by
+1 - z is a plain running sum.  D needs no alternating sum: with
+F = (P0 - P1) / (1 - z^q)^m, D(-z) = F(-z) / (1 - z)^(m-1), so the odd
+levels of F are negated before the running sums and negated back after.
+So spectrum_table is 2m - 1 passes per series over Python integers, and
+M-+ = (S +- D) / 2.
 
 The r = 0 term is N(parity, k) and all others have level < k, so the
 spectrum and the finite reduced table determine each other: two spaces
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
+from operator import add
 
 from .lattice import ReducedCountTable, reduced_counts
 from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
@@ -70,10 +76,14 @@ def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
     for sign in (1, -1):  # the series S and D of the module docstring
         series = [e + sign * o for e, o in rows]
         for _ in range(m):
-            for r in range(q):
-                series[r::q] = accumulate(series[r::q])
+            for b in range(q, n, q):
+                series[b:b + q] = map(add, series[b:b + q], series[b - q:b])
+        if sign < 0:
+            series[1::2] = [-c for c in series[1::2]]
         for _ in range(m - 1):
-            series = list(accumulate(series, lambda acc, c: c + sign * acc))
+            series = list(accumulate(series))
+        if sign < 0:
+            series[1::2] = [-c for c in series[1::2]]
         lifted.append(series)
     return [LevelMultiplicities(k, 2 * k + 2 * m - 1, (s + d) // 2, (s - d) // 2)
             for k, (s, d) in enumerate(zip(*lifted))]

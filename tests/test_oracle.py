@@ -54,6 +54,56 @@ def test_series_field_past_the_prime_test_limit_raises_before_the_series(monkeyp
         generating_coeffs(x, -1)
 
 
+def test_one_division_chain_per_denominator_group(monkeypatch):
+    """Summands whose rotation angles fold to the same residues share a
+    denominator; the plus and minus series read one reciprocal of it, so
+    each group costs m quadratic divisions, not 2m."""
+    real = oracle._divide_quadratic
+    calls = []
+
+    def spy(series, c, p):
+        calls.append(len(series))
+        return real(series, c, p)
+
+    monkeypatch.setattr(oracle, "_divide_quadratic", spy)
+    for q, s, tag in ((49, (1, 8, 15, 29), None), (16, (1, 3, 5, 7), "h1"),
+                      (9, (1, 2, 4), None), (1, (1, 1), None)):
+        x = spin_space(q, s, tag)
+        groups = {tuple(sorted(min(j * sl % q, -j * sl % q) for sl in s))
+                  for j in range(q)}
+        calls.clear()
+        generating_coeffs(x, 20)
+        assert calls == [21] * (x.m * len(groups))
+
+
+def _block_edge_cases():
+    """Seeded spaces for m = 2..7 with q = 1, a random odd q, and for even
+    m q = 2 and a random even q under both labels."""
+    rng = random.Random(23)
+    cases = []
+    for m in range(2, 8):
+        qs = [1, rng.randrange(3, 22, 2)]
+        if m % 2 == 0:
+            qs += [2, rng.randrange(4, 21, 2)]
+        for q in qs:
+            pool = units(q) if q > 1 else [1]
+            s = tuple(rng.choice(pool) for _ in range(m))
+            for tag in ((None,) if q % 2 else ("h0", "h1")):
+                cases.append((q, s, tag))
+    return cases
+
+
+@pytest.mark.parametrize("q, s, tag", _block_edge_cases())
+def test_spectrum_table_matches_series_at_block_edges(q, s, tag):
+    """The lift divides by (1 - z^q)^m one block of q levels at a time, so
+    check it where a block starts or ends: kmax = q - 1, q, 2q - 1, 2q
+    and 3q + 1."""
+    x = spin_space(q, s, tag)
+    for kmax in sorted({max(q - 1, 0), q, 2 * q - 1, 2 * q, 3 * q + 1}):
+        assert tuple((row.minus, row.plus) for row in spectrum_table(x, kmax)) \
+            == series_multiplicities(x, kmax)
+
+
 def test_compare_sphere():
     assert oracle_compare(spin_space(1, (1, 1)), 50) is None
 
