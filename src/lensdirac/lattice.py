@@ -47,13 +47,16 @@ mirror).  It runs on parity sums X+- = X_even +- X_odd:
 S = sum_u A+[u] B+[c - u] and D = sum_u A-[u] B-[c - u] give
 even = (S + D)/2 and odd = (S - D)/2, and for odd m the mirror terms of
 D cancel, so only S is computed.  Each sum is float64 matrix products
-plus an int64 antidiagonal fold over e.  Below 2^53 reduced points (the lattice has 2*(2q)^(m-1)) every sum
-in sight is exact in float64; beyond, the parity sums are cut into
-signed w-bit limbs, w chosen so that each product entry stays at or
-below 2^53 and each fold below 2^63, and the limb products are joined by
-shifts of Python integers.  The products are small (161 x 41 x 161 on
-the dimension-7 census at q = 81), so they run on the calling thread
-alone (_serial_blas).
+plus an int64 antidiagonal fold over e.  Below 2^53 reduced points
+(the lattice has 2*(2q)^(m-1)) every sum in sight is exact in float64,
+each side is one limb, and S and D stay int64 arrays through the checks
+below, becoming Python integers only as the finished rows; beyond, the
+parity sums are cut into signed w-bit limbs, w chosen so that each
+product entry stays at or below 2^53 and each fold below 2^63, and the
+limb products are joined by shifts of Python integers, which appear in
+the contraction only past one limb.  The products are small
+(161 x 41 x 161 on the dimension-7 census at q = 81), so they run on the
+calling thread alone (_serial_blas).
 
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
@@ -273,7 +276,8 @@ def _serial_blas() -> Iterator[None]:
 def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
               signs: int, total: int) -> np.ndarray:
     """The parity sums [S, D] of the contraction, as a 2 x (ka + kb - 1)
-    array of Python integers:
+    array, int64 when one limb holds the total (below 2^53) and Python
+    integers past one limb:
 
         S[k] = sum_u sum_{ea + eb = k} A+[u, ea] B+[c - u, eb],
         D[k] = the same over A- and B-,
@@ -290,8 +294,9 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     entries of which the last ka stay zero.  Rereading that buffer with
     rows one entry shorter shifts row ea right by ea, so the antidiagonal
     ea + eb = k becomes column k and an int64 sum down the rows finishes
-    it.  Limbs i and j add that sum shifted left by w (i + j).  The
-    products run on one thread (_serial_blas)."""
+    it.  Limbs i and j add that sum shifted left by w (i + j), as
+    Python integers; a single limb pair adds it as it is.  The products
+    run on one thread (_serial_blas)."""
     q, ka, _ = ta.shape
     kb = tb.shape[1]
     u = np.arange(q)
@@ -304,13 +309,16 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
              for limb in _limbs(_parity_sums(tb[(c - u[keep]) % q], signs), w)]
     skew = np.zeros((ka, ka + kb))
     fold = skew.reshape(-1)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1)
-    out = np.zeros((2, ka + kb - 1), dtype=object)
+    # one limb that holds the total holds every count and every sum
+    one_limb = total >> w == 0
+    out = np.zeros((2, ka + kb - 1), dtype=np.int64 if one_limb else object)
     with _serial_blas():
         for j, lb in enumerate(right):
             for i, la in enumerate(left):
                 for sign in range(signs):
                     np.matmul(la[sign], lb[sign], out=skew[:, :kb])
-                    out[sign] += fold.sum(axis=0, dtype=np.int64).astype(object) << w * (i + j)
+                    part = fold.sum(axis=0, dtype=np.int64)
+                    out[sign] += part if one_limb else part.astype(object) << w * (i + j)
     return out
 
 
@@ -344,6 +352,8 @@ def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
     if ((plus - minus) % 2).any():
         raise ArithmeticError(
             f"table for q={q}, m={m} has parity sums S and D of different parity")
+    # tolist: the rows hold Python integers on either path, never numpy
+    # scalars, whose repr would change digest()
     rows = tuple(zip(((plus + minus) // 2).tolist(), ((plus - minus) // 2).tolist()))
     # a_j -> sign(a_j) 2q - a_j keeps signs, sends level k to kmax - k and
     # the target h q to -h q, the same residue: every table is a palindrome

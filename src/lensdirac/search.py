@@ -349,11 +349,10 @@ def save_results(results: Sequence[CensusResult], path: str) -> None:
     doc = {"format_version": FORMAT_VERSION,
            "censuses": [_census_dict(r) for r in results]}
 
-    def write(fh: TextIO) -> None:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-    _write_atomically(path, write)
+    # one write: json.dump would send the pure-Python encoder's many small
+    # chunks (indent selects it) to the file one at a time
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    _write_atomically(path, lambda fh: fh.write(text))
 
 
 def _load_member(obj: dict, q: int, m: int, where: str) -> SpinLensSpace:

@@ -32,9 +32,9 @@ tables agree, a finite exact comparison of the invariant fingerprint().
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
+from typing import NamedTuple
 
 from .lattice import ReducedCountTable, reduced_counts
 from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
@@ -42,8 +42,11 @@ from .lens import SpinLensSpace
 from .numtheory import binomial
 
 
-@dataclass(frozen=True)
-class LevelMultiplicities:
+class LevelMultiplicities(NamedTuple):
+    """One level k of the spectrum: value2 = 2k + 2m - 1 is the doubled
+    eigenvalue, minus and plus the multiplicities of -value2/2 and
+    +value2/2."""
+
     k: int
     value2: int
     minus: int
@@ -85,8 +88,10 @@ def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
         if sign < 0:
             series[1::2] = [-c for c in series[1::2]]
         lifted.append(series)
-    return [LevelMultiplicities(k, 2 * k + 2 * m - 1, (s + d) // 2, (s - d) // 2)
-            for k, (s, d) in enumerate(zip(*lifted))]
+    minus = [(s + d) // 2 for s, d in zip(*lifted)]
+    plus = [(s - d) // 2 for s, d in zip(*lifted)]
+    return list(map(LevelMultiplicities, range(n), range(2 * m - 1, 2 * (m + n) - 1, 2),
+                    minus, plus))
 
 
 def fingerprint(x: SpinLensSpace) -> ReducedCountTable:

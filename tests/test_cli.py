@@ -1,14 +1,17 @@
 import json
+import random
 import shlex
-from dataclasses import replace
 from itertools import product
+from math import gcd
 from pathlib import Path
 
 import pytest
 
 from lensdirac import cli, lattice
 from lensdirac.cli import main
-from lensdirac.search import load_results
+from lensdirac.lens import format_spin_lens, spin_space
+from lensdirac.search import FORMAT_VERSION, load_results
+from lensdirac.spectrum import spectrum_table
 
 
 def run(capsys, *argv):
@@ -110,6 +113,50 @@ def test_spectrum_structured(capsys):
     first = doc["rows"][0]
     assert set(first) == {"k", "eigenvalue2", "minus", "plus"}
     assert first["eigenvalue2"] == 7
+
+
+def _spectrum_spaces():
+    """Seeded spaces for every m = 2..7: q = 1, q = 2, and odd and even
+    q <= 100, each even q under both spin labels."""
+    rng = random.Random(24)
+    odd = rng.sample(range(3, 101, 2), 3)
+    even = rng.sample(range(4, 101, 2), 3)
+    spaces = [spin_space(1, (1,) * 3)]
+    for i, q in enumerate([2] + odd + even):
+        m = 2 + (i % 3) * 2 + q % 2  # even m at even q (the others have no spin structure)
+        units = [u for u in range(1, q) if gcd(u, q) == 1]
+        s = tuple(rng.choice(units) for _ in range(m))
+        spaces += [spin_space(q, s, label) for label in ((None,) if q % 2 else ("h0", "h1"))]
+    return spaces
+
+
+def test_spectrum_prints_each_format_as_the_per_row_code_did(capsys):
+    """Plain and csv print the per-row lines, and structured the bytes
+    json.dumps(doc, indent=2, sort_keys=True) gives for the document the
+    rows and the space make, whatever the sizes of q, m and k."""
+    spaces = _spectrum_spaces()
+    assert {x.m for x in spaces} == set(range(2, 8))
+    assert {x.spin.tag for x in spaces} == {"unique", "h0", "h1"}
+    for x in spaces:
+        for k in sorted({0, 1, x.q - 1, x.q, 200}):
+            rows = spectrum_table(x, k)
+            doc = {"format_version": FORMAT_VERSION, "q": x.q, "s": list(x.lens.s),
+                   "spin": x.spin.tag,
+                   "rows": [{"k": r.k, "eigenvalue2": r.value2,
+                             "minus": r.minus, "plus": r.plus} for r in rows]}
+            csv = ["k,eigenvalue2,minus,plus"]
+            csv += [f"{r.k},{r.value2},{r.minus},{r.plus}" for r in rows]
+            plain = [f"# {format_spin_lens(x)}   eigenvalues +-(2k+{2 * x.m - 1})/2",
+                     f"{'k':>6} {'2|lambda|':>10} {'mult(-)':>14} {'mult(+)':>14}"]
+            plain += [f"{r.k:>6} {r.value2:>10} {r.minus:>14} {r.plus:>14}" for r in rows]
+            argv = ["spectrum", "-q", str(x.q), "-s", ",".join(map(str, x.lens.s)),
+                    "-k", str(k)]
+            if x.q % 2 == 0:
+                argv += ["--spin", x.spin.tag]
+            for fmt, want in (("structured", json.dumps(doc, indent=2, sort_keys=True) + "\n"),
+                              ("csv", "".join(f"{line}\n" for line in csv)),
+                              ("plain", "".join(f"{line}\n" for line in plain))):
+                assert run(capsys, *argv, "--format", fmt) == (0, want, ""), (argv, fmt)
 
 
 def test_isospec_strict_pair(capsys):
@@ -333,7 +380,7 @@ def test_oracle_tight_tolerance_fails(capsys, monkeypatch):
     real = oracle.spectrum_table
     monkeypatch.setattr(
         oracle, "spectrum_table",
-        lambda x, kmax: [replace(row, minus=row.minus + 1) if row.k == 9 else row
+        lambda x, kmax: [row._replace(minus=row.minus + 1) if row.k == 9 else row
                          for row in real(x, kmax)])
     code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20")
     assert code == 1

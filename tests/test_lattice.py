@@ -624,6 +624,44 @@ def test_tower_table_memory_is_bounded():
     assert peak < 3 << 20
 
 
+# (space, dtype of its contraction, digest() recorded before one-limb
+# contractions stayed int64)
+RECORDED_DIGESTS = {
+    "one-limb-q49-m4": (
+        spin_space(49, (1, 8, 15, 29)), np.int64,
+        "0c2f9ccc79376a03059d95ba72b49689786520c68aedc137f6f9a5ab7694ad3f"),
+    "many-limbs-tower-r3": (
+        tower_family(3)[1], object,
+        "1a9b85f131d551c0413bd177bc559a462945728591259503a79cc4540b28b172"),
+    "odd-m5": (
+        spin_space(9, (1, 2, 4, 5, 7)), np.int64,
+        "c43fa7bec029df47fc4b1ec3735e5bd984105dc8a071cefe2d206a36f79fc7ef"),
+}
+
+
+@pytest.mark.parametrize("name", RECORDED_DIGESTS)
+def test_rows_hold_python_integers_on_every_path(monkeypatch, name):
+    """One-limb contractions stay int64 and many-limb ones Python
+    integers, but every row entry is a Python int: the repr of a numpy
+    2 scalar, np.int64(5), would change every digest."""
+    x, dtype, digest = RECORDED_DIGESTS[name]
+    seen = []
+    real = lattice._contract
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(lattice, "_contract", spy)
+    clear_caches()
+    table = reduced_counts(x)
+    assert seen == [dtype]
+    assert {type(v) for row in table.rows for v in row} == {int}
+    assert table.digest() == digest
+    clear_caches()
+
+
 def _move_one_count_up(table):
     """A copy of a half table with one count moved from level e to e + 1
     at the same residue and parity: every residue keeps its total."""

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -128,7 +127,7 @@ def _off_by_one_at(monkeypatch, k_bad):
     real = oracle.spectrum_table
 
     def off_by_one(x, kmax):
-        return [replace(row, plus=row.plus + 1) if row.k == k_bad else row
+        return [row._replace(plus=row.plus + 1) if row.k == k_bad else row
                 for row in real(x, kmax)]
 
     monkeypatch.setattr(oracle, "spectrum_table", off_by_one)

@@ -557,6 +557,25 @@ def test_save_is_byte_deterministic(tmp_path):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_saved_file_is_the_encoders_bytes_in_one_write(tmp_path, monkeypatch):
+    writes = []
+    real = search._write_atomically
+
+    def counted(path, write, newline=None):
+        def spy(fh):
+            real_write = fh.write
+            fh.write = lambda text: writes.append(text) or real_write(text)
+            write(fh)
+        real(path, spy, newline)
+
+    monkeypatch.setattr(search, "_write_atomically", counted)
+    path = tmp_path / "census.json"
+    save_results(run_census(7, [49]) + run_census(9, [4]), str(path))
+    text = path.read_text()
+    assert writes == [text]
+    assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
 def test_saved_document_shape(tmp_path):
     path = tmp_path / "census.json"
     save_results(run_census(7, [49]), str(path))
@@ -795,7 +814,7 @@ def test_failed_writes_leave_the_old_file(tmp_path):
     temporary file behind."""
     good = run_census(7, [49])
     fam = good[0].families[0]
-    # json.dump has written the families when it reaches the note
+    # json cannot encode the note, so nothing new reaches the file
     unserializable = (replace(good[0], note=object()),)
     broken = IsospectralFamily(fam.digest, (fam.members[0], _Unwritable()),
                                fam.trivial_flags)

@@ -1,5 +1,6 @@
 import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,20 @@ def direct_table(x, kmax):
                                 direct_multiplicity(x, -1, k),
                                 direct_multiplicity(x, +1, k))
             for k in range(kmax + 1)]
+
+
+def test_level_rows_are_immutable_named_tuples_as_readme_shows():
+    rows = spectrum_table(spin_space(49, (1, 6, 8, 22)), 2)
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library = readme.split("\n## Library\n", 1)[1]
+    shown = library.split("spectrum_table(a, 2)\n", 1)[1].split("```", 1)[0]
+    assert repr(rows) == "".join(line[2:] for line in shown.splitlines())
+    row = rows[1]
+    assert LevelMultiplicities._fields == ("k", "value2", "minus", "plus")
+    assert tuple(row) == (row.k, row.value2, row.minus, row.plus) == (1, 9, 2, 0)
+    with pytest.raises(AttributeError):
+        row.minus = 3
+    assert row._replace(minus=3) == (1, 9, 3, 0) and row.minus == 2
 
 
 def test_eigenvalue_values():
