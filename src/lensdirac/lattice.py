@@ -67,6 +67,8 @@ ArithmeticError.
 Census sketches.  sketch_survivors buckets the class rows of one q on
 their tables' generating polynomials at one point of GF(p), summed from
 characters with no table built; only rows that share a bucket need one.
+The isospectrality verdicts put two spaces' spin_row()s through the
+same gate.
 """
 
 from __future__ import annotations
@@ -365,10 +367,19 @@ def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
     return ReducedCountTable(q, m, rows)
 
 
+def spin_row(x: SpinLensSpace) -> tuple[int, ...]:
+    """The row of x's spin key (q, sorted s mod q, h): its parameters
+    reduced mod q and sorted, then its spin label h (0 for odd q).  Its
+    table is reduced_counts(x), and sketch_survivors takes it as a class
+    row of q."""
+    return (*sorted(x.lens.normalized()), x.spin.h or 0)
+
+
 def reduced_counts(x: SpinLensSpace) -> ReducedCountTable:
     """Exact table of Nred(parity, k) for k = 0..m(q-1) of the lattice of
-    x, read from x's spin key (q, sorted s mod q, h), h = 0 for odd q."""
-    return _full_table(x.q, tuple(sorted(x.lens.normalized())), x.spin.h or 0)
+    x, read from x's spin key (spin_row)."""
+    *sn, h = spin_row(x)
+    return _full_table(x.q, tuple(sn), h)
 
 
 # the sketch sums evaluate at z0 = _SKETCH_POINT (any residue below 2^30
@@ -377,22 +388,62 @@ _SKETCH_POINT = 0x2545F491
 _SKETCH_BLOCK = 1024
 
 
+@lru_cache(maxsize=1)
+def _sketch_factors(q: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """p, the factor vector T[u] = sum_{e<q} z0^e w^(u(2e+1)) for u < mod
+    (w a primitive mod-th root of 1 mod p), and the index table
+    s j mod mod for s < mod and j = 0..q//2: the part of the sketch
+    tables that both signs share.
+
+    T is built in O(q).  It is geometric in e with ratio z0 w^(2u), and
+    w^(2uq) = 1 (mod divides 2q), so
+
+        T[u] = w^u (1 - z0^q) / (1 - z0 w^(2u)),
+
+    or w^u q where the denominator is 0.  The denominators repeat with
+    period q in u.  The powers of w are running products, each block
+    of them the one before times a single power, and the nonzero
+    denominators are inverted together with one modular inversion
+    (prefix products, then back)."""
+    mod = q if q % 2 else 2 * q
+    p, zeta = series_field(q, 1 << 30)
+    omega = pow(zeta, 2 * q // mod, p)
+    w, done = np.ones(mod, dtype=np.int64), 1
+    while done < mod:  # w[u] = omega^u, doubling the known prefix
+        step = min(done, mod - done)
+        w[done:done + step] = w[:step] * pow(omega, done, p) % p
+        done += step
+    z0 = _SKETCH_POINT
+    den = ((1 - z0 * w[2 * np.arange(q) % mod]) % p).tolist()
+    prefix, acc = [], 1
+    for d in den:
+        prefix.append(acc)
+        if d:
+            acc = acc * d % p
+    inv, ratio = pow(acc, p - 2, p), [q] * q
+    num = (1 - pow(z0, q, p)) % p
+    for u in range(q - 1, -1, -1):
+        if den[u]:  # inv is 1 / (den[0] ... den[u]) over the nonzero ones
+            ratio[u] = num * inv * prefix[u] % p
+            inv = inv * den[u] % p
+    factor = w * np.array(ratio, dtype=np.int64)[np.arange(mod) % q] % p
+    index = np.arange(mod)[:, None] * np.arange(q // 2 + 1) % mod
+    return p, factor, index
+
+
 @lru_cache(maxsize=2)
 def _sketch_tables(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
     """p and the factor tables of the sketch sums of one sign (+1 or -1)
     at q: M[s, j] = T+-[s j mod mod] for s < mod and j = 0..q//2, and
-    the first factor's table, M times the weight of frequency j."""
-    mod = q if q % 2 else 2 * q
-    p, zeta = series_field(q, 1 << 30)
-    omega = pow(zeta, 2 * q // mod, p)
-    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
-    z = np.array([pow(_SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
-    exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
-    fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
-    bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
+    the first factor's table, M times the weight of frequency j.  Both
+    are gathered from the factor vector of _sketch_factors(q), with
+    T+-[u] = T[u] +- T[-u]."""
+    p, fwd, index = _sketch_factors(q)
+    mod = len(fwd)
+    table = ((fwd + sign * fwd[-np.arange(mod) % mod]) % p)[index]  # M[s, j]
     j = np.arange(q // 2 + 1)
-    table = ((fwd + sign * bwd) % p)[np.arange(mod)[:, None] * j % mod]  # M[s, j]
-    first = np.where((j == 0) | (2 * j == q), 1, 2) * table % p
+    first = table * np.where((j == 0) | (2 * j == q), 1, 2)
+    first -= p * (first >= p)  # weight * M < 2p
     table.flags.writeable = first.flags.writeable = False
     return p, table, first
 
@@ -496,4 +547,5 @@ def clear_caches() -> None:
     finishes; tests call it to start cold."""
     _half_table.cache_clear()
     _full_table.cache_clear()
+    _sketch_factors.cache_clear()
     _sketch_tables.cache_clear()

@@ -23,6 +23,10 @@ def binomial(n: int, k: int) -> int:
 # below this bound (Sorenson and Webster, 2015).
 PRIME_TEST_LIMIT = 3_317_044_064_679_887_385_961_981
 _PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+# Below this bound the bases 2, 7 and 61 alone are deterministic
+# (Jaeschke, Math. Comp. 61, 1993); the sketch primes lie just above 2^30.
+_SMALL_LIMIT = 4_759_123_141
+_SMALL_BASES = (2, 7, 61)
 
 
 def is_prime(n: int) -> bool:
@@ -36,11 +40,13 @@ def is_prime(n: int) -> bool:
     for b in _PRIME_BASES:
         if n % b == 0:
             return n == b
+    if n < 43 * 43:  # no prime factor up to 41
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
         r += 1
-    for b in _PRIME_BASES:
+    for b in _SMALL_BASES if n < _SMALL_LIMIT else _PRIME_BASES:
         x = pow(b, d, n)
         if x in (1, n - 1):
             continue

@@ -28,6 +28,14 @@ The r = 0 term is N(parity, k) and all others have level < k, so the
 spectrum and the finite reduced table determine each other: two spaces
 are Dirac isospectral exactly when they share q and m and their reduced
 tables agree, a finite exact comparison of the invariant fingerprint().
+
+Both verdicts go through the census's gate first: the two spaces'
+spin-key rows (lattice.spin_row) are bucketed by
+lattice.sketch_survivors, oriented for dirac_isospectral and unoriented
+for inverse_isospectral.  A sketch is a ring image of its table, so
+rows in different buckets have different tables and the answer is
+False, exactly, with no table built; the tables are built, and decide,
+only for a pair that shares a bucket.
 """
 
 from __future__ import annotations
@@ -36,9 +44,11 @@ from itertools import accumulate
 from operator import add
 from typing import NamedTuple
 
-from .lattice import ReducedCountTable, reduced_counts
+import numpy as np
+
+from .lattice import ReducedCountTable, reduced_counts, sketch_survivors, spin_row
 from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
-from .lens import SpinLensSpace
+from .lens import KeyMode, SpinLensSpace
 from .numtheory import binomial
 
 
@@ -100,11 +110,25 @@ def fingerprint(x: SpinLensSpace) -> ReducedCountTable:
     return reduced_counts(x)
 
 
+def _sketches_agree(a: SpinLensSpace, b: SpinLensSpace, mode: KeyMode) -> bool:
+    """Whether the spin-key rows of a and b (same q and m) share a
+    bucket of lattice.sketch_survivors in mode, the census's gate.  Each
+    sketch is a ring image of its table, so when they do not, the tables
+    differ (oriented), and differ also after the parity swap
+    (unoriented): the negative verdict is exact, with no table built."""
+    rows = np.array([spin_row(a), spin_row(b)], dtype=np.int64)
+    return len(sketch_survivors(a.q, rows, mode)) == 2
+
+
 def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     """Exact decision; spaces of different q or dimension are never
     Dirac isospectral (growth and spacing of the spectrum already
-    determine q and m), so no counting happens in that case."""
+    determine q and m), so no counting happens in that case.  Spaces in
+    different oriented sketch buckets have different tables, so their
+    tables are built only when the sketches agree, and then decide."""
     if a.q != b.q or a.m != b.m:
+        return False
+    if not _sketches_agree(a, b, "oriented"):
         return False
     return fingerprint(a).rows == fingerprint(b).rows
 
@@ -112,8 +136,12 @@ def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
 def inverse_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     """True when the spectrum of a matches the spectrum of b with the
     sign of every eigenvalue flipped (multiplicity of +lambda in a equals
-    that of -lambda in b): the parity columns swap."""
+    that of -lambda in b): the parity columns swap.  The unoriented
+    sketch buckets merge a table with its swap, so spaces in different
+    buckets are not inverse-isospectral and build no table."""
     if a.q != b.q or a.m != b.m:
+        return False
+    if not _sketches_agree(a, b, "unoriented"):
         return False
     ra = fingerprint(a).rows
     rb = fingerprint(b).rows

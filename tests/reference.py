@@ -1,7 +1,8 @@
 """Reference helpers the tests compare the package against: the
 congruence lattice of a spin lens space, membership and levels of single
-points, transport of a point along a witness, the units mod q, and
-witnesses between bare lens spaces.  The package never builds a lattice:
+points, transport of a point along a witness, the units mod q,
+witnesses between bare lens spaces, and the sketch factor tables built
+term by term.  The package never builds a lattice:
 it reads its tables off the space's spin key.
 
 Like the package, these raise errors rather than assert, so that their
@@ -13,6 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
+from lensdirac import lattice
 from lensdirac.lens import (
     IsoMode,
     IsometryWitness,
@@ -22,6 +26,7 @@ from lensdirac.lens import (
     _witnesses,
     h_shift,
 )
+from lensdirac.numtheory import series_field
 
 
 @dataclass(frozen=True)
@@ -104,3 +109,22 @@ def find_lens_isometry(a: LensParams, b: LensParams, mode: IsoMode = "any"
     """Witness of (*) between bare lens spaces (no spin constraint)."""
     allowed = _orientations(mode)
     return next((w for w in _witnesses(a, b) if w.orientation in allowed), None)
+
+
+def sketch_tables_by_exponents(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """lattice._sketch_tables term by term: every factor
+    T[u] = sum_{e<q} z0^e w^(u(2e+1)) summed from a (mod x q) matrix of
+    exponents, with each power of w and of z0 = lattice._SKETCH_POINT
+    from its own pow."""
+    mod = q if q % 2 else 2 * q
+    p, zeta = series_field(q, 1 << 30)
+    omega = pow(zeta, 2 * q // mod, p)
+    w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
+    z = np.array([pow(lattice._SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
+    exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
+    fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
+    bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
+    j = np.arange(q // 2 + 1)
+    table = ((fwd + sign * bwd) % p)[np.arange(mod)[:, None] * j % mod]  # M[s, j]
+    first = np.where((j == 0) | (2 * j == q), 1, 2) * table % p
+    return p, table, first

@@ -275,8 +275,10 @@ def test_oversized_inputs_are_errors_not_verdicts(capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError("Unable to allocate 745. GiB")
 
+    # the sketches of this pair agree (a mirror family at q = 169), so
+    # the verdict must build the tables
     monkeypatch.setattr(lattice, "_full_table", no_memory)
-    code, out, err = run(capsys, "isospec", "97:1,2,3,5", "97:1,2,3,7")
+    code, out, err = run(capsys, "isospec", "169:1,14,27,53", "169:1,157,144,118")
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 745. GiB\n"
 

@@ -17,6 +17,7 @@ from reference import (
     point_level,
     point_neg_parity,
     point_norm2,
+    sketch_tables_by_exponents,
     units,
 )
 
@@ -419,6 +420,48 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
     assert both_sums(20, *empty) == ([], [])
     with pytest.raises(ValueError, match="unknown mode"):
         sketch_survivors(20, np.empty((0, 5), dtype=np.int64), "sideways")
+
+
+def test_sketch_factors_match_the_exponent_build():
+    """The factor tables built in O(q) (geometric sums, running powers of
+    w, one batch inversion) equal the term-by-term build: q = 1..200,
+    both signs."""
+    for q in range(1, 201):
+        for sign in (1, -1):
+            p, table, first = lattice._sketch_tables.__wrapped__(q, sign)
+            want_p, want_table, want_first = sketch_tables_by_exponents(q, sign)
+            assert p == want_p, (q, sign)
+            assert table.dtype == first.dtype == np.int64, (q, sign)
+            assert np.array_equal(table, want_table), (q, sign)
+            assert np.array_equal(first, want_first), (q, sign)
+
+
+def test_sketch_factors_where_a_denominator_vanishes(monkeypatch):
+    """With z0 = w^(-2u) the geometric sum of factor u has denominator 0,
+    and the factor is w^u q.  The tables still equal the term-by-term
+    build, and the sketch sums still equal those of the full tables at
+    that point: q = 1, 2 and odd and even q, u = 0, 1 and q // 2 + 1."""
+    rng = random.Random(2626)
+    try:
+        for q in (1, 2, 3, 4, 7, 9, 12, 40, 49):
+            mod = q if q % 2 else 2 * q
+            p, zeta = series_field(q, 1 << 30)
+            omega = pow(zeta, 2 * q // mod, p)
+            for u in (0, 1, q // 2 + 1):
+                monkeypatch.setattr(lattice, "_SKETCH_POINT", pow(omega, -2 * u, p))
+                clear_caches()
+                for sign in (1, -1):
+                    got = lattice._sketch_tables(q, sign)
+                    want = sketch_tables_by_exponents(q, sign)
+                    assert got[0] == want[0], (q, u, sign)
+                    assert np.array_equal(got[1], want[1]), (q, u, sign)
+                    assert np.array_equal(got[2], want[2]), (q, u, sign)
+                for m in (2, 4):
+                    x = random_spin_space(rng, q, m)
+                    plus, minus = sketch_of_table(x)
+                    assert both_sums(*sketch_args([x])) == ([plus], [minus]), (x, u)
+    finally:
+        clear_caches()  # the tables of the patched point must not outlive it
 
 
 def full_sketches(q, s, h):

@@ -50,11 +50,23 @@ def test_is_prime_matches_trial_division():
         assert is_prime(n) == trial, n
 
 
+def test_is_prime_matches_a_sieve_just_above_2_30():
+    # the sketch primes' range, where three bases decide
+    lo, hi = 1 << 30, (1 << 30) + 30_000
+    small = [n for n in range(2, 32_800) if is_prime(n)]
+    composite = bytearray(hi - lo)
+    for p in small:
+        composite[-lo % p::p] = b"\x01" * len(range(-lo % p, hi - lo, p))
+    assert [lo + i for i in range(hi - lo) if is_prime(lo + i)] == [
+        lo + i for i in range(hi - lo) if not composite[i]]
+
+
 def test_is_prime_large_values():
     # strong pseudoprimes to many small bases, and known primes
     assert not is_prime(3_215_031_751)                      # bases 2, 3, 5, 7
     assert not is_prime(3_825_123_056_546_413_051)          # bases up to 23
     assert not is_prime(318_665_857_834_031_151_167_461)    # bases up to 37
+    assert not is_prime(4_759_123_141)                      # bases 2, 7, 61
     assert is_prime((1 << 31) - 1)
     assert is_prime((1 << 61) - 1)
     assert not is_prime(((1 << 31) - 1) ** 2)

@@ -356,7 +356,8 @@ def test_census_clears_the_table_caches_after_each_q():
     q = 49 fingerprints two classes, so it builds full and half tables."""
     results = run_census(7, [40, 41, 49])
     assert results[-1].fingerprints == 2
-    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_tables):
+    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_factors,
+                   lattice._sketch_tables):
         assert cached.cache_info().currsize == 0, cached
 
 

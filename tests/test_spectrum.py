@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from lensdirac import lattice
 from lensdirac.lattice import count
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import binomial
@@ -203,6 +204,75 @@ def test_q100_control_pair_is_not_isospectral():
         b = spin_space(100, (1, 9, 11, 31), hb)
         assert not dirac_isospectral(a, b)
         assert not inverse_isospectral(a, b)
+
+
+def _verdict_pairs(count):
+    """Seeded pairs of spaces of one q (1..90) and m (2..6) with raw
+    parameters, each shifted by -q, 0 or q, and random labels at even q.
+    The second member is an unrelated space, the first one's parameters
+    times a unit, or its parameters permuted with some of them negated,
+    so that both verdicts come out either way."""
+    rng = random.Random(2626)
+    pairs = []
+    while len(pairs) < count:
+        m, q = rng.randint(2, 6), rng.randint(1, 90)
+        if q % 2 == 0 and m % 2 == 1:
+            continue
+        pool = units(q) if q > 1 else [1]
+        labels = ("h0", "h1") if q % 2 == 0 else (None,)
+        s = [rng.choice(pool) for _ in range(m)]
+        kind = rng.randrange(3)
+        if kind == 0:
+            t = [rng.choice(pool) for _ in range(m)]
+        elif kind == 1:
+            unit = rng.choice(pool)
+            t = [v * unit for v in s]
+        else:
+            t = [v * rng.choice((-1, 1)) for v in rng.sample(s, m)]
+        a, b = ([v % q + q * rng.randint(-1, 1) for v in row] for row in (s, t))
+        pairs.append((spin_space(q, a, rng.choice(labels)),
+                      spin_space(q, b, rng.choice(labels))))
+    return pairs
+
+
+def test_verdicts_match_the_table_only_decisions():
+    """The sketch gate changes no verdict: each one equals the comparison
+    of the two full tables, entrywise and after the parity swap."""
+    seen = set()
+    for a, b in _verdict_pairs(1200):
+        strict, inverse = dirac_isospectral(a, b), inverse_isospectral(a, b)
+        ra, rb = fingerprint(a).rows, fingerprint(b).rows
+        assert strict == (ra == rb), (a, b)
+        assert inverse == (ra == tuple((odd, even) for even, odd in rb)), (a, b)
+        seen.add((strict, inverse))
+    assert seen == set(product((False, True), repeat=2))
+
+
+def test_tables_are_built_only_when_the_sketches_agree(monkeypatch):
+    """A pair the oriented sketch separates builds no table, also a
+    mirror pair that differs only in its minus sum; an isospectral pair
+    builds both tables, and so does the unoriented check of the mirror
+    pair, whose sketches agree up to the sign of that sum."""
+    calls = []
+    full_table = lattice._full_table
+
+    def spy(*key):
+        calls.append(key)
+        return full_table(*key)
+
+    monkeypatch.setattr(lattice, "_full_table", spy)
+    mirror = spin_space(81, (1, 8, 19, 37)), spin_space(81, (1, 8, 26, 37))
+    cases = [
+        (dirac_isospectral, (spin_space(97, (1, 2, 3, 5)), spin_space(97, (1, 2, 3, 7))), False, 0),
+        (dirac_isospectral, mirror, False, 0),
+        (inverse_isospectral, mirror, True, 2),
+        (dirac_isospectral, (spin_space(169, (1, 14, 27, 53)),
+                             spin_space(169, (1, 157, 144, 118))), True, 2),
+    ]
+    for verdict, pair, want, tables in cases:
+        calls.clear()
+        assert verdict(*pair) is want, (verdict.__name__, pair)
+        assert len(calls) == tables, (verdict.__name__, pair)
 
 
 def test_mismatched_shapes_are_never_isospectral():
