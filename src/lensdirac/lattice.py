@@ -389,11 +389,10 @@ _SKETCH_BLOCK = 1024
 
 
 @lru_cache(maxsize=1)
-def _sketch_factors(q: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """p, the factor vector T[u] = sum_{e<q} z0^e w^(u(2e+1)) for u < mod
-    (w a primitive mod-th root of 1 mod p), and the index table
-    s j mod mod for s < mod and j = 0..q//2: the part of the sketch
-    tables that both signs share.
+def _sketch_factors(q: int) -> tuple[int, np.ndarray]:
+    """p and the factor vector T[u] = sum_{e<q} z0^e w^(u(2e+1)) for
+    u < mod (w a primitive mod-th root of 1 mod p), read-only: the part
+    of the sketch sums that both signs share, mod entries per q.
 
     T is built in O(q).  It is geometric in e with ratio z0 w^(2u), and
     w^(2uq) = 1 (mod divides 2q), so
@@ -427,25 +426,8 @@ def _sketch_factors(q: int) -> tuple[int, np.ndarray, np.ndarray]:
             ratio[u] = num * inv * prefix[u] % p
             inv = inv * den[u] % p
     factor = w * np.array(ratio, dtype=np.int64)[np.arange(mod) % q] % p
-    index = np.arange(mod)[:, None] * np.arange(q // 2 + 1) % mod
-    return p, factor, index
-
-
-@lru_cache(maxsize=2)
-def _sketch_tables(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """p and the factor tables of the sketch sums of one sign (+1 or -1)
-    at q: M[s, j] = T+-[s j mod mod] for s < mod and j = 0..q//2, and
-    the first factor's table, M times the weight of frequency j.  Both
-    are gathered from the factor vector of _sketch_factors(q), with
-    T+-[u] = T[u] +- T[-u]."""
-    p, fwd, index = _sketch_factors(q)
-    mod = len(fwd)
-    table = ((fwd + sign * fwd[-np.arange(mod) % mod]) % p)[index]  # M[s, j]
-    j = np.arange(q // 2 + 1)
-    first = table * np.where((j == 0) | (2 * j == q), 1, 2)
-    first -= p * (first >= p)  # weight * M < 2p
-    table.flags.writeable = first.flags.writeable = False
-    return p, table, first
+    factor.flags.writeable = False
+    return p, factor
 
 
 def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
@@ -473,20 +455,30 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     m), and the sum runs over j = 0..q//2 with weight 2 on
     j = 1..(q-1)//2 and weight 1 on j = 0 and on j = q/2.  (For odd m the
     minus terms j and q - j cancel: the minus sum is 0, and
-    sketch_survivors never asks for it.)  Each factor is gathered from
-    one table of _sketch_tables(q, sign), the first at row s_1 + h q.
+    sketch_survivors never asks for it.)  Each call gathers the table
+    M[s, j] = T+-[s j mod mod] (s < mod, j = 0..q//2) of its sign from
+    the factor vector of _sketch_factors(q), so a sign's table exists
+    only while the stage that reads it runs; each factor is read from
+    M, the first at row s_1 + h q.
 
-    p < 2^31 for any q whose T table fits in memory, so products of two
-    residues stay below 2^62 and int64 is exact."""
-    p, table, first = _sketch_tables(q, sign)
+    p < 2^31 for any q whose factor vector fits in memory, so products
+    of two residues stay below 2^62 and int64 is exact.  A block's row
+    sums at most q//2 + 1 residues, so the weighted sum, twice the row
+    sum less its terms j = 0 and j = q/2, stays far below 2^63."""
+    p, fwd = _sketch_factors(q)
+    u, j = np.arange(len(fwd)), np.arange(q // 2 + 1)
+    table = ((fwd + sign * fwd[-u % len(u)]) % p)[u[:, None] * j % len(u)]  # M[s, j]
     sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
-        acc = first[s[block, 0] + q * h[block]]
+        acc = table[s[block, 0] + q * h[block]]
         for col in s[block, 1:].T:
             acc *= table[col]
             acc %= p
-        sums[block] = acc.sum(axis=1) % p
+        weighted = 2 * acc.sum(axis=1) - acc[:, 0]
+        if q % 2 == 0:
+            weighted -= acc[:, -1]
+        sums[block] = weighted % p
     return sums
 
 
@@ -506,7 +498,7 @@ def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:
     only rows that share it on both: the minus sum first when oriented
     with even m (a space and its mirror image share the plus sum), the
     plus sum otherwise, and alone for odd m (the minus sum is 0).  A
-    sign's factor table is built only when its stage runs."""
+    sign's table is gathered only by the stage that reads it."""
     if mode not in ("oriented", "unoriented"):
         raise ValueError(f"unknown mode {mode!r}")
     s, h = rows[:, :-1], rows[:, -1]
@@ -518,7 +510,7 @@ def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:
     if m % 2 == 0 and len(pick):
         x = _sketch_sums(q, s[pick], h[pick], second)
         if mode == "unoriented":
-            p = _sketch_tables(q, second)[0]
+            p = _sketch_factors(q)[0]
             x = np.minimum(x, p - x)
         # sketch sums are residues below 2^31, so both make one int64 key
         # (were they not, keys could only merge buckets: more full tables,
@@ -542,10 +534,9 @@ def count(x: SpinLensSpace, parity: int, k: int) -> int:
 
 
 def clear_caches() -> None:
-    """Drop memoized half tables, count tables and sketch factor tables.
-    Every one is keyed by q, so run_census calls this when each q
-    finishes; tests call it to start cold."""
+    """Drop the three caches: half tables, count tables and the sketch
+    factor vector.  Every one is keyed by q, so run_census calls this
+    when each q finishes; tests call it to start cold."""
     _half_table.cache_clear()
     _full_table.cache_clear()
     _sketch_factors.cache_clear()
-    _sketch_tables.cache_clear()

@@ -159,9 +159,10 @@ def run_census(n: int, q_range: Iterable[int],
     become spaces and get fingerprint(), in enumeration order, and
     CensusResult.fingerprints counts them.
 
-    Every half, full and sketch table is keyed by q, so none is reused
-    at another q: the table caches are cleared (lattice.clear_caches)
-    when each q finishes, so a long sweep holds the tables of one q.
+    Every half and full table and the sketch factor vector are keyed by
+    q, so none is reused at another q: the lattice caches are cleared
+    (lattice.clear_caches) when each q finishes, so a long sweep holds
+    the tables of one q.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []

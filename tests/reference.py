@@ -1,8 +1,8 @@
 """Reference helpers the tests compare the package against: the
 congruence lattice of a spin lens space, membership and levels of single
 points, transport of a point along a witness, the units mod q,
-witnesses between bare lens spaces, and the sketch factor tables built
-term by term.  The package never builds a lattice:
+witnesses between bare lens spaces, and the sketch factors and tables
+built term by term.  The package never builds a lattice:
 it reads its tables off the space's spin key.
 
 Like the package, these raise errors rather than assert, so that their
@@ -111,8 +111,8 @@ def find_lens_isometry(a: LensParams, b: LensParams, mode: IsoMode = "any"
     return next((w for w in _witnesses(a, b) if w.orientation in allowed), None)
 
 
-def sketch_tables_by_exponents(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """lattice._sketch_tables term by term: every factor
+def sketch_factors_by_exponents(q: int) -> tuple[int, np.ndarray]:
+    """lattice._sketch_factors term by term: p and every factor
     T[u] = sum_{e<q} z0^e w^(u(2e+1)) summed from a (mod x q) matrix of
     exponents, with each power of w and of z0 = lattice._SKETCH_POINT
     from its own pow."""
@@ -122,7 +122,16 @@ def sketch_tables_by_exponents(q: int, sign: int) -> tuple[int, np.ndarray, np.n
     w = np.array([pow(omega, t, p) for t in range(mod)], dtype=np.int64)
     z = np.array([pow(lattice._SKETCH_POINT, e, p) for e in range(q)], dtype=np.int64)
     exps = np.arange(mod)[:, None] * (2 * np.arange(q) + 1) % mod
-    fwd = (w[exps] * z % p).sum(axis=1)  # sum_e z0^e w^(u(2e+1))
+    return p, (w[exps] * z % p).sum(axis=1) % p  # sum_e z0^e w^(u(2e+1))
+
+
+def sketch_tables_by_exponents(q: int, sign: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """p and the sketch tables of one sign from the term-by-term factors:
+    M[s, j] = T+-[s j mod mod] for s < mod and j = 0..q//2, with
+    T+-[u] = T[u] +- T[-u], and the first factor's table, M times the
+    weight of frequency j (1 at j = 0 and j = q/2, else 2) mod p."""
+    p, fwd = sketch_factors_by_exponents(q)
+    mod = len(fwd)
     bwd = fwd[-np.arange(mod) % mod]  # the same sum at -u
     j = np.arange(q // 2 + 1)
     table = ((fwd + sign * bwd) % p)[np.arange(mod)[:, None] * j % mod]  # M[s, j]

@@ -10,7 +10,7 @@ import pytest
 from lensdirac import cli, lattice
 from lensdirac.cli import main
 from lensdirac.lens import format_spin_lens, spin_space
-from lensdirac.search import FORMAT_VERSION, load_results
+from lensdirac.search import FORMAT_VERSION, VerificationFailed, load_results
 from lensdirac.spectrum import spectrum_table
 
 
@@ -326,6 +326,17 @@ def test_family_mirror_even_scale_two_pairs(capsys):
                   if ln.startswith("L(98;") and "|" in ln]
     assert len(pair_lines) == 2
     assert "verification passed" in out
+
+
+def test_family_verify_failure_exits_one(capsys, monkeypatch):
+    def fail(members):
+        raise VerificationFailed("members are not isospectral")
+
+    monkeypatch.setattr(cli, "verify_family", fail)
+    code, out, _ = run(capsys, "family", "tower", "-r", "1", "--verify")
+    assert code == 1
+    assert "verification FAILED: members are not isospectral" in out
+    assert "verification passed" not in out
 
 
 def test_family_aliases(capsys):

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from reference import (
     point_level,
     point_neg_parity,
     point_norm2,
+    sketch_factors_by_exponents,
     sketch_tables_by_exponents,
     units,
 )
@@ -423,24 +425,42 @@ def test_sketches_of_many_lattices_match_one_at_a_time(monkeypatch):
 
 
 def test_sketch_factors_match_the_exponent_build():
-    """The factor tables built in O(q) (geometric sums, running powers of
-    w, one batch inversion) equal the term-by-term build: q = 1..200,
-    both signs."""
+    """The factor vector built in O(q) (geometric sums, running powers of
+    w, one batch inversion) equals the term-by-term build for q = 1..200,
+    and the sketch sums, which gather each sign's table per call and
+    weight the frequencies as they sum, equal the reference tables'
+    weighted products sum_j first[s_1 + q h, j] M[s_2, j] mod p: every
+    residue pair (s_1, s_2) at q <= 60, both labels at even q, and a
+    seeded sample of pairs up to q = 200, both signs.  Together these
+    read every entry of M and every weight of first."""
     for q in range(1, 201):
+        p, factor = lattice._sketch_factors.__wrapped__(q)
+        want_p, want = sketch_factors_by_exponents(q)
+        assert p == want_p, q
+        assert factor.dtype == np.int64 and not factor.flags.writeable, q
+        assert np.array_equal(factor, want), q
+    rng = random.Random(2727)
+    for q in [*range(1, 61), *sorted(rng.sample(range(61, 201), 16))]:
+        if q <= 60:
+            s = np.array(list(product(range(q), repeat=2)), dtype=np.int64)
+        else:
+            s = np.array([[rng.randrange(q), rng.randrange(q)] for _ in range(300)],
+                         dtype=np.int64)
         for sign in (1, -1):
-            p, table, first = lattice._sketch_tables.__wrapped__(q, sign)
-            want_p, want_table, want_first = sketch_tables_by_exponents(q, sign)
-            assert p == want_p, (q, sign)
-            assert table.dtype == first.dtype == np.int64, (q, sign)
-            assert np.array_equal(table, want_table), (q, sign)
-            assert np.array_equal(first, want_first), (q, sign)
+            p, table, first = sketch_tables_by_exponents(q, sign)
+            for h in (0, 1) if q % 2 == 0 else (0,):
+                want = (first[s[:, 0] + q * h] * table[s[:, 1]] % p).sum(axis=1) % p
+                got = lattice._sketch_sums(q, s, np.full(len(s), h), sign)
+                assert np.array_equal(got, want), (q, sign, h)
+    clear_caches()
 
 
 def test_sketch_factors_where_a_denominator_vanishes(monkeypatch):
     """With z0 = w^(-2u) the geometric sum of factor u has denominator 0,
-    and the factor is w^u q.  The tables still equal the term-by-term
-    build, and the sketch sums still equal those of the full tables at
-    that point: q = 1, 2 and odd and even q, u = 0, 1 and q // 2 + 1."""
+    and the factor is w^u q.  The factor vector still equals the
+    term-by-term build, and the sketch sums still equal those of the full
+    tables at that point: q = 1, 2 and odd and even q, u = 0, 1 and
+    q // 2 + 1."""
     rng = random.Random(2626)
     try:
         for q in (1, 2, 3, 4, 7, 9, 12, 40, 49):
@@ -450,18 +470,16 @@ def test_sketch_factors_where_a_denominator_vanishes(monkeypatch):
             for u in (0, 1, q // 2 + 1):
                 monkeypatch.setattr(lattice, "_SKETCH_POINT", pow(omega, -2 * u, p))
                 clear_caches()
-                for sign in (1, -1):
-                    got = lattice._sketch_tables(q, sign)
-                    want = sketch_tables_by_exponents(q, sign)
-                    assert got[0] == want[0], (q, u, sign)
-                    assert np.array_equal(got[1], want[1]), (q, u, sign)
-                    assert np.array_equal(got[2], want[2]), (q, u, sign)
+                got_p, got = lattice._sketch_factors(q)
+                want_p, want = sketch_factors_by_exponents(q)
+                assert got_p == want_p, (q, u)
+                assert np.array_equal(got, want), (q, u)
                 for m in (2, 4):
                     x = random_spin_space(rng, q, m)
                     plus, minus = sketch_of_table(x)
                     assert both_sums(*sketch_args([x])) == ([plus], [minus]), (x, u)
     finally:
-        clear_caches()  # the tables of the patched point must not outlive it
+        clear_caches()  # the factors of the patched point must not outlive it
 
 
 def full_sketches(q, s, h):
@@ -754,6 +772,24 @@ def test_table_products_run_on_one_blas_thread(monkeypatch):
     reduced_counts(spin_space(81, (1, 8, 19, 37)))
     assert seen and set(seen) == {1}
     assert get() == before
+
+
+def test_blas_threads_is_none_without_openblas(monkeypatch):
+    """No thread-count functions when numpy's core extension cannot be
+    loaded, nor when it exports none of OpenBLAS's."""
+    def unloadable(path):
+        raise OSError(f"cannot load {path}")
+
+    lattice._blas_threads.cache_clear()
+    try:
+        monkeypatch.setattr(lattice.ctypes, "CDLL", unloadable)
+        assert lattice._blas_threads() is None
+        lattice._blas_threads.cache_clear()
+        monkeypatch.setattr(lattice.ctypes, "CDLL", lambda path: SimpleNamespace())
+        assert lattice._blas_threads() is None
+    finally:
+        monkeypatch.undo()
+        lattice._blas_threads.cache_clear()
 
 
 def test_serial_blas_restores_after_overlapping_blocks(monkeypatch):

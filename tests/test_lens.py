@@ -160,6 +160,17 @@ def test_witness_verify_rejects_eps_of_the_wrong_length():
     assert IsometryWitness(1, (0, 1), (1, 1), 0).verify(x, x, "preserving")
 
 
+def test_witness_verify_rejects_other_shapes_and_eps_values():
+    # a witness maps spaces of one q and one m, and every eps_j is a sign
+    x = spin_space(7, (1, 2))
+    identity = IsometryWitness(1, (0, 1), (1, 1), 0)
+    assert identity.verify(x, x)
+    assert not identity.verify(x, spin_space(9, (1, 2)))
+    assert not identity.verify(x, spin_space(7, (1, 2, 3)))
+    assert not IsometryWitness(1, (0, 1), (1, 2), 0).verify(x, x)
+    assert not IsometryWitness(1, (0, 1), (0, -1), 0).verify(x, x)
+
+
 def test_witness_with_broken_assignment_raises(monkeypatch):
     # an assignment that does not send l*eps_j*s_j to the matched
     # parameter mod q has no spin shift

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import random
 from dataclasses import replace
 from itertools import combinations, product
@@ -332,32 +333,26 @@ def test_oriented_even_m_census_buckets_on_minus_sums_first(monkeypatch):
 
 def test_sketch_tables_of_a_sign_are_built_only_when_read(monkeypatch):
     """Odd m never reads the minus sum, and a census whose plus sums never
-    collide runs no minus stage: neither builds a T- factor table."""
-    signs, real = [], lattice._sketch_tables
-
-    def spy(q, sign):
-        signs.append(sign)
-        return real(q, sign)
-
-    spy.cache_clear = real.cache_clear  # run_census clears it after each q
-    monkeypatch.setattr(lattice, "_sketch_tables", spy)
+    collide runs no minus stage: neither gathers a T- table, which only
+    _sketch_sums builds, for the sign it sums."""
+    calls = spy_sketch_sums(monkeypatch)
     for mode in ("oriented", "unoriented"):
         assert run_census(9, [23], mode)[0].fingerprints == 3
     assert run_census(7, [29])[0].classes == 172
+    signs = [sign for _, sign, _ in calls]
     assert signs and set(signs) == {1}
     # where plus sums collide, the minus stage builds T- and reads it
     assert run_census(7, [49])[0].fingerprints == 2
-    assert -1 in signs
+    assert -1 in [sign for _, sign, _ in calls]
 
 
 def test_census_clears_the_table_caches_after_each_q():
     """Half, full and sketch tables are keyed by q, so run_census drops
-    them when each q finishes.  q = 40 and 41 build sketch tables only;
+    them when each q finishes.  q = 40 and 41 build sketch factors only;
     q = 49 fingerprints two classes, so it builds full and half tables."""
     results = run_census(7, [40, 41, 49])
     assert results[-1].fingerprints == 2
-    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_factors,
-                   lattice._sketch_tables):
+    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_factors):
         assert cached.cache_info().currsize == 0, cached
 
 
@@ -577,6 +572,18 @@ def test_saved_file_is_the_encoders_bytes_in_one_write(tmp_path, monkeypatch):
     assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
 
 
+def test_write_steps_past_a_taken_temporary_name(tmp_path):
+    """A temporary name already on disk is left alone; the write takes
+    the next one, and the target gets the new bytes."""
+    target = tmp_path / "out.txt"
+    taken = tmp_path / f".out.txt.{os.getpid()}-0.tmp"
+    taken.write_text("not ours")
+    search._write_atomically(str(target), lambda fh: fh.write("new bytes"))
+    assert target.read_text() == "new bytes"
+    assert taken.read_text() == "not ours"
+    assert sorted(path.name for path in tmp_path.iterdir()) == [taken.name, target.name]
+
+
 def test_saved_document_shape(tmp_path):
     path = tmp_path / "census.json"
     save_results(run_census(7, [49]), str(path))
@@ -669,6 +676,18 @@ def test_load_rejects_member_shape_mismatches(tmp_path):
     doc["censuses"][0]["families"][0]["members"] = [
         {"q": 6, "s": [1, 2], "spin": "h0"}, {"q": 6, "s": [1, 5], "spin": "h0"}]
     with pytest.raises(FormatError, match=r"s\[1\] = 2 is not coprime to q = 6$"):
+        load_results(_write_doc(tmp_path, doc))
+
+
+def test_load_rejects_a_census_or_member_of_the_wrong_kind(tmp_path):
+    doc = _census_doc()
+    doc["censuses"].append([7, 49])
+    with pytest.raises(FormatError, match=r"census\[1\]: not an object"):
+        load_results(_write_doc(tmp_path, doc))
+
+    doc = _census_doc()
+    del doc["censuses"][0]["families"][0]["members"][1]["spin"]
+    with pytest.raises(FormatError, match=r"families\[0\]: member missing field 'spin'"):
         load_results(_write_doc(tmp_path, doc))
 
 

@@ -283,6 +283,19 @@ def test_mismatched_shapes_are_never_isospectral():
     assert not dirac_isospectral(a, c)
 
 
+
+def test_mismatched_shapes_are_never_inverse_isospectral(monkeypatch):
+    """Spaces of different q or m are decided before any sketch or table."""
+    calls = []
+    full_table = lattice._full_table
+    monkeypatch.setattr(lattice, "_full_table",
+                        lambda *key: calls.append(key) or full_table(*key))
+    a = spin_space(7, (1, 2))
+    for other in (spin_space(9, (1, 2)), spin_space(7, (1, 2, 3))):
+        assert not inverse_isospectral(a, other)
+        assert not inverse_isospectral(other, a)
+    assert calls == []
+
 def test_fingerprint_digests_group_correctly():
     a = spin_space(49, (1, 6, 8, 22))
     b = spin_space(49, (1, 6, 8, 20))
