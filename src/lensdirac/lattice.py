@@ -58,6 +58,19 @@ the contraction only past one limb.  The products are small
 (161 x 41 x 161 on the dimension-7 census at q = 81), so they run on the
 calling thread alone (_serial_blas).
 
+Fixed costs.  Most tables are small (q <= 100 with a few thousand
+entries per half table), and each is built cold, so a step's fixed cost
+outweighs its work.  numpy's Python-level helpers (tile, repeat, stack,
+array_equal, where, zeros_like) cost 60-115 us on a first call after
+other work has evicted the caches, and unique with inverse and counts
+260-360 us, against about 20 us for a C entry point such as take or
+bincount.  So the table kernel, the sketch sums and the verdict gate use
+C-level steps only: index vectors from arange and concatenate, cumsums
+in place, bool weights in arithmetic, reductions by ufunc, and int64
+residues as x - x // d * d, which takes numpy's fast path for division
+by a scalar and costs half of x % d on arrays of a thousand entries or
+more.
+
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
 under k -> m(q-1) - k, or a half table that does not repeat itself
@@ -75,7 +88,6 @@ from __future__ import annotations
 
 import ctypes
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from hashlib import sha256
@@ -111,15 +123,17 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
     the coordinates s_half (a_j = 2 b_j + 1): u = sum b_j s_j mod q,
     e = sum e_j with e_j = b_j for b_j >= 0 and -b_j - 1 below, parity =
     #[b_j < 0] mod 2.  The first two coordinates are enumerated, each
-    further one is added as a window sum over levels."""
+    further one is added as a window sum over levels, in place on the
+    sign +1 gather (module docstring, "Fixed costs")."""
     width = len(s_half) * (q - 1) + 1
     # the first two coordinates: every choice of b, summed outright and
     # counted by one bincount over 2q rows u1 + u2, whose upper half then
     # wraps onto the lower.  The codes u * 2 width + 2 e + parity of the
     # two coordinates add up, except that b2 < 0 flips the parity of b1.
     e = np.arange(q)
-    lev, neg = np.tile(2 * e, 2), np.repeat([0, 1], q)
-    codes = [np.concatenate([e, -e - 1]) * s % q * 2 * width + lev for s in s_half[:2]]
+    b, lev = np.concatenate([e, -e - 1]), np.concatenate([e, e]) * 2
+    neg = np.arange(2 * q) // q
+    codes = [b * s % q * 2 * width + lev for s in s_half[:2]]
     if len(codes) == 2:
         first, second = codes
         flat = np.concatenate([np.add.outer(first + neg, second[:q]),
@@ -138,18 +152,23 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
     # level e, every choice of e' lands on the same row, so the q sizes
     # are a window of q consecutive levels: one cumsum and one difference.
     # Row indices below 2q wrap through one lookup instead of a % q.
+    # Sign -1 moves the parity, so its counts add crosswise, column 0 to
+    # column 1 and 1 to 0, onto the sign +1 gather.
     rows, lev = np.arange(q)[:, None], np.arange(width)
-    wrap = np.tile(np.arange(q) * width, 2)
+    wrap = np.concatenate([e, e]) * width
     for s in s_half[2:]:
-        new = np.zeros_like(table)
         for sign in (1, -1):
             step, offset = sign * s, (sign - 1) // 2 * s
             skew = table.take(wrap[rows + step * lev % q] + lev, axis=0)
-            acc = np.cumsum(skew, axis=1)
-            acc[:, q:] -= acc[:, :-q].copy()
+            np.cumsum(skew, axis=1, out=skew)
+            skew[:, q:] -= skew[:, :-q].copy()
             back = wrap[rows + (-step * lev - offset) % q] + lev
-            acc = acc.reshape(-1, 2).take(back.ravel(), axis=0)
-            new += acc if sign == 1 else acc[:, ::-1]
+            acc = skew.reshape(-1, 2).take(back.ravel(), axis=0)
+            if sign == 1:
+                new = acc
+            else:
+                new[:, 0] += acc[:, 1]
+                new[:, 1] += acc[:, 0]
         table = new
     table = table.reshape(q, width, 2)
     table.flags.writeable = False
@@ -164,7 +183,7 @@ def _check_reflection(table: np.ndarray, q: int, s_half: tuple[int, ...]) -> Non
     image = table[(-np.arange(q) - sum(s_half)) % q]
     if len(s_half) % 2:
         image = image[:, :, ::-1]
-    if not np.array_equal(table, image):
+    if not (table == image).all():
         raise ArithmeticError(f"half table for q={q}, s={s_half} is not "
                               "symmetric under b -> -b - 1")
 
@@ -205,7 +224,11 @@ def _parity_sums(t: np.ndarray, signs: int) -> np.ndarray:
     """X_even + X_odd of a table X[..., parity], stacked over
     X_even - X_odd when signs is 2."""
     even, odd = t[..., 0], t[..., 1]
-    return np.stack([even + odd, even - odd] if signs == 2 else [even + odd])
+    out = np.empty((signs, *even.shape), dtype=t.dtype)
+    np.add(even, odd, out=out[0])
+    if signs == 2:
+        np.subtract(even, odd, out=out[1])
+    return out
 
 
 # the (get, set) thread-count functions of the OpenBLAS builds numpy ships
@@ -243,8 +266,7 @@ def _blas_threads() -> Optional[tuple[Callable[[], int], Callable[[int], None]]]
     return None
 
 
-@contextmanager
-def _serial_blas() -> Iterator[None]:
+class _serial_blas:
     """Run the BLAS calls of the block on one thread, then restore the
     thread count (once the last of any overlapping blocks ends).
 
@@ -254,25 +276,30 @@ def _serial_blas() -> Iterator[None]:
     shared cores, beside one busy process, the dimension-7 census at
     q = 75..81 took a median 0.116 s (up to 0.198 s) on OpenBLAS's
     default 2 threads and 0.077 s (up to 0.088 s) on one; alone, both
-    took about 0.08 s.  With another BLAS this does nothing."""
-    global _serial_users, _serial_saved
-    threads = _blas_threads()
-    if threads is None:
-        yield
-        return
-    get, put = threads
-    with _serial_lock:
-        if _serial_users == 0:
-            _serial_saved = get()
-            put(1)
-        _serial_users += 1
-    try:
-        yield
-    finally:
-        with _serial_lock:
-            _serial_users -= 1
-            if _serial_users == 0:
-                put(_serial_saved)
+    took about 0.08 s.  With another BLAS this does nothing.
+
+    A class, because a @contextmanager generator's set-up costs more
+    than the products of a small table."""
+
+    __slots__ = ("_threads",)
+
+    def __enter__(self) -> None:
+        global _serial_users, _serial_saved
+        self._threads = threads = _blas_threads()
+        if threads is not None:
+            with _serial_lock:
+                if _serial_users == 0:
+                    _serial_saved = threads[0]()
+                    threads[1](1)
+                _serial_users += 1
+
+    def __exit__(self, *exc) -> None:
+        global _serial_users
+        if self._threads is not None:
+            with _serial_lock:
+                _serial_users -= 1
+                if _serial_users == 0:
+                    self._threads[1](_serial_saved)
 
 
 def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
@@ -291,9 +318,11 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     signs is 2; otherwise it is 0.
 
     Each side's parity sums are cut into signed w-bit limbs (_limbs,
-    _limb_width).  For each pair of limbs and each sign, one float64 product of rows A[ea, u] against
-    weighted rows B[u, eb] writes the (ea, eb) block into rows of ka + kb
-    entries of which the last ka stay zero.  Rereading that buffer with
+    _limb_width); when one limb holds the total, each side is its own
+    limb, with no magnitude scan.  For each pair of limbs and each sign,
+    one float64 product of rows A[ea, u] against weighted rows B[u, eb]
+    writes the (ea, eb) block into rows of ka + kb entries of which the
+    last ka stay zero.  Rereading that buffer with
     rows one entry shorter shifts row ea right by ea, so the antidiagonal
     ea + eb = k becomes column k and an int64 sum down the rows finishes
     it.  Limbs i and j add that sum shifted left by w (i + j), as
@@ -303,23 +332,28 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     kb = tb.shape[1]
     u = np.arange(q)
     keep = u <= mirror
-    weight = np.where(u == mirror, 1.0, 2.0)[keep, None]
+    weight = (2.0 - (u == mirror))[keep][:, None]
     w = _limb_width(q, ka, total)
+    # one limb that holds the total holds every count and every sum; no
+    # half table entry needs a scan, being at most (2q)^(m-1) < total
+    one_limb = total >> w == 0
+
+    def cut(t: np.ndarray) -> Iterator[np.ndarray]:
+        return iter((t,)) if one_limb else _limbs(t, w)
+
     left = [limb.transpose(0, 2, 1).astype(np.float64, order="C")
-            for limb in _limbs(_parity_sums(ta[keep], signs), w)]
+            for limb in cut(_parity_sums(ta[keep], signs))]
     right = [limb.astype(np.float64) * weight
-             for limb in _limbs(_parity_sums(tb[(c - u[keep]) % q], signs), w)]
+             for limb in cut(_parity_sums(tb[(c - u[keep]) % q], signs))]
     skew = np.zeros((ka, ka + kb))
     fold = skew.reshape(-1)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1)
-    # one limb that holds the total holds every count and every sum
-    one_limb = total >> w == 0
     out = np.zeros((2, ka + kb - 1), dtype=np.int64 if one_limb else object)
     with _serial_blas():
         for j, lb in enumerate(right):
             for i, la in enumerate(left):
                 for sign in range(signs):
                     np.matmul(la[sign], lb[sign], out=skew[:, :kb])
-                    part = fold.sum(axis=0, dtype=np.int64)
+                    part = np.add.reduce(fold, axis=0, dtype=np.int64)
                     out[sign] += part if one_limb else part.astype(object) << w * (i + j)
     return out
 
@@ -466,15 +500,20 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     sums at most q//2 + 1 residues, so the weighted sum, twice the row
     sum less its terms j = 0 and j = q/2, stays far below 2^63."""
     p, fwd = _sketch_factors(q)
-    u, j = np.arange(len(fwd)), np.arange(q // 2 + 1)
-    table = ((fwd + sign * fwd[-u % len(u)]) % p)[u[:, None] * j % len(u)]  # M[s, j]
+    mod = len(fwd)
+    u, j = np.arange(mod), np.arange(q // 2 + 1)
+    # x - x // d * d is x % d for d > 0, at half the cost on the O(q^2)
+    # index table and on the blocks
+    index = u[:, None] * j
+    index -= index // mod * mod
+    table = ((fwd + sign * fwd[-u % mod]) % p)[index]  # M[s, j]
     sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
         acc = table[s[block, 0] + q * h[block]]
         for col in s[block, 1:].T:
             acc *= table[col]
-            acc %= p
+            acc -= acc // p * p
         weighted = 2 * acc.sum(axis=1) - acc[:, 0]
         if q % 2 == 0:
             weighted -= acc[:, -1]
@@ -483,9 +522,18 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
 
 
 def _shared(keys: np.ndarray) -> np.ndarray:
-    """Whether each key equals another one."""
-    _, bucket, size = np.unique(keys, return_inverse=True, return_counts=True)
-    return size[bucket] > 1
+    """Whether each key equals another one: equal neighbours in sorted
+    order, flagged on both sides (one argsort; np.unique with inverse
+    and counts costs twice as much cold, module docstring)."""
+    order = keys.argsort(kind="stable")
+    ranked = keys[order]
+    same = ranked[1:] == ranked[:-1]
+    flag = np.zeros(len(keys), dtype=bool)
+    flag[1:] = same
+    flag[:-1] |= same
+    shared = np.empty_like(flag)
+    shared[order] = flag
+    return shared
 
 
 def sketch_survivors(q: int, rows: np.ndarray, mode: KeyMode) -> list[int]:

@@ -380,20 +380,23 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
     even numbers of sign flips: after an odd number of folds the largest
     entry is unfolded, as q - g >= q/2 still sorts last.  Odd m is
     amphichiral and takes the unoriented path ("Candidate units").  At
-    q = 2 the free flip makes every unoriented label 0.
+    q = 2 the free flip makes every unoriented label 0.  One floor
+    division per unit gives both the residue, prod - quot q (half the
+    cost of prod % q), and the transport parity, the quotient's row sum.
     """
     S = np.asarray(S, dtype=np.int64)
     spin = np.asarray(h, dtype=np.int64)
     best = np.full((len(S), S.shape[1] + 1), q, dtype=np.int64)
     for ell in _candidate_ells(S, q).T:
         prod = ell[:, None] * S
-        v = prod % q
+        quot = prod // q
+        v = prod - quot * q
         tup = np.minimum(v, q - v)
         folds = (tup != v).sum(axis=1)
         tup.sort(axis=1)
         # each sign flip moves the transport parity by one, and the
         # oriented tuple always carries an even number of them
-        label = spin + (prod // q).sum(axis=1)
+        label = spin + quot.sum(axis=1)
         if mode == "unoriented" or S.shape[1] % 2:
             label += folds
         else:
@@ -408,7 +411,10 @@ def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
 
 
 def _fold_below(x: np.ndarray, bound: np.ndarray, q: int) -> np.ndarray:
-    """Rowwise: is the folded residue of x mod q below bound?"""
+    """Rowwise: is the folded residue of x mod q below bound?  x % q,
+    not x - x // q * q as in _canonical_rows: the candidate columns hold
+    a few hundred entries at census sizes, where one ufunc call costs
+    less than three."""
     v = x % q
     return (v < bound) | (v > q - bound)
 

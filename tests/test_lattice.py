@@ -697,6 +697,15 @@ RECORDED_DIGESTS = {
     "odd-m5": (
         spin_space(9, (1, 2, 4, 5, 7)), np.int64,
         "c43fa7bec029df47fc4b1ec3735e5bd984105dc8a071cefe2d206a36f79fc7ef"),
+    # recorded before the half tables and the contraction dropped numpy's
+    # Python-level helpers (tile, repeat, stack, where, zeros_like)
+    "one-limb-q97-m4": (
+        spin_space(97, (1, 8, 19, 37)), np.int64,
+        "9523fd88ed1b7b0b1fe0ce677c52d22ef3510dffabc37e34d9c090009ff94f38"),
+    # each half table totals 80^12 > 2^63, so it is built on Python integers
+    "object-halves-q40-m24": (
+        spin_space(40, (1, 11) * 12, "h0"), object,
+        "0ae61ed5eae2f46101482cc87b612a1b3c774a303c9c7c09e0be3c2c7cb88b31"),
 }
 
 
@@ -720,6 +729,9 @@ def test_rows_hold_python_integers_on_every_path(monkeypatch, name):
     assert seen == [dtype]
     assert {type(v) for row in table.rows for v in row} == {int}
     assert table.digest() == digest
+    sn = tuple(sorted(x.lens.normalized()))
+    halves = [lattice._half_table(x.q, half) for half in (sn[: x.m // 2], sn[x.m // 2:])]
+    assert all((half.dtype == object) == name.startswith("object") for half in halves)
     clear_caches()
 
 
@@ -815,3 +827,52 @@ def test_serial_blas_restores_after_overlapping_blocks(monkeypatch):
     monkeypatch.setattr(lattice, "_blas_threads", lambda: None)
     with lattice._serial_blas():
         assert state["threads"] == 4
+
+
+def test_serial_blas_restores_across_nested_blocks(monkeypatch):
+    """A block inside a block keeps one thread until the outer one ends,
+    and a raise in the inner block still restores the caller's count once
+    the outer block is left."""
+    state = {"threads": 3}
+    monkeypatch.setattr(lattice, "_blas_threads", lambda: (
+        lambda: state["threads"], lambda n: state.update(threads=n)))
+    with lattice._serial_blas():
+        with lattice._serial_blas():
+            assert state["threads"] == 1
+        assert state["threads"] == 1
+    assert state["threads"] == 3
+    with pytest.raises(KeyError):
+        with lattice._serial_blas():
+            with lattice._serial_blas():
+                raise KeyError("inner")
+    assert state["threads"] == 3
+    assert lattice._serial_users == 0
+
+
+def _shared_by_unique(keys):
+    """_shared's definition: keys whose value occurs more than once."""
+    _, bucket, size = np.unique(keys, return_inverse=True, return_counts=True)
+    return size[bucket] > 1
+
+
+@pytest.mark.parametrize("keys", [
+    [],
+    [7],
+    [5, 5, 5, 5],
+    [3, 1, 4, 2, 9],
+    [-3, 8, -3, 0, -1 << 40, 8, -1 << 40, 2],
+    [(1 << 62) + 1, 1 << 62, (1 << 62) + 1, (1 << 62) - 1, (1 << 63) - 1, 1 << 62],
+], ids=["empty", "one", "all-equal", "all-distinct", "negative", "near-2^62"])
+def test_shared_matches_the_unique_definition(keys):
+    keys = np.array(keys, dtype=np.int64)
+    got = lattice._shared(keys)
+    assert got.dtype == bool and got.shape == keys.shape
+    assert got.tolist() == _shared_by_unique(keys).tolist()
+
+
+def test_shared_matches_the_unique_definition_on_seeded_keys():
+    rng = np.random.default_rng(5)
+    for size in (2, 3, 50, 1000):
+        for spread in (2, size, 1 << 62):
+            keys = rng.integers(-spread, spread, size=size)
+            assert lattice._shared(keys).tolist() == _shared_by_unique(keys).tolist()

@@ -74,3 +74,30 @@ def test_package_names_have_a_caller():
                     and node.name not in others | outside | _uses(tree, skip=node)):
                 unused.append(f"{name}:{node.name}")
     assert not unused, f"package names with no caller outside the tests: {unused}"
+
+
+# numpy's Python-level helpers cost tens of microseconds each on a cold
+# call, more than the small arrays they touch; the table kernel, the
+# verdict gate and the census reductions keep to C-level steps
+_SLOW_NUMPY = {"tile", "repeat", "stack", "array_equal", "unique", "where", "zeros_like"}
+_HOT_PATHS = {
+    "lattice.py": {"_half_table", "_check_reflection", "_limbs", "_parity_sums",
+                   "_serial_blas", "_contract", "_full_table", "_sketch_sums",
+                   "_shared", "sketch_survivors"},
+    "lens.py": {"_canonical_rows", "_fold_below"},
+}
+
+
+def test_hot_paths_call_no_python_level_numpy_helpers():
+    found, seen = [], set()
+    for name, functions in _HOT_PATHS.items():
+        tree = ast.parse((PACKAGE_DIR / name).read_text(), filename=name)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name in functions:
+                seen.add(node.name)
+                found += [f"{name}:{call.lineno} np.{call.attr} in {node.name}"
+                          for call in ast.walk(node)
+                          if isinstance(call, ast.Attribute) and call.attr in _SLOW_NUMPY
+                          and isinstance(call.value, ast.Name) and call.value.id == "np"]
+    assert seen == set().union(*_HOT_PATHS.values())
+    assert not found, found
