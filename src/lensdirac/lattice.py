@@ -33,16 +33,23 @@ coordinates: a_j = 2 b_j + 1 with b_j in [-q, q) (the paper's
 -b_j - 1 for a_j < 0.  The congruence becomes sum_j b_j s_j == c (mod q)
 with c = (target - sum s_j)/2 for even q and (target - sum s_j) 2^-1 for
 odd q, so each half of the coordinates gets a dense table
-H[u, e, parity] over residues u mod q, which counts the first two
-coordinates' choices outright and adds each further coordinate as a
-window sum over levels (int64 while its total (2q)^n fits, Python
-integers beyond).
+H[u, e, parity] over residues u mod q (int64 while its total (2q)^n
+fits, Python integers beyond).  Its entries have two symmetries.
+b -> -b - 1 on every coordinate keeps e, moves the parity by n and
+sends u to -u - sigma (sigma = the sum of the half's s_j):
+H[u, e, par] = H[-u - sigma, e, par + n].  b -> b - q for b >= 0 and
+b + q below keeps u, moves the parity by n and sends e to n(q-1) - e:
+H[u, e, par] = H[u, n(q-1) - e, par + n], each row a palindrome.  The
+build counts only the choices whose last coordinate has b >= 0, and
+gets the others as their images under the first map, so the first
+symmetry holds by construction: the first two coordinates are counted
+outright, 2q^2 pairs, and each further one costs one window sum over
+levels and one gather of rows.
 
-Contraction.  b -> -b - 1 on every coordinate of a half keeps e, moves
-the parity by its length n and sends u to -u - sigma (sigma = sum of
-its s_j), and 2c == -sum s_j (mod q) for the targets 0 and q.  So the terms
-of u and its mirror -u - sigma repeat each other, and the sum runs over
-one residue of each mirror pair, with weight 2 (1 where u is its own
+Contraction.  By the first symmetry, and since 2c == -sum s_j (mod q)
+for the targets 0 and q, the terms of u and its mirror -u - sigma
+(sigma of the first half) repeat each other, and the sum runs over one
+residue of each mirror pair, with weight 2 (1 where u is its own
 mirror).  It runs on parity sums X+- = X_even +- X_odd:
 S = sum_u A+[u] B+[c - u] and D = sum_u A-[u] B-[c - u] give
 even = (S + D)/2 and odd = (S - D)/2, and for odd m the mirror terms of
@@ -73,9 +80,12 @@ more.
 
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
-under k -> m(q-1) - k, or a half table that does not repeat itself
-under b -> -b - 1 (the reflection the fold relies on) raises
-ArithmeticError.
+under k -> m(q-1) - k, or a half table whose rows are not palindromes
+under b -> b -+ q raises ArithmeticError.  The half tables are not
+checked under b -> -b - 1, the reflection the fold relies on: the build
+makes every table, right or wrong, symmetric under it, so that check
+could never fail; the palindrome is the symmetry the build does not
+force.
 
 Census sketches.  sketch_survivors buckets the class rows of one q on
 their tables' generating polynomials at one point of GF(p), summed from
@@ -122,70 +132,96 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
     """Dense table H[u, e, parity] counting the choices b_j in [-q, q) for
     the coordinates s_half (a_j = 2 b_j + 1): u = sum b_j s_j mod q,
     e = sum e_j with e_j = b_j for b_j >= 0 and -b_j - 1 below, parity =
-    #[b_j < 0] mod 2.  The first two coordinates are enumerated, each
-    further one is added as a window sum over levels, in place on the
-    sign +1 gather (module docstring, "Fixed costs")."""
+    #[b_j < 0] mod 2.
+
+    Only the choices whose last coordinate has b >= 0 are counted, as P;
+    the others are their images under b -> -b - 1 on every coordinate
+    (_add_image), so H = P + image is symmetric under that map by
+    construction, whatever P holds.  The palindrome of each row under
+    b -> b -+ q is not forced, and _check_reflection checks it (module
+    docstring).  Of the first two coordinates, every b1 and the q choices
+    b2 >= 0 are summed outright and counted by one bincount; each further
+    coordinate adds one window sum over levels, its b >= 0 choices, to
+    the table before it, in place on its gather (module docstring,
+    "Fixed costs").  Its b < 0 choices, added to that table, which is
+    already symmetric, are exactly the image of that window sum."""
     width = len(s_half) * (q - 1) + 1
-    # the first two coordinates: every choice of b, summed outright and
-    # counted by one bincount over 2q rows u1 + u2, whose upper half then
-    # wraps onto the lower.  The codes u * 2 width + 2 e + parity of the
-    # two coordinates add up, except that b2 < 0 flips the parity of b1.
+    # the codes u * 2 width + 2 e + parity of the first two coordinates
+    # add up over 2q rows u1 + u2, whose upper half then wraps onto the
+    # lower; b1 < 0 sets the parity
     e = np.arange(q)
     b, lev = np.concatenate([e, -e - 1]), np.concatenate([e, e]) * 2
     neg = np.arange(2 * q) // q
     codes = [b * s % q * 2 * width + lev for s in s_half[:2]]
     if len(codes) == 2:
-        first, second = codes
-        flat = np.concatenate([np.add.outer(first + neg, second[:q]),
-                               np.add.outer(first + 1 - neg, second[q:])], axis=1).ravel()
+        flat = np.add.outer(codes[0] + neg, codes[1][:q]).ravel()
     else:
-        flat = codes[0] + neg
+        flat = codes[0][:q]
     table = np.bincount(flat, minlength=4 * q * width).reshape(2, q * width, 2)
     table = table[0] + table[1]
-    # the cumsums below never exceed the half table's total (2q)^n; past
-    # int64, the same code runs on Python integers
+    # the window sums below never exceed the half table's total (2q)^n;
+    # past int64, the same code runs on Python integers
     if (2 * q) ** len(s_half) > _INT64_MAX:
         table = table.astype(object)
-    # each further coordinate s: b = e' (sign +1) or b = -e' - 1 (sign -1)
-    # moves (u, e) to (u + step e' + offset, e + e') with step = sign s
-    # and offset = -s for sign -1.  Read at row u - step e - offset on
-    # level e, every choice of e' lands on the same row, so the q sizes
-    # are a window of q consecutive levels: one cumsum and one difference.
-    # Row indices below 2q wrap through one lookup instead of a % q.
-    # Sign -1 moves the parity, so its counts add crosswise, column 0 to
-    # column 1 and 1 to 0, onto the sign +1 gather.
-    rows, lev = np.arange(q)[:, None], np.arange(width)
-    wrap = np.concatenate([e, e]) * width
-    for s in s_half[2:]:
-        for sign in (1, -1):
-            step, offset = sign * s, (sign - 1) // 2 * s
-            skew = table.take(wrap[rows + step * lev % q] + lev, axis=0)
-            np.cumsum(skew, axis=1, out=skew)
-            skew[:, q:] -= skew[:, :-q].copy()
-            back = wrap[rows + (-step * lev - offset) % q] + lev
-            acc = skew.reshape(-1, 2).take(back.ravel(), axis=0)
-            if sign == 1:
-                new = acc
-            else:
-                new[:, 0] += acc[:, 1]
-                new[:, 1] += acc[:, 0]
-        table = new
+    rows, lev = np.arange(q), np.arange(width)
+    sigma = sum(s_half[:2])
+    _add_image(table, rows, len(codes), sigma)
+    # a further coordinate s with b = e' >= 0 moves (u, e) to
+    # (u + s e', e + e').  Read at row u - s e on level e, every choice
+    # of e' lands on the same row, so the q sizes are a window of q
+    # consecutive levels: one cumsum and one difference.  Each index is
+    # one outer add of rows and levels; a row past q - 1 wraps by take's
+    # mode="wrap", since the flat index stays below 2q width.
+    for n, s in enumerate(s_half[2:], 3):
+        skew = table.take(rows[:, None] * width + (s * lev % q * width + lev),
+                          axis=0, mode="wrap")
+        np.cumsum(skew, axis=1, out=skew)
+        skew[:, q:] -= skew[:, :-q].copy()
+        back = rows[:, None] * width + (-s * lev % q * width + lev)
+        table = skew.reshape(-1, 2).take(back.ravel(), axis=0, mode="wrap")
+        sigma += s
+        _add_image(table, rows, n, sigma)
     table = table.reshape(q, width, 2)
     table.flags.writeable = False
     return table
 
 
+def _add_image(table: np.ndarray, rows: np.ndarray, n: int, sigma: int) -> None:
+    """Add to a flat half table P[u width + e, parity] over n coordinates
+    summing to sigma its image under b -> -b - 1 on every coordinate: that
+    map keeps e, moves the parity by n and sends u to -u - sigma, so the
+    image is P[-u - sigma, e, parity + n], one gather of rows, its parity
+    columns added crosswise for odd n."""
+    q = len(rows)
+    image = table.reshape(q, -1, 2).take((-rows - sigma) % q, axis=0).reshape(-1, 2)
+    if n % 2:
+        table[:, 0] += image[:, 1]
+        table[:, 1] += image[:, 0]
+    else:
+        table += image
+
+
 def _check_reflection(table: np.ndarray, q: int, s_half: tuple[int, ...]) -> None:
-    """b -> -b - 1 on every coordinate keeps e, moves the parity by
-    len(s_half) and sends u to -u - sum(s_half): the fold in _contract
-    reads one residue of each such mirror pair, so the table must repeat
-    itself under that map."""
-    image = table[(-np.arange(q) - sum(s_half)) % q]
+    """b -> b - q for b >= 0 and b + q below, on every coordinate, keeps
+    u, sends e to len(s_half)(q - 1) - e and moves the parity by
+    len(s_half), so each row of a half table is a palindrome in e, its
+    parity columns swapped for odd len(s_half).  The build makes the
+    table symmetric under b -> -b - 1, the reflection the fold relies on,
+    by construction; this symmetry is one it does not force.
+
+    For odd len(s_half), each row read as entries 2e + parity is the same
+    backwards.  For even, each parity column is compared on its own: a
+    view that reverses e but not the parity runs numpy's inner loop over
+    two entries at a time, two to three times slower at q = 81."""
     if len(s_half) % 2:
-        image = image[:, :, ::-1]
-    if not (table == image).all():
+        rows = table.reshape(q, -1)
+        same = (rows == rows[:, ::-1]).all()
+    else:
+        even, odd = table[..., 0], table[..., 1]
+        same = (even == even[:, ::-1]).all() and (odd == odd[:, ::-1]).all()
+    if not same:
         raise ArithmeticError(f"half table for q={q}, s={s_half} is not "
-                              "symmetric under b -> -b - 1")
+                              "symmetric under b -> b - q (b >= 0), b + q (b < 0)")
 
 
 def _limb_width(q: int, ka: int, total: int) -> int:

@@ -1,8 +1,9 @@
 """Reference helpers the tests compare the package against: the
 congruence lattice of a spin lens space, membership and levels of single
 points, transport of a point along a witness, the units mod q,
-witnesses between bare lens spaces, and the sketch factors and tables
-built term by term.  The package never builds a lattice:
+witnesses between bare lens spaces, the sketch factors and tables
+built term by term, and half tables built from both signs of every
+coordinate.  The package never builds a lattice:
 it reads its tables off the space's spin key.
 
 Like the package, these raise errors rather than assert, so that their
@@ -137,3 +138,59 @@ def sketch_tables_by_exponents(q: int, sign: int) -> tuple[int, np.ndarray, np.n
     table = ((fwd + sign * bwd) % p)[np.arange(mod)[:, None] * j % mod]  # M[s, j]
     first = np.where((j == 0) | (2 * j == q), 1, 2) * table % p
     return p, table, first
+
+
+def half_table_two_signs(q: int, s_half: tuple[int, ...]) -> np.ndarray:
+    """lattice._half_table by both signs of every further coordinate: the
+    same H[u, e, parity], read-only, with the first two coordinates'
+    choices all counted by one bincount and each further coordinate added
+    as two window sums over levels, one for b >= 0 and one for b < 0,
+    instead of one window sum and its image under b -> -b - 1."""
+    width = len(s_half) * (q - 1) + 1
+    # the first two coordinates: every choice of b, summed outright and
+    # counted by one bincount over 2q rows u1 + u2, whose upper half then
+    # wraps onto the lower.  The codes u * 2 width + 2 e + parity of the
+    # two coordinates add up, except that b2 < 0 flips the parity of b1.
+    e = np.arange(q)
+    b, lev = np.concatenate([e, -e - 1]), np.concatenate([e, e]) * 2
+    neg = np.arange(2 * q) // q
+    codes = [b * s % q * 2 * width + lev for s in s_half[:2]]
+    if len(codes) == 2:
+        first, second = codes
+        flat = np.concatenate([np.add.outer(first + neg, second[:q]),
+                               np.add.outer(first + 1 - neg, second[q:])], axis=1).ravel()
+    else:
+        flat = codes[0] + neg
+    table = np.bincount(flat, minlength=4 * q * width).reshape(2, q * width, 2)
+    table = table[0] + table[1]
+    # the cumsums below never exceed the half table's total (2q)^n; past
+    # int64, the same code runs on Python integers
+    if (2 * q) ** len(s_half) > lattice._INT64_MAX:
+        table = table.astype(object)
+    # each further coordinate s: b = e' (sign +1) or b = -e' - 1 (sign -1)
+    # moves (u, e) to (u + step e' + offset, e + e') with step = sign s
+    # and offset = -s for sign -1.  Read at row u - step e - offset on
+    # level e, every choice of e' lands on the same row, so the q sizes
+    # are a window of q consecutive levels: one cumsum and one difference.
+    # Row indices below 2q wrap through one lookup instead of a % q.
+    # Sign -1 moves the parity, so its counts add crosswise, column 0 to
+    # column 1 and 1 to 0, onto the sign +1 gather.
+    rows, lev = np.arange(q)[:, None], np.arange(width)
+    wrap = np.concatenate([e, e]) * width
+    for s in s_half[2:]:
+        for sign in (1, -1):
+            step, offset = sign * s, (sign - 1) // 2 * s
+            skew = table.take(wrap[rows + step * lev % q] + lev, axis=0)
+            np.cumsum(skew, axis=1, out=skew)
+            skew[:, q:] -= skew[:, :-q].copy()
+            back = wrap[rows + (-step * lev - offset) % q] + lev
+            acc = skew.reshape(-1, 2).take(back.ravel(), axis=0)
+            if sign == 1:
+                new = acc
+            else:
+                new[:, 0] += acc[:, 1]
+                new[:, 1] += acc[:, 0]
+        table = new
+    table = table.reshape(q, width, 2)
+    table.flags.writeable = False
+    return table

@@ -14,6 +14,7 @@ from lensdirac.search import tower_family
 from reference import (
     apply_norm_isometry,
     contains,
+    half_table_two_signs,
     lattice_of,
     point_level,
     point_neg_parity,
@@ -385,6 +386,56 @@ def test_half_tables_match_brute_force():
             assert not got.flags.writeable
             with pytest.raises(ValueError):
                 got[0, 0, 0] = 1
+
+
+def test_half_tables_match_the_two_sign_build():
+    """The build from the b >= 0 choices and their mirror images equals
+    the window sums over both signs: odd and even q = 1..60 with one to
+    seven coordinates, and q = 40 with twelve, whose total 80^12 > 2^63
+    puts both builds on Python integers."""
+    rng = random.Random(29)
+    cases = [(q, tuple(sorted(rng.randrange(q) for _ in range(n))))
+             for q in range(1, 61) for n in {q % 7 + 1, rng.randint(1, 7)}]
+    cases.append((40, tuple(sorted(rng.randrange(40) for _ in range(12)))))
+    clear_caches()
+    for q, s_half in cases:
+        got, expect = lattice._half_table(q, s_half), half_table_two_signs(q, s_half)
+        assert got.dtype == expect.dtype and got.shape == expect.shape, (q, s_half)
+        assert (got == expect).all(), (q, s_half)
+        assert not got.flags.writeable
+        with pytest.raises(ValueError):
+            got[0, 0, 0] = 1
+    assert got.dtype == object
+    clear_caches()
+
+
+def _mirror_image(table, s_half):
+    """table[-u - sum(s_half), e, parity + len(s_half)]: its image under
+    b -> -b - 1 on every coordinate."""
+    q = len(table)
+    image = table[(-np.arange(q) - sum(s_half)) % q]
+    return image[:, :, ::-1] if len(s_half) % 2 else image
+
+
+@pytest.mark.parametrize("q, s_half", [(13, (1, 2, 3)), (11, (2, 3, 5, 7))])
+def test_reflection_check_rejects_a_move_that_keeps_the_mirror_symmetry(q, s_half):
+    """One count and its mirror image moved to a wrong row: the table
+    still repeats itself under b -> -b - 1, which the build makes true of
+    any table, but its rows are no longer palindromes in e."""
+    table = lattice._half_table(q, s_half)
+    lattice._check_reflection(table, q, s_half)
+    mirror = (-np.arange(q) - sum(s_half)) % q
+    width = table.shape[1]
+    u, e, par = next((u, e, par) for u, e, par in np.argwhere(table > 0)
+                     if mirror[u] != u and 2 * e != width - 1)
+    u2 = next(v for v in range(q) if v not in (u, mirror[u]))
+    move = np.zeros_like(table)
+    move[u, e, par], move[u2, e, par] = -1, 1
+    bad = table + move + _mirror_image(move, s_half)
+    assert (bad == _mirror_image(bad, s_half)).all()
+    assert (bad >= 0).all() and bad.sum() == table.sum()
+    with pytest.raises(ArithmeticError, match="symmetric under b"):
+        lattice._check_reflection(bad, q, s_half)
 
 
 def test_sketches_match_full_tables():

@@ -203,6 +203,26 @@ def test_huge_q_keys_raise_instead_of_wrapping():
     assert w.ell == 2 and w.verify(spin_space(q, (1, 2)), spin_space(q, (2, 4)))
 
 
+def _candidate_ells_by_unique(S, q):
+    """The units S[i, j]^-1 mod q, one pow per value from np.unique."""
+    values, where = np.unique(S, return_inverse=True)
+    return np.array([pow(int(v), -1, q) for v in values])[where].reshape(S.shape)
+
+
+def test_candidate_ells_match_the_unique_definition():
+    rng = np.random.default_rng(29)
+    for q in (2, 7, 9, 40, 97, 3037000493):
+        pool = np.array([u for u in range(1, min(q, 500)) if math.gcd(u, q) == 1])
+        for rows, m in ((1, 2), (1, 5), (40, 4), (1000, 3)):
+            S = rng.choice(pool, size=(rows, m))
+            got = lens._candidate_ells(S, q)
+            assert got.dtype == np.int64 and got.shape == S.shape
+            assert got.tolist() == _candidate_ells_by_unique(S, q).tolist(), (q, rows, m)
+    S = np.array([[1, 2], [3037000492, 2]], dtype=np.int64)
+    assert lens._candidate_ells(S, 3037000493).tolist() == \
+        _candidate_ells_by_unique(S, 3037000493).tolist()
+
+
 def test_mismatch_raises():
     with pytest.raises(Mismatch):
         find_lens_isometry(LensParams(7, (1, 2)), LensParams(5, (1, 2)))

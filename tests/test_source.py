@@ -81,10 +81,10 @@ def test_package_names_have_a_caller():
 # verdict gate and the census reductions keep to C-level steps
 _SLOW_NUMPY = {"tile", "repeat", "stack", "array_equal", "unique", "where", "zeros_like"}
 _HOT_PATHS = {
-    "lattice.py": {"_half_table", "_check_reflection", "_limbs", "_parity_sums",
-                   "_serial_blas", "_contract", "_full_table", "_sketch_sums",
-                   "_shared", "sketch_survivors"},
-    "lens.py": {"_canonical_rows", "_fold_below"},
+    "lattice.py": {"_half_table", "_add_image", "_check_reflection", "_limbs",
+                   "_parity_sums", "_serial_blas", "_contract", "_full_table",
+                   "_sketch_sums", "_shared", "sketch_survivors"},
+    "lens.py": {"_candidate_ells", "_canonical_rows", "_fold_below"},
 }
 
 
