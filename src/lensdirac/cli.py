@@ -178,10 +178,14 @@ def cmd_family(args) -> int:
         if kind == "tower":
             if args.r is None:
                 raise UsageError("tower family needs -r")
+            if args.t is not None:
+                raise UsageError("tower family takes no -t")
             groups = [tower_family(args.r)]
         elif kind == "spin-pair":
             if args.t is None:
                 raise UsageError("spin-pair family needs -t")
+            if args.r is not None:
+                raise UsageError("spin-pair family takes no -r")
             groups = [spin_pair(args.t)]
         else:
             if args.r is None:

@@ -81,11 +81,12 @@ more.
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
 under k -> m(q-1) - k, or a half table whose rows are not palindromes
-under b -> b -+ q raises ArithmeticError.  The half tables are not
-checked under b -> -b - 1, the reflection the fold relies on: the build
-makes every table, right or wrong, symmetric under it, so that check
-could never fail; the palindrome is the symmetry the build does not
-force.
+under b -> b -+ q raises ArithmeticError.  Each half table is checked
+once, when it is built, so one that fails never enters the cache and a
+cached one is not checked again.  The half tables are not checked under
+b -> -b - 1, the reflection the fold relies on: the build makes every
+table, right or wrong, symmetric under it, so that check could never
+fail; the palindrome is the symmetry the build does not force.
 
 Census sketches.  sketch_survivors buckets the class rows of one q on
 their tables' generating polynomials at one point of GF(p), summed from
@@ -138,13 +139,14 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
     the others are their images under b -> -b - 1 on every coordinate
     (_add_image), so H = P + image is symmetric under that map by
     construction, whatever P holds.  The palindrome of each row under
-    b -> b -+ q is not forced, and _check_reflection checks it (module
-    docstring).  Of the first two coordinates, every b1 and the q choices
-    b2 >= 0 are summed outright and counted by one bincount; each further
-    coordinate adds one window sum over levels, its b >= 0 choices, to
-    the table before it, in place on its gather (module docstring,
-    "Fixed costs").  Its b < 0 choices, added to that table, which is
-    already symmetric, are exactly the image of that window sum."""
+    b -> b -+ q is not forced, and _check_reflection checks it as the
+    build's last step (module docstring, "Checks").  Of the first two
+    coordinates, every b1 and the q choices b2 >= 0 are summed outright
+    and counted by one bincount; each further coordinate adds one window
+    sum over levels, its b >= 0 choices, to the table before it, in place
+    on its gather (module docstring, "Fixed costs").  Its b < 0 choices,
+    added to that table, which is already symmetric, are exactly the
+    image of that window sum."""
     width = len(s_half) * (q - 1) + 1
     # the codes u * 2 width + 2 e + parity of the first two coordinates
     # add up over 2q rows u1 + u2, whose upper half then wraps onto the
@@ -182,6 +184,7 @@ def _half_table(q: int, s_half: tuple[int, ...]) -> np.ndarray:
         sigma += s
         _add_image(table, rows, n, sigma)
     table = table.reshape(q, width, 2)
+    _check_reflection(table, q, s_half)
     table.flags.writeable = False
     return table
 
@@ -432,8 +435,6 @@ def _full_table(q: int, sn: tuple[int, ...], h: int) -> ReducedCountTable:
     if rows != rows[::-1]:
         raise ArithmeticError(
             f"table for q={q}, m={m} is not symmetric under k -> kmax - k")
-    for table, half in zip((ta, tb), halves):
-        _check_reflection(table, q, half)
     return ReducedCountTable(q, m, rows)
 
 

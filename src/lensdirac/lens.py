@@ -45,7 +45,9 @@ has 2x == 0, and the forced parities above are the only ones.
 Candidate units.  Only l = +-b_1 * a_j^-1 (mod q), at most 2m units, can
 matter: a unit relating a to b sends some a_j to +-b_1, and a unit
 minimising a canonical form sends some a_j to +-1, the smallest folded
-value.  Witnesses try both signs; canonical forms need only l = a_j^-1.
+value.  Witnesses try both signs; canonical forms need only l = a_j^-1,
+which their callers supply: a census lists each folded unit beside its
+inverse, and one key inverts its m entries with pow.
 l and q - l fold alike, with fold counts adding up to m.  For even m,
 (q - l, -eps) acts as (l, eps) and moves the spin label by
 sum_j a_j + m, even when q is (a_j odd).  For odd m, l = -1 with every
@@ -356,27 +358,6 @@ class CanonicalKey:
         return spin_space(self.q, self.s, self.spin)
 
 
-def _candidate_ells(S: np.ndarray, q: int) -> np.ndarray:
-    """(rows, m) array of the units S[:, j]^-1 mod q ("Candidate units"),
-    one pow per distinct entry: the first of each run of equal entries in
-    sorted order (np.unique with inverse costs more, about half of a cold
-    canonical_key; lattice module docstring, "Fixed costs").  Equal
-    entries share their unit, so the sort need not be stable, and the
-    default one is twice as fast on a census q's rows."""
-    if q * q >= 2**63:
-        raise OverflowError(f"q = {q}: products of residues would overflow int64")
-    flat = S.ravel()
-    order = flat.argsort()
-    ranked = flat[order]
-    first = np.empty(len(ranked), dtype=bool)
-    first[:1] = True
-    first[1:] = ranked[1:] != ranked[:-1]
-    inverse = np.array([pow(v, -1, q) for v in ranked[first].tolist()], dtype=np.int64)
-    out = np.empty_like(flat)
-    out[order] = inverse[first.cumsum() - 1]
-    return out.reshape(S.shape)
-
-
 def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
     """Rowwise best = min(best, cand) lexicographically."""
     first = (cand != best).argmax(axis=1)
@@ -386,21 +367,25 @@ def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
 
 
 def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
-                    h: Sequence[int]) -> np.ndarray:
+                    h: Sequence[int], units: Sequence[Sequence[int]]) -> np.ndarray:
     """Canonical form of every row of normalized parameters S: the
     lexicographic minimum of (sorted folded tuple, transported label h[i])
-    over the candidate units l = S[i, j]^-1.  Oriented tuples take only
+    over the candidate units l = units[i, j] = S[i, j]^-1 mod q, which
+    the caller supplies ("Candidate units").  Oriented tuples take only
     even numbers of sign flips: after an odd number of folds the largest
     entry is unfolded, as q - g >= q/2 still sorts last.  Odd m is
-    amphichiral and takes the unoriented path ("Candidate units").  At
-    q = 2 the free flip makes every unoriented label 0.  One floor
-    division per unit gives both the residue, prod - quot q (half the
-    cost of prod % q), and the transport parity, the quotient's row sum.
+    amphichiral and takes the unoriented path.  At q = 2 the free flip
+    makes every unoriented label 0.  One floor division per unit gives
+    both the residue, prod - quot q (half the cost of prod % q), and the
+    transport parity, the quotient's row sum.  The products are int64,
+    so q^2 must stay below 2^63.
     """
+    if q * q >= 2**63:
+        raise OverflowError(f"q = {q}: products of residues would overflow int64")
     S = np.asarray(S, dtype=np.int64)
     spin = np.asarray(h, dtype=np.int64)
     best = np.full((len(S), S.shape[1] + 1), q, dtype=np.int64)
-    for ell in _candidate_ells(S, q).T:
+    for ell in np.asarray(units, dtype=np.int64).T:
         prod = ell[:, None] * S
         quot = prod // q
         v = prod - quot * q
@@ -432,12 +417,16 @@ def _fold_below(x: np.ndarray, bound: np.ndarray, q: int) -> np.ndarray:
     return (v < bound) | (v > q - bound)
 
 
-def _class_candidates(q: int, m: int, mode: KeyMode) -> np.ndarray:
-    """The tuples _class_rows runs the canonical form on, with no label
-    column: (1 mod q, f_2 <= ... <= f_m) over the folded units in
-    [0, q/2], with the oriented mirrors of even m (q > 2 only: at q = 2 a
-    mirror is the tuple itself; odd m mirrors are never canonical), less
-    those the prefilter rejects.
+def _class_candidates(q: int, m: int, mode: KeyMode) -> tuple[np.ndarray, np.ndarray]:
+    """The tuples A _class_rows runs the canonical form on, with no label
+    column, and their candidate units, units[i, j] = A[i, j]^-1 mod q:
+    A is (1 mod q, f_2 <= ... <= f_m) over the folded units in [0, q/2],
+    with the oriented mirrors of even m (q > 2 only: at q = 2 a mirror is
+    the tuple itself; odd m mirrors are never canonical), less those the
+    prefilter rejects.  Each entry's unit is gathered from the same index
+    as the entry, the leading 1 mod q being the first folded unit (0 at
+    q = 1), and a mirror's last unit is q less the tuple's, since the
+    inverse of -f is -f^-1.
 
     Prefilter.  The unit l = f_j^-1 (j >= 2) sends f_j to 1, so its
     sorted folded tuple is (1, min_{k != j} fold(l f_k), ...), with the
@@ -475,13 +464,13 @@ def _class_candidates(q: int, m: int, mode: KeyMode) -> np.ndarray:
             new = new[~bad]
             cols = [col[~bad] for col in cols]
         cols.append(new)
-    A = np.column_stack([np.full(len(new), 1 % q, dtype=np.int64),
-                         folded[np.stack(cols, axis=1)]])
+    index = np.column_stack([np.zeros(len(new), dtype=np.int64), *cols])
+    A, units = folded[index], inverse[index]
     if mode == "oriented" and m % 2 == 0 and q > 2:
-        mirror = A.copy()
-        mirror[:, -1] = q - mirror[:, -1]
-        A = np.vstack([A, mirror])
-    return A
+        A, units = np.vstack([A, A]), np.vstack([units, units])
+        A[len(index):, -1] = q - A[len(index):, -1]  # the mirrors
+        units[len(index):, -1] = q - units[len(index):, -1]
+    return A, units
 
 
 def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
@@ -491,8 +480,8 @@ def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     _class_candidates tuple A, with input label 1 at even q and 0 at odd
     q: (A, 0) is a class iff the form's tuple part is A, and (A, 1) iff
     the whole form is (A, 1) ("Classes")."""
-    A = _class_candidates(q, m, mode)
-    form = _canonical_rows(A, q, mode, np.full(len(A), 1 - q % 2))
+    A, units = _class_candidates(q, m, mode)
+    form = _canonical_rows(A, q, mode, np.full(len(A), 1 - q % 2), units)
     fixed = np.all(form[:, :-1] == A, axis=1)
     rows = np.vstack([np.column_stack([A[fixed], np.zeros(fixed.sum(), dtype=np.int64)]),
                       form[fixed & (form[:, -1] == 1)]])
@@ -508,8 +497,10 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
     """
     if mode not in ("oriented", "unoriented"):
         raise ValueError(f"unknown mode {mode!r}")
-    q, h = x.q, x.spin.h
-    *tup, hval = _canonical_rows([x.lens.normalized()], q, mode, [h or 0])[0].tolist()
+    q, h, sn = x.q, x.spin.h, x.lens.normalized()
+    # Python ints: exact at any q, and cheaper than numpy for one row
+    units = [[pow(v, -1, q) for v in sn]]
+    *tup, hval = _canonical_rows([sn], q, mode, [h or 0], units)[0].tolist()
     spin_tag = "unique" if h is None else f"h{hval}"
     return CanonicalKey(q, tuple(tup), spin_tag, mode)
 

@@ -325,6 +325,11 @@ def test_family_mirror_even_scale_two_pairs(capsys):
     pair_lines = [ln for ln in out.splitlines()
                   if ln.startswith("L(98;") and "|" in ln]
     assert len(pair_lines) == 2
+    canonical = [ln for ln in out.splitlines() if ln.startswith("  canonical:")]
+    assert canonical == [
+        "  canonical: L(98; 1,13,15,43) tau_0 | L(98; 1,13,15,41) tau_0",
+        "  canonical: L(98; 1,13,15,43) tau_1 | L(98; 1,13,15,41) tau_1",
+    ]
     assert "verification passed" in out
 
 
@@ -363,6 +368,13 @@ def test_family_usage_errors(capsys):
     assert "-r" in err
     code, _, err = run(capsys, "family", "53", "-r", "6")
     assert code == 2
+    # each generator refuses the flag it does not read
+    code, out, err = run(capsys, "family", "tower", "-r", "3", "-t", "2")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "-t" in err
+    code, out, err = run(capsys, "family", "spin-pair", "-t", "1", "-r", "3")
+    assert code == 2 and not out
+    assert err.startswith("error:") and "-r" in err
     for t in ("0", "-1"):
         code, _, err = run(capsys, "family", "mirror", "-r", "7", "-t", t)
         assert code == 2, t

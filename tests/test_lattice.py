@@ -6,11 +6,11 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lensdirac import lattice
+from lensdirac import lattice, search
 from lensdirac.lattice import clear_caches, count, reduced_counts, sketch_survivors
 from lensdirac.lens import find_isometry, spin_space
 from lensdirac.numtheory import series_field
-from lensdirac.search import tower_family
+from lensdirac.search import run_census, tower_family, verify_family
 from reference import (
     apply_norm_isometry,
     contains,
@@ -683,25 +683,51 @@ def test_mim_rejects_integer_corruption(monkeypatch, limb_bits):
 def test_reflection_is_checked_where_the_fold_never_reads(monkeypatch):
     """The contraction reads the smaller residue u of each mirror pair
     u <-> -u - sum(s_half) of the first half table.  A count added at the
-    larger one changes no row, so only the reflection check catches it."""
+    larger one, after the build's last image, changes no row, so only the
+    reflection check, which the build runs, catches it."""
     x = spin_space(13, (1, 2, 3, 4))
     q, sn, _ = spin_key(x)
     first = sn[:2]
     unread = next(u for u in range(q) if (-u - sum(first)) % q < u)
-    clear_caches()  # before _half_table is replaced
-    real = lattice._half_table
+    clear_caches()  # so that the first half table is built
+    real = lattice._add_image
 
-    def corrupt(q, s_half):
-        table = real(q, s_half)
-        if s_half != first:
-            return table
-        out = table.copy()
-        out[unread, 0, 0] += 1
-        return out
+    def corrupt(table, rows, n, sigma):
+        real(table, rows, n, sigma)
+        if (n, sigma) == (len(first), sum(first)):
+            table[unread * (len(table) // q), 0] += 1
 
-    monkeypatch.setattr(lattice, "_half_table", corrupt)
+    monkeypatch.setattr(lattice, "_add_image", corrupt)
     with pytest.raises(ArithmeticError, match="symmetric under b"):
         reduced_counts(x)
+    assert lattice._half_table.cache_info().currsize == 0
+
+
+def test_each_half_table_is_checked_once_when_built(monkeypatch):
+    """A cached half table is not checked again: over a census and a
+    family verification, the reflection check runs once per cache miss,
+    although some half tables are read from the cache."""
+    checks, misses, hits = [], [], []
+    real_check = lattice._check_reflection
+
+    def spy(*args):
+        checks.append(args[1:])
+        real_check(*args)
+
+    def clear():  # a cache clear resets its statistics
+        info = lattice._half_table.cache_info()
+        misses.append(info.misses)
+        hits.append(info.hits)
+        clear_caches()
+
+    monkeypatch.setattr(lattice, "_check_reflection", spy)
+    monkeypatch.setattr(search, "clear_caches", clear)
+    clear_caches()
+    run_census(7, [81])
+    verify_family(tower_family(2))
+    clear()
+    assert len(checks) == sum(misses) > 0
+    assert sum(hits) > 0
 
 
 def test_parity_sums_of_different_parity_are_rejected(monkeypatch):

@@ -187,8 +187,9 @@ def test_witness_with_broken_assignment_raises(monkeypatch):
 
 def test_canonical_key_without_units_raises(monkeypatch):
     # with no candidate unit the canonical form is never set
-    monkeypatch.setattr(lens, "_candidate_ells",
-                        lambda S, q: np.empty((len(S), 0), dtype=np.int64))
+    real = lens._canonical_rows
+    monkeypatch.setattr(lens, "_canonical_rows", lambda S, q, mode, h, units:
+                        real(S, q, mode, h, np.empty((len(S), 0), dtype=np.int64)))
     with pytest.raises(ArithmeticError, match="canonical form"):
         canonical_key(spin_space(7, (1, 2)))
 
@@ -203,24 +204,19 @@ def test_huge_q_keys_raise_instead_of_wrapping():
     assert w.ell == 2 and w.verify(spin_space(q, (1, 2)), spin_space(q, (2, 4)))
 
 
-def _candidate_ells_by_unique(S, q):
-    """The units S[i, j]^-1 mod q, one pow per value from np.unique."""
-    values, where = np.unique(S, return_inverse=True)
-    return np.array([pow(int(v), -1, q) for v in values])[where].reshape(S.shape)
-
-
-def test_candidate_ells_match_the_unique_definition():
-    rng = np.random.default_rng(29)
-    for q in (2, 7, 9, 40, 97, 3037000493):
-        pool = np.array([u for u in range(1, min(q, 500)) if math.gcd(u, q) == 1])
-        for rows, m in ((1, 2), (1, 5), (40, 4), (1000, 3)):
-            S = rng.choice(pool, size=(rows, m))
-            got = lens._candidate_ells(S, q)
-            assert got.dtype == np.int64 and got.shape == S.shape
-            assert got.tolist() == _candidate_ells_by_unique(S, q).tolist(), (q, rows, m)
-    S = np.array([[1, 2], [3037000492, 2]], dtype=np.int64)
-    assert lens._candidate_ells(S, 3037000493).tolist() == \
-        _candidate_ells_by_unique(S, 3037000493).tolist()
+def test_class_candidate_units_invert_their_entries():
+    """Every unit _class_candidates lists beside a tuple entry is that
+    entry's inverse mod q, an int64 in [0, q), mirror rows included:
+    q = 1..60, m = 2..7, both modes."""
+    for m in range(2, 8):
+        for q in range(1, 61):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            for mode in ("oriented", "unoriented"):
+                A, units = lens._class_candidates(q, m, mode)
+                assert units.dtype == np.int64 and units.shape == A.shape, (q, m, mode)
+                assert ((units >= 0) & (units < q)).all(), (q, m, mode)
+                assert (A * units % q == 1 % q).all(), (q, m, mode)
 
 
 def test_mismatch_raises():
@@ -418,7 +414,8 @@ def reference_class_rows(q, m, mode):
         tuples += [t[:-1] + (q - t[-1],) for t in tuples]
     rows = np.array([t + (h,) for h in ((0,) if q % 2 else (0, 1)) for t in tuples],
                     dtype=np.int64)
-    return rows, lens._canonical_rows(rows[:, :-1], q, mode, rows[:, -1])
+    units = [[pow(int(v), -1, q) for v in row] for row in rows[:, :-1]]
+    return rows, lens._canonical_rows(rows[:, :-1], q, mode, rows[:, -1], units)
 
 
 def row_keys(rows):
@@ -446,7 +443,7 @@ def test_class_rows_prefilter_drops_only_noncanonical_rows():
                 assert np.array_equal(lens._class_rows(q, m, mode), want), (q, m, mode)
                 tuples = np.unique(rows[:, :-1], axis=0)
                 canonical = np.isin(row_keys(tuples), row_keys(rows[fixed, :-1]))
-                survivors = lens._class_candidates(q, m, mode)
+                survivors, _ = lens._class_candidates(q, m, mode)
                 kept = np.isin(row_keys(tuples), row_keys(survivors))
                 assert kept.sum() == len(survivors), (q, m, mode)  # a subset
                 assert not canonical[~kept].any(), (q, m, mode, tuples[~kept & canonical][:1])

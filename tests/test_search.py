@@ -152,8 +152,13 @@ def test_spin_split_matches_self_relations(m, q_max):
 
 def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
     # with no candidate unit the canonical form is never set
-    monkeypatch.setattr(lens, "_candidate_ells",
-                        lambda S, q: np.empty((len(S), 0), dtype=np.int64))
+    real = lens._class_candidates
+
+    def no_units(q, m, mode):
+        A, _ = real(q, m, mode)
+        return A, np.empty((len(A), 0), dtype=np.int64)
+
+    monkeypatch.setattr(lens, "_class_candidates", no_units)
     with pytest.raises(ArithmeticError, match="canonical form"):
         enumerate_classes(7, 9, "oriented")
 
