@@ -164,33 +164,28 @@ def cmd_search(args) -> int:
     return 0
 
 
-_GENERATORS = {"51": "tower", "tower": "tower",
-               "52": "spin-pair", "spin-pair": "spin-pair",
-               "53": "mirror", "mirror": "mirror"}
+# each generator under its name and its number in the paper: the name, the
+# member groups as a function of (r, t), the flag it needs and the flag it
+# refuses
+_FAMILIES = {key: entry for entry in (
+    ("tower", "51", lambda r, t: [tower_family(r)], "r", "t"),
+    ("spin-pair", "52", lambda r, t: [spin_pair(t)], "t", "r"),
+    ("mirror", "53", lambda r, t: mirror_pair(r, 1 if t is None else t), "r", None),
+) for key in entry[:2]}
 
 
 def cmd_family(args) -> int:
-    kind = _GENERATORS.get(args.generator)
-    if kind is None:
+    entry = _FAMILIES.get(args.generator)
+    if entry is None:
         raise UsageError(f"unknown family {args.generator!r}: "
                          "choose 51/tower, 52/spin-pair, or 53/mirror")
+    name, _, make, needs, refuses = entry
+    if getattr(args, needs) is None:
+        raise UsageError(f"{name} family needs -{needs}")
+    if refuses is not None and getattr(args, refuses) is not None:
+        raise UsageError(f"{name} family takes no -{refuses}")
     try:
-        if kind == "tower":
-            if args.r is None:
-                raise UsageError("tower family needs -r")
-            if args.t is not None:
-                raise UsageError("tower family takes no -t")
-            groups = [tower_family(args.r)]
-        elif kind == "spin-pair":
-            if args.t is None:
-                raise UsageError("spin-pair family needs -t")
-            if args.r is not None:
-                raise UsageError("spin-pair family takes no -r")
-            groups = [spin_pair(args.t)]
-        else:
-            if args.r is None:
-                raise UsageError("mirror family needs -r")
-            groups = list(mirror_pair(args.r, 1 if args.t is None else args.t))
+        groups = make(args.r, args.t)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 

@@ -176,20 +176,18 @@ def run_census(n: int, q_range: Iterable[int],
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
         survivors = sketch_survivors(q, classes, mode)
-        reps = {i: _row_space(q, classes[i].tolist()) for i in survivors}
-        groups: dict[tuple, list[int]] = {}
-        for idx in survivors:
-            rows = fingerprint(reps[idx]).rows
-            groups.setdefault(_group_key(rows, mode), []).append(idx)
+        groups: dict[tuple, list[SpinLensSpace]] = {}
+        for row in classes[survivors].tolist():
+            x = _row_space(q, row)
+            groups.setdefault(_group_key(fingerprint(x).rows, mode), []).append(x)
         families = []
-        for rows, idxs in groups.items():
-            if len(idxs) < 2:
+        for rows, members in groups.items():
+            if len(members) < 2:
                 continue
-            members = tuple(reps[i] for i in idxs)
             flags = tuple(find_isometry(a, b, "any") is not None
                           for a, b in combinations(members, 2))
             digest = ReducedCountTable(q, m, rows).digest()
-            families.append(IsospectralFamily(digest, members, flags))
+            families.append(IsospectralFamily(digest, tuple(members), flags))
         results.append(CensusResult(
             n=n, q=q, mode=mode, families=tuple(families), classes=len(classes),
             fingerprints=len(survivors), seconds=time.perf_counter() - started))

@@ -29,13 +29,13 @@ spectrum and the finite reduced table determine each other: two spaces
 are Dirac isospectral exactly when they share q and m and their reduced
 tables agree, a finite exact comparison of the invariant fingerprint().
 
-Both verdicts go through the census's gate first: the two spaces'
-spin-key rows (lattice.spin_row) are bucketed by
-lattice.sketch_survivors, oriented for dirac_isospectral and unoriented
-for inverse_isospectral.  A sketch is a ring image of its table, so
-rows in different buckets have different tables and the answer is
-False, exactly, with no table built; the tables are built, and decide,
-only for a pair that shares a bucket.
+Both verdicts pass through one place, _tables_agree, which checks q and
+m, then runs the census's gate: the two spaces' spin-key rows
+(lattice.spin_row) are bucketed by lattice.sketch_survivors, oriented
+for dirac_isospectral and unoriented for inverse_isospectral.  A sketch
+is a ring image of its table, so rows in different buckets have
+different tables and the answer is False, exactly, with no table built;
+the tables are built, and decide, only for a pair that shares a bucket.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import numpy as np
 
 from .lattice import ReducedCountTable, reduced_counts, sketch_survivors, spin_row
 from .lattice import count  # noqa: F401  perfbench wrap site lensdirac.spectrum.count
-from .lens import KeyMode, SpinLensSpace
+from .lens import SpinLensSpace
 from .numtheory import binomial
 
 
@@ -110,14 +110,22 @@ def fingerprint(x: SpinLensSpace) -> ReducedCountTable:
     return reduced_counts(x)
 
 
-def _sketches_agree(a: SpinLensSpace, b: SpinLensSpace, mode: KeyMode) -> bool:
-    """Whether the spin-key rows of a and b (same q and m) share a
-    bucket of lattice.sketch_survivors in mode, the census's gate.  Each
-    sketch is a ring image of its table, so when they do not, the tables
-    differ (oriented), and differ also after the parity swap
-    (unoriented): the negative verdict is exact, with no table built."""
+def _tables_agree(a: SpinLensSpace, b: SpinLensSpace, swap: bool) -> bool:
+    """Whether a and b have equal reduced tables, with b's parity
+    columns swapped when swap is set: the one routine behind both
+    verdicts.  Different q or m never agree (no counting).  Then the
+    census's gate: when the spin-key rows (lattice.spin_row) fall in
+    different buckets of lattice.sketch_survivors (unoriented when swap
+    is set), each sketch being a ring image of its table, the tables
+    differ, also after the swap, and no table is built.  Otherwise the
+    tables are built and decide."""
+    if a.q != b.q or a.m != b.m:
+        return False
     rows = np.array([spin_row(a), spin_row(b)], dtype=np.int64)
-    return len(sketch_survivors(a.q, rows, mode)) == 2
+    if len(sketch_survivors(a.q, rows, "unoriented" if swap else "oriented")) < 2:
+        return False
+    ra, rb = fingerprint(a).rows, fingerprint(b).rows
+    return ra == (tuple((odd, even) for even, odd in rb) if swap else rb)
 
 
 def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
@@ -126,11 +134,7 @@ def dirac_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     determine q and m), so no counting happens in that case.  Spaces in
     different oriented sketch buckets have different tables, so their
     tables are built only when the sketches agree, and then decide."""
-    if a.q != b.q or a.m != b.m:
-        return False
-    if not _sketches_agree(a, b, "oriented"):
-        return False
-    return fingerprint(a).rows == fingerprint(b).rows
+    return _tables_agree(a, b, swap=False)
 
 
 def inverse_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
@@ -139,10 +143,4 @@ def inverse_isospectral(a: SpinLensSpace, b: SpinLensSpace) -> bool:
     that of -lambda in b): the parity columns swap.  The unoriented
     sketch buckets merge a table with its swap, so spaces in different
     buckets are not inverse-isospectral and build no table."""
-    if a.q != b.q or a.m != b.m:
-        return False
-    if not _sketches_agree(a, b, "unoriented"):
-        return False
-    ra = fingerprint(a).rows
-    rb = fingerprint(b).rows
-    return all(x == (y[1], y[0]) for x, y in zip(ra, rb))
+    return _tables_agree(a, b, swap=True)

@@ -270,7 +270,7 @@ def test_count_matches_brute_force():
             continue
         for lb in labels:
             x = spin_space(q, s, lb)
-            for k in range(0, 2 * q + 3):
+            for k in range(-1, 2 * q + 3):  # no point lies below level 0
                 for parity in (0, 1):
                     assert count(x, parity, k) == brute_count(x, parity, k), \
                         (q, s, lb, parity, k)

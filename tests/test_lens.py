@@ -99,6 +99,7 @@ def test_spin_space_defaults():
 def test_formatting():
     assert format_spin_lens(spin_space(7, (1, 2))) == "L(7; 1,2)"
     assert str(spin_space(16, (1, 3, 5, 7), "h0")) == "L(16; 1,3,5,7) tau_0"
+    assert str(SpinLabel(1)) == "h1" and str(SpinLabel(None)) == "unique"
 
 
 # --------------------------------------------------------------- isometry
@@ -617,3 +618,10 @@ def test_self_transport_pairs_q16():
     pairs = self_transport_pairs((1, 3, 5, 7), 16)
     assert (0, 1) in pairs   # preserving isometry that swaps the spins
     assert (0, 0) in pairs   # identity
+
+
+def test_self_transport_pairs_stop_once_all_four_occur():
+    # L(5; 1, 2) has self-isometries of both orientations, each with both
+    # spin transports, so the loop stops on the fourth pair it sees
+    pairs = self_transport_pairs((1, 2), 5)
+    assert pairs == {(0, 0), (0, 1), (1, 0), (1, 1)}

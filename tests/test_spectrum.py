@@ -105,6 +105,7 @@ def test_multiplicity_bound():
                      (9, (1, 2), None)]:
         x = spin_space(q, s, lb)
         m = x.m
+        assert multiplicity(x, -1, -1) == multiplicity(x, +1, -1) == 0
         for k in range(0, 30, 3):
             bound = (1 << (m - 1)) * __import__("math").comb(k + 2 * m - 2, 2 * m - 2)
             assert 0 <= multiplicity(x, -1, k) <= bound
