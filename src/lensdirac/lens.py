@@ -45,9 +45,11 @@ has 2x == 0, and the forced parities above are the only ones.
 Candidate units.  Only l = +-b_1 * a_j^-1 (mod q), at most 2m units, can
 matter: a unit relating a to b sends some a_j to +-b_1, and a unit
 minimising a canonical form sends some a_j to +-1, the smallest folded
-value.  Witnesses try both signs; canonical forms need only l = a_j^-1,
-which their callers supply: a census lists each folded unit beside its
-inverse, and one key inverts its m entries with pow.
+value.  Witnesses try both signs; canonical forms and the class test
+need only l = a_j^-1, since a unit sending a tuple below itself can be
+replaced by the one minimising its form.  Callers supply these units: a
+census lists each folded unit beside its inverse, and one key inverts
+its m entries with pow.
 l and q - l fold alike, with fold counts adding up to m.  For even m,
 (q - l, -eps) acts as (l, eps) and moves the spin label by
 sum_j a_j + m, even when q is (a_j odd).  For odd m, l = -1 with every
@@ -56,14 +58,16 @@ amphichiral, so oriented canonical forms are the unoriented ones.
 
 Classes.  A canonical tuple is (1 mod q, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
-it equals its canonical form.  The tuple part of a form does not depend
-on the input label, and the identity unit gives (A, 0) itself, so one
-form per tuple A, taken with input label 1 at even q, settles both rows:
-(A, 0) is a class iff the form's tuple part is A, and (A, 1) iff the
-whole form is (A, 1), i.e. no isometry of the mode fixing A takes label
-1 to 0.  At odd q (input label 0) no canonical tuple gets label 1.  A
-tuple is not canonical when the unit sending some entry to 1 sends
-another below f_2 (_class_candidates), a test far cheaper than the form.
+no candidate unit sends it lexicographically below itself (_below).  The
+image tuples do not depend on the input label, and the identity unit
+gives (A, 0) itself, so one pass over the units with input label 1 at
+even q settles both rows: (A, 0) is a class iff no image tuple is below
+A, and (A, 1) iff no image row is below (A, 1), i.e. besides that no
+isometry of the mode fixing A takes label 1 to 0.  At odd q no canonical
+tuple gets label 1.  The same test runs on every prefix (1, f_2, ...,
+f_c), c < m, as the tuples are built (_class_candidates): adding entries
+only lowers the order statistics of an image, so no extension of a
+prefix sent below itself is a class (orderly generation).
 """
 
 from __future__ import annotations
@@ -358,113 +362,100 @@ class CanonicalKey:
         return spin_space(self.q, self.s, self.spin)
 
 
-def _lex_update(best: np.ndarray, cand: np.ndarray) -> None:
-    """Rowwise best = min(best, cand) lexicographically."""
-    first = (cand != best).argmax(axis=1)
-    rows = np.arange(len(best))
-    less = cand[rows, first] < best[rows, first]
-    best[less] = cand[less]
-
-
-def _canonical_rows(S: Sequence[Sequence[int]], q: int, mode: KeyMode,
-                    h: Sequence[int], units: Sequence[Sequence[int]]) -> np.ndarray:
-    """Canonical form of every row of normalized parameters S: the
-    lexicographic minimum of (sorted folded tuple, transported label h[i])
-    over the candidate units l = units[i, j] = S[i, j]^-1 mod q, which
-    the caller supplies ("Candidate units").  Oriented tuples take only
-    even numbers of sign flips: after an odd number of folds the largest
-    entry is unfolded, as q - g >= q/2 still sorts last.  Odd m is
-    amphichiral and takes the unoriented path.  At q = 2 the free flip
-    makes every unoriented label 0.  One floor division per unit gives
-    both the residue, prod - quot q (half the cost of prod % q), and the
-    transport parity, the quotient's row sum.  The products are int64,
-    so q^2 must stay below 2^63.
+def _image(S: np.ndarray, ell: np.ndarray, q: int, mode: KeyMode,
+           h: Optional[int] = None) -> np.ndarray:
+    """Each row of normalized parameters S under its unit ell[i]: the
+    sorted folded tuple, then, only when the input label h is given, the
+    transported label.  Oriented tuples take only even numbers of sign
+    flips: after an odd number of folds the largest entry is unfolded, as
+    q - g >= q/2 still sorts last.  Odd m is amphichiral and takes the
+    unoriented path.  At q = 2 the free flip makes every unoriented label
+    0.  One floor division gives both the residue, prod - quot q (half
+    the cost of prod % q), and the transport parity, the quotient's row
+    sum.  The products are int64, so q^2 must stay below 2^63.
     """
     if q * q >= 2**63:
         raise OverflowError(f"q = {q}: products of residues would overflow int64")
-    S = np.asarray(S, dtype=np.int64)
-    spin = np.asarray(h, dtype=np.int64)
-    best = np.full((len(S), S.shape[1] + 1), q, dtype=np.int64)
-    for ell in np.asarray(units, dtype=np.int64).T:
-        prod = ell[:, None] * S
-        quot = prod // q
-        v = prod - quot * q
-        tup = np.minimum(v, q - v)
+    prod = ell[:, None] * S
+    quot = prod // q
+    v = prod - quot * q
+    tup = np.minimum(v, q - v)
+    unfold = mode == "oriented" and S.shape[1] % 2 == 0
+    if unfold or h is not None:
         folds = (tup != v).sum(axis=1)
-        tup.sort(axis=1)
-        # each sign flip moves the transport parity by one, and the
-        # oriented tuple always carries an even number of them
-        label = spin + quot.sum(axis=1)
-        if mode == "unoriented" or S.shape[1] % 2:
-            label += folds
-        else:
-            odd = folds % 2 == 1
-            tup[odd, -1] = q - tup[odd, -1]
-        _lex_update(best, np.column_stack([tup, label % 2]))
+    tup.sort(axis=1)
+    if unfold:
+        odd = folds % 2 == 1
+        tup[odd, -1] = q - tup[odd, -1]
+    if h is None:
+        return tup
+    # each sign flip moves the transport parity by one, and the oriented
+    # tuple always carries an even number of them
+    label = h + quot.sum(axis=1)
+    if not unfold:
+        label += folds
     if q == 2 and mode == "unoriented":  # the free flip moves the label by 1
-        best[:, -1] = 0
-    if not (best < q).all():
-        raise ArithmeticError(f"canonical form left unset for some tuple at q={q}")
-    return best
+        label[:] = 0
+    return np.column_stack([tup, label % 2])
 
 
-def _fold_below(x: np.ndarray, bound: np.ndarray, q: int) -> np.ndarray:
-    """Rowwise: is the folded residue of x mod q below bound?  x % q,
-    not x - x // q * q as in _canonical_rows: the candidate columns hold
-    a few hundred entries at census sizes, where one ufunc call costs
-    less than three."""
-    v = x % q
-    return (v < bound) | (v > q - bound)
+def _below(S: np.ndarray, units: np.ndarray, q: int, mode: KeyMode,
+           h: Optional[int] = None) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of sorted folded tuples S (oriented: as _image leaves
+    them), whether some candidate unit units[i, j] = S[i, j]^-1 mod q
+    ("Candidate units") sends the tuple lexicographically below itself,
+    and whether it sends (tuple, label) below (S[i], h).  Without h the
+    second answer is the first."""
+    if units.shape != S.shape:
+        raise ArithmeticError(f"candidate units of shape {units.shape} for "
+                              f"tuples of shape {S.shape} at q={q}")
+    rows = np.arange(len(S))
+    tup_below = np.zeros(len(S), dtype=bool)
+    row_below = np.zeros(len(S), dtype=bool)
+    for ell in units.T:
+        image = _image(S, ell, q, mode, h)
+        differ = image[:, :S.shape[1]] != S
+        first = differ.argmax(axis=1)
+        tup_below |= image[rows, first] < S[rows, first]
+        if h is not None:
+            row_below |= ~differ.any(axis=1) & (image[:, -1] < h)
+    return tup_below, tup_below | row_below
 
 
 def _class_candidates(q: int, m: int, mode: KeyMode) -> tuple[np.ndarray, np.ndarray]:
-    """The tuples A _class_rows runs the canonical form on, with no label
+    """The tuples A whose label rows _class_rows tests, with no label
     column, and their candidate units, units[i, j] = A[i, j]^-1 mod q:
     A is (1 mod q, f_2 <= ... <= f_m) over the folded units in [0, q/2],
     with the oriented mirrors of even m (q > 2 only: at q = 2 a mirror is
-    the tuple itself; odd m mirrors are never canonical), less those the
-    prefilter rejects.  Each entry's unit is gathered from the same index
-    as the entry, the leading 1 mod q being the first folded unit (0 at
-    q = 1), and a mirror's last unit is q less the tuple's, since the
-    inverse of -f is -f^-1.
+    the tuple itself; odd m mirrors are never canonical), less those with
+    a prefix that _below rejects.  Each entry's unit is gathered from the
+    same index as the entry, the leading 1 mod q being the first folded
+    unit (0 at q = 1), and a mirror's last unit is q less the tuple's,
+    since the inverse of -f is -f^-1.
 
-    Prefilter.  The unit l = f_j^-1 (j >= 2) sends f_j to 1, so its
-    sorted folded tuple is (1, min_{k != j} fold(l f_k), ...), with the
-    leading 1 as f_1.  If that second entry is below f_2, that tuple is
-    smaller, and no label or mirror makes the candidate canonical.  The
-    entries are added one column at a time, each new column tested
-    against the earlier ones, so a rejected prefix is never extended
-    (orderly generation).  In oriented m = 2 the second entry is the
-    unfolded last entry, so nothing is rejected there; at q <= 2 every
-    folded value is f_2 and nothing is rejected either.
-    The products l f_k are int64, so q^2 must stay below 2^63.
+    Orderly generation.  The entries are added one column at a time, and
+    a prefix (1, f_2, ..., f_c) with c < m is dropped when some unit of
+    its entries sends it below itself: adding entries only lowers the
+    order statistics of an image, so every tuple extending it, mirrors
+    and labels included, falls below itself under the same unit.  The
+    test multiplies residues in int64, so q^2 must stay below 2^63,
+    checked before the folded units are listed.
     """
     if q * q >= 2**63:
         raise OverflowError(f"q = {q}: products of residues would overflow int64")
     folded = np.array([f for f in range(q // 2 + 1) if math.gcd(f, q) == 1], dtype=np.int64)
     inverse = np.array([pow(int(f), -1, q) for f in folded], dtype=np.int64)
-    prune = mode == "unoriented" or m > 2
-    # f_2..f_c as columns of indices into folded; each further column
-    # repeats every row once per folded unit from its last index on
-    # (cumsum gives the offsets)
-    cols: list[np.ndarray] = []
-    new = np.arange(len(folded))
-    for _ in range(1, m):
-        if cols:
-            counts = len(folded) - cols[-1]
-            start = np.repeat(np.cumsum(counts) - counts, counts)
-            new = np.repeat(cols[-1], counts) + np.arange(len(start)) - start
-            cols = [np.repeat(col, counts) for col in cols]
-        if prune:
-            f, g = folded[new], inverse[new]
-            f2 = folded[cols[0]] if cols else f
-            bad = _fold_below(g, f2, q)
-            for col in cols:
-                bad |= _fold_below(g * folded[col], f2, q) | _fold_below(inverse[col] * f, f2, q)
-            new = new[~bad]
-            cols = [col[~bad] for col in cols]
-        cols.append(new)
-    index = np.column_stack([np.zeros(len(new), dtype=np.int64), *cols])
+    # indices into folded, one row per prefix; each further column repeats
+    # every row once per folded unit from its last index on (cumsum gives
+    # the offsets)
+    index = np.zeros((1, 1), dtype=np.int64)
+    for c in range(2, m + 1):
+        counts = len(folded) - index[:, -1]
+        start = np.repeat(np.cumsum(counts) - counts, counts)
+        new = np.repeat(index[:, -1], counts) + np.arange(len(start)) - start
+        index = np.column_stack([index.repeat(counts, axis=0), new])
+        if c < m:
+            index = index[~_below(folded[index], inverse[index], q, "unoriented")[0]]
     A, units = folded[index], inverse[index]
     if mode == "oriented" and m % 2 == 0 and q > 2:
         A, units = np.vstack([A, A]), np.vstack([units, units])
@@ -476,21 +467,22 @@ def _class_candidates(q: int, m: int, mode: KeyMode) -> tuple[np.ndarray, np.nda
 def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     """Sorted int64 rows (canonical tuple, spin label), one per class of
     spin lens spaces of order q with m parameters (m even when q is;
-    label 0 for the unique structure of odd q).  One canonical form per
-    _class_candidates tuple A, with input label 1 at even q and 0 at odd
-    q: (A, 0) is a class iff the form's tuple part is A, and (A, 1) iff
-    the whole form is (A, 1) ("Classes")."""
+    label 0 for the unique structure of odd q).  One _below call over the
+    _class_candidates tuples A, with input label 1 at even q: (A, 0) is a
+    class iff no unit sends A below itself, and (A, 1) iff none sends
+    (A, 1) below itself ("Classes")."""
     A, units = _class_candidates(q, m, mode)
-    form = _canonical_rows(A, q, mode, np.full(len(A), 1 - q % 2), units)
-    fixed = np.all(form[:, :-1] == A, axis=1)
-    rows = np.vstack([np.column_stack([A[fixed], np.zeros(fixed.sum(), dtype=np.int64)]),
-                      form[fixed & (form[:, -1] == 1)]])
+    tup_below, row_below = _below(A, units, q, mode, None if q % 2 else 1)
+    below = [tup_below] if q % 2 else [tup_below, row_below]
+    rows = np.vstack([np.column_stack([A[~b], np.full((~b).sum(), label, dtype=np.int64)])
+                      for label, b in enumerate(below)])
     return rows[np.lexsort(rows.T[::-1])]
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:
     """Lexicographically minimal (parameter tuple, spin label) over the
-    isometry group of the given mode.
+    isometry group of the given mode: the least of the m images under the
+    candidate units ("Candidate units").
 
     Entries of the canonical tuple lie in [1, q) ((0,...) for q = 1);
     ties between transported spin labels prefer h = 0.
@@ -498,11 +490,12 @@ def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKe
     if mode not in ("oriented", "unoriented"):
         raise ValueError(f"unknown mode {mode!r}")
     q, h, sn = x.q, x.spin.h, x.lens.normalized()
-    # Python ints: exact at any q, and cheaper than numpy for one row
-    units = [[pow(v, -1, q) for v in sn]]
-    *tup, hval = _canonical_rows([sn], q, mode, [h or 0], units)[0].tolist()
-    spin_tag = "unique" if h is None else f"h{hval}"
-    return CanonicalKey(q, tuple(tup), spin_tag, mode)
+    # Python ints for the inverses: exact at any q, and cheaper than numpy
+    units = np.array([pow(v, -1, q) for v in sn], dtype=np.int64)
+    best = min(map(tuple, _image(np.array([sn] * len(sn)), units, q, mode, h).tolist()))
+    if h is None:
+        return CanonicalKey(q, best, "unique", mode)
+    return CanonicalKey(q, best[:-1], f"h{best[-1]}", mode)
 
 
 def self_transport_pairs(params: tuple[int, ...], q: int) -> frozenset[tuple[int, int]]:

@@ -4,14 +4,16 @@ into isospectral families.  Also: generators for the known infinite
 families, a from-scratch family verifier, and result persistence.
 
 Class enumeration is lens._class_rows: the (tuple, spin label) rows that
-equal their own canonical form.  It runs the form once per candidate
-tuple, with input label 1 at even q: (A, 0) is a class when the form's
-tuple part is A, and (A, 1) when the whole form is (A, 1).  A census
-fingerprints those rows in two phases: lattice.sketch_survivors buckets
-the rows on sketches of their tables (the table's generating polynomials
-at one point of a prime field, computed from the rows with no space or
-table built), then a SpinLensSpace and its full table are built only for
-classes whose sketch collides with another's.  Grouping follows enumeration order, so output
+no candidate unit sends lexicographically below themselves.  One test,
+lens._below, runs on every prefix of the candidate tuples as they are
+built and once on the full tuples, with input label 1 at even q: (A, 0)
+is a class when no image tuple is below A, and (A, 1) when no image row
+is below (A, 1).  A census fingerprints those rows in two phases:
+lattice.sketch_survivors buckets the rows on sketches of their tables
+(the table's generating polynomials at one point of a prime field,
+computed from the rows with no space or table built), then a
+SpinLensSpace and its full table are built only for classes whose sketch
+collides with another's.  Grouping follows enumeration order, so output
 is deterministic.
 """
 

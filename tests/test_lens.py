@@ -186,13 +186,12 @@ def test_witness_with_broken_assignment_raises(monkeypatch):
         find_isometry(spin_space(7, (1, 2)), spin_space(7, (2, 4)))
 
 
-def test_canonical_key_without_units_raises(monkeypatch):
-    # with no candidate unit the canonical form is never set
-    real = lens._canonical_rows
-    monkeypatch.setattr(lens, "_canonical_rows", lambda S, q, mode, h, units:
-                        real(S, q, mode, h, np.empty((len(S), 0), dtype=np.int64)))
-    with pytest.raises(ArithmeticError, match="canonical form"):
-        canonical_key(spin_space(7, (1, 2)))
+def test_below_needs_a_unit_per_entry():
+    # the class test reads one candidate unit per tuple entry
+    A, units = lens._class_candidates(9, 4, "oriented")
+    for short in (units[:, :-1], units[:, :0]):
+        with pytest.raises(ArithmeticError, match="candidate units"):
+            lens._below(A, short, 9, "oriented", 0)
 
 
 def test_huge_q_keys_raise_instead_of_wrapping():
@@ -408,15 +407,22 @@ def test_unoriented_key_is_the_brute_force_minimum():
 def reference_class_rows(q, m, mode):
     """Every sorted candidate (1 mod q, f_2 <= ... <= f_m, label) from the
     folded units, oriented mirrors of even m included, and the canonical
-    form of each, with no prefilter."""
+    form of each, the lexicographic minimum of its _image rows, with no
+    prefilter."""
     folded = [f for f in range(q // 2 + 1) if math.gcd(f, q) == 1]
     tuples = [(1 % q,) + rest for rest in combinations_with_replacement(folded, m - 1)]
     if mode == "oriented" and m % 2 == 0 and q > 2:
         tuples += [t[:-1] + (q - t[-1],) for t in tuples]
-    rows = np.array([t + (h,) for h in ((0,) if q % 2 else (0, 1)) for t in tuples],
-                    dtype=np.int64)
-    units = [[pow(int(v), -1, q) for v in row] for row in rows[:, :-1]]
-    return rows, lens._canonical_rows(rows[:, :-1], q, mode, rows[:, -1], units)
+    S = np.array(tuples, dtype=np.int64)
+    units = np.array([[pow(int(v), -1, q) for v in row] for row in S], dtype=np.int64)
+    # rows of m entries below q and a label, read as numbers in base q + 1
+    weights = (q + 1) ** np.arange(m, -1, -1)
+    rows, canon = [], []
+    for h in (0,) if q % 2 else (0, 1):
+        images = np.array([lens._image(S, ell, q, mode, h) for ell in units.T])
+        rows.append(np.column_stack([S, np.full(len(S), h)]))
+        canon.append(images[(images @ weights).argmin(axis=0), np.arange(len(S))])
+    return np.vstack(rows), np.vstack(canon)
 
 
 def row_keys(rows):
@@ -427,10 +433,10 @@ def row_keys(rows):
 
 def test_class_rows_prefilter_drops_only_noncanonical_rows():
     """_class_rows equals the canonical-form filter over both label rows
-    of every candidate tuple (the reference for its one form per tuple),
-    and each tuple the prefilter drops has no label row that is its own
-    canonical form: q = 1..40 (q <= 2, where nothing is dropped),
-    m = 2..7 (m = 2, where the second entry is the last one), both modes
+    of every candidate tuple (the reference for its one test per tuple),
+    and each tuple whose prefix _class_candidates drops has no label row
+    that is its own canonical form: q = 1..40 (q <= 2, where nothing is
+    dropped), m = 2..7 (m = 2, where no prefix is tested), both modes
     (oriented mirrors)."""
     dropped = 0
     for m in range(2, 8):
@@ -448,10 +454,55 @@ def test_class_rows_prefilter_drops_only_noncanonical_rows():
                 kept = np.isin(row_keys(tuples), row_keys(survivors))
                 assert kept.sum() == len(survivors), (q, m, mode)  # a subset
                 assert not canonical[~kept].any(), (q, m, mode, tuples[~kept & canonical][:1])
-                if q <= 2 or (mode == "oriented" and m == 2):
+                if q <= 2 or m == 2:
                     assert kept.all(), (q, m, mode)
                 dropped += (~kept).sum()
     assert dropped > 0
+
+
+def test_every_proper_prefix_of_a_class_row_passes_the_class_test(monkeypatch):
+    """The lemma behind orderly generation: adding entries only lowers the
+    order statistics of an image, so a prefix (1, f_2, ..., f_c), c < m,
+    that a unit sends below itself has no class row among its extensions,
+    mirrors and labels included.  Every candidate that the prefix tests
+    drop is sent below itself by one of its units (so neither label row
+    is a class), and every proper prefix of each class row passes the
+    unoriented test: q = 1..60, m = 2..7, both modes (odd m once, being
+    amphichiral)."""
+    real = lens._below
+    for m in range(2, 8):
+
+        def full_tuples_only(S, units, q, mode, h=None):
+            if S.shape[1] < m:
+                return np.zeros(len(S), dtype=bool), np.zeros(len(S), dtype=bool)
+            return real(S, units, q, mode, h)
+
+        for q in range(1, 61):
+            if q % 2 == 0 and m % 2 == 1:
+                continue
+            inverse = np.array([pow(v, -1, q) if math.gcd(v, q) == 1 else 0
+                                for v in range(q)], dtype=np.int64)
+            weights = (q + 1) ** np.arange(m - 1, -1, -1)  # a tuple as one number
+            for mode in ("oriented", "unoriented")[m % 2:]:
+                monkeypatch.setattr(lens, "_below", full_tuples_only)
+                S, units = lens._class_candidates(q, m, mode)
+                monkeypatch.setattr(lens, "_below", real)
+                kept, _ = lens._class_candidates(q, m, mode)
+                dropped = ~np.isin(S @ weights, kept @ weights)
+                assert len(S) - dropped.sum() == len(kept), (q, m, mode)
+                S, units = S[dropped], units[dropped]
+                for j in reversed(range(m)):  # the units of large entries drop most
+                    image = lens._image(S, units[:, j], q, mode)
+                    first = (image != S).argmax(axis=1)
+                    rows = np.arange(len(S))
+                    below = image[rows, first] < S[rows, first]
+                    S, units = S[~below], units[~below]
+                assert len(S) == 0, (q, m, mode, S[:1])
+                rows = lens._class_rows(q, m, mode)  # sorted, so equal prefixes are adjacent
+                for c in range(2, m):
+                    prefix = rows[np.diff(rows[:, :c], axis=0, prepend=-1).any(axis=1), :c]
+                    below, _ = lens._below(prefix, inverse[prefix], q, "unoriented")
+                    assert not below.any(), (q, m, mode, c)
 
 
 def test_class_rows_memory_is_bounded():
@@ -469,8 +520,8 @@ def test_class_rows_memory_is_bounded():
 
 
 def test_huge_q_class_rows_raise_before_any_product(monkeypatch):
-    """The prefilter multiplies residues in int64, so q^2 must stay below
-    2^63; the guard fires before the folded units are even listed."""
+    """The class test multiplies residues in int64, so q^2 must stay
+    below 2^63; the guard fires before the folded units are even listed."""
 
     def no_units(*args):
         raise AssertionError("folded units listed past the guard")

@@ -150,8 +150,8 @@ def test_spin_split_matches_self_relations(m, q_max):
                 assert got == _split_by_self_relations(tup, q, mode), (q, mode, tup)
 
 
-def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
-    # with no candidate unit the canonical form is never set
+def test_enumerate_raises_without_a_unit_per_entry(monkeypatch):
+    # the class test reads one candidate unit per tuple entry
     real = lens._class_candidates
 
     def no_units(q, m, mode):
@@ -159,7 +159,7 @@ def test_enumerate_raises_when_canonical_form_is_unset(monkeypatch):
         return A, np.empty((len(A), 0), dtype=np.int64)
 
     monkeypatch.setattr(lens, "_class_candidates", no_units)
-    with pytest.raises(ArithmeticError, match="canonical form"):
+    with pytest.raises(ArithmeticError, match="candidate units"):
         enumerate_classes(7, 9, "oriented")
 
 

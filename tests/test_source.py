@@ -84,7 +84,7 @@ _HOT_PATHS = {
     "lattice.py": {"_half_table", "_add_image", "_check_reflection", "_limbs",
                    "_parity_sums", "_serial_blas", "_contract", "_full_table",
                    "_sketch_sums", "_shared", "sketch_survivors"},
-    "lens.py": {"_canonical_rows", "_fold_below"},
+    "lens.py": {"_image", "_below"},
 }
 
 
