@@ -48,8 +48,8 @@ minimising a canonical form sends some a_j to +-1, the smallest folded
 value.  Witnesses try both signs; canonical forms and the class test
 need only l = a_j^-1, since a unit sending a tuple below itself can be
 replaced by the one minimising its form.  Callers supply these units: a
-census lists each folded unit beside its inverse, and one key inverts
-its m entries with pow.
+census lists each folded unit f and mirror q - f beside its inverse,
+and one key inverts its m entries with pow.
 l and q - l fold alike, with fold counts adding up to m.  For even m,
 (q - l, -eps) acts as (l, eps) and moves the spin label by
 sum_j a_j + m, even when q is (a_j odd).  For odd m, l = -1 with every
@@ -59,15 +59,15 @@ amphichiral, so oriented canonical forms are the unoriented ones.
 Classes.  A canonical tuple is (1 mod q, f_2 <= ... <= f_m), f_j folded,
 or when oriented its mirror, and a (tuple, spin label) row is a class iff
 no candidate unit sends it lexicographically below itself (_below).  The
-image tuples do not depend on the input label, and the identity unit
-gives (A, 0) itself, so one pass over the units with input label 1 at
-even q settles both rows: (A, 0) is a class iff no image tuple is below
-A, and (A, 1) iff no image row is below (A, 1), i.e. besides that no
-isometry of the mode fixing A takes label 1 to 0.  At odd q no canonical
-tuple gets label 1.  The same test runs on every prefix (1, f_2, ...,
-f_c), c < m, as the tuples are built (_class_candidates): adding entries
-only lowers the order statistics of an image, so no extension of a
-prefix sent below itself is a class (orderly generation).
+image tuples do not depend on the input label, and no label is below 0,
+so one pass over the units with input label 1 at even q settles both
+rows: (A, 0) is a class iff no image tuple is below A, and (A, 1) iff no
+image row is below (A, 1), i.e. besides that no isometry of the mode
+fixing A takes label 1 to 0.  At odd q no canonical tuple gets label 1.
+The same test runs on every prefix (1, f_2, ..., f_c), c < m, as the
+tuples are built in lex order (_class_candidates): adding entries only
+lowers the order statistics of an image, so no extension of a prefix
+sent below itself is a class (orderly generation).
 """
 
 from __future__ import annotations
@@ -405,14 +405,15 @@ def _below(S: np.ndarray, units: np.ndarray, q: int, mode: KeyMode,
     them), whether some candidate unit units[i, j] = S[i, j]^-1 mod q
     ("Candidate units") sends the tuple lexicographically below itself,
     and whether it sends (tuple, label) below (S[i], h).  Without h the
-    second answer is the first."""
+    second answer is the first.  Rows start with 1 mod q, whose unit 1 is
+    skipped (at q <= 2 the other units, also 1, make the free flip)."""
     if units.shape != S.shape:
         raise ArithmeticError(f"candidate units of shape {units.shape} for "
                               f"tuples of shape {S.shape} at q={q}")
     rows = np.arange(len(S))
     tup_below = np.zeros(len(S), dtype=bool)
     row_below = np.zeros(len(S), dtype=bool)
-    for ell in units.T:
+    for ell in units.T[1:]:
         image = _image(S, ell, q, mode, h)
         differ = image[:, :S.shape[1]] != S
         first = differ.argmax(axis=1)
@@ -423,15 +424,15 @@ def _below(S: np.ndarray, units: np.ndarray, q: int, mode: KeyMode,
 
 
 def _class_candidates(q: int, m: int, mode: KeyMode) -> tuple[np.ndarray, np.ndarray]:
-    """The tuples A whose label rows _class_rows tests, with no label
-    column, and their candidate units, units[i, j] = A[i, j]^-1 mod q:
-    A is (1 mod q, f_2 <= ... <= f_m) over the folded units in [0, q/2],
-    with the oriented mirrors of even m (q > 2 only: at q = 2 a mirror is
-    the tuple itself; odd m mirrors are never canonical), less those with
-    a prefix that _below rejects.  Each entry's unit is gathered from the
-    same index as the entry, the leading 1 mod q being the first folded
-    unit (0 at q = 1), and a mirror's last unit is q less the tuple's,
-    since the inverse of -f is -f^-1.
+    """The tuples A whose label rows _class_rows tests, in lex order with
+    no label column, and their candidate units, units[i, j] = A[i, j]^-1
+    mod q: A is (1 mod q, f_2 <= ... <= f_m) over the folded units f in
+    [0, q/2], the last entry also over the mirrors q - f > q/2 when
+    oriented with even m (q > 2 only: at q = 2 a mirror is the tuple
+    itself; odd m mirrors are never canonical), less those with a prefix
+    that _below rejects.  Each entry's unit is gathered from the same
+    index, the leading 1 mod q being the first folded unit (0 at q = 1),
+    and a mirror's unit is q less its f's, as (-f)^-1 = -f^-1.
 
     Orderly generation.  The entries are added one column at a time, and
     a prefix (1, f_2, ..., f_c) with c < m is dropped when some unit of
@@ -445,23 +446,22 @@ def _class_candidates(q: int, m: int, mode: KeyMode) -> tuple[np.ndarray, np.nda
         raise OverflowError(f"q = {q}: products of residues would overflow int64")
     folded = np.array([f for f in range(q // 2 + 1) if math.gcd(f, q) == 1], dtype=np.int64)
     inverse = np.array([pow(int(f), -1, q) for f in folded], dtype=np.int64)
+    F, mirrors = len(folded), mode == "oriented" and m % 2 == 0 and q > 2
+    if mirrors:  # increasing after the folded units; only the last column reaches them
+        folded = np.concatenate([folded, q - folded[::-1]])
+        inverse = np.concatenate([inverse, q - inverse[::-1]])
     # indices into folded, one row per prefix; each further column repeats
-    # every row once per folded unit from its last index on (cumsum gives
-    # the offsets)
+    # every row once per folded unit from its last index on, the last one
+    # also once per mirror of those units (cumsum gives the offsets)
     index = np.zeros((1, 1), dtype=np.int64)
     for c in range(2, m + 1):
-        counts = len(folded) - index[:, -1]
+        counts = (2 if mirrors and c == m else 1) * (F - index[:, -1])
         start = np.repeat(np.cumsum(counts) - counts, counts)
         new = np.repeat(index[:, -1], counts) + np.arange(len(start)) - start
         index = np.column_stack([index.repeat(counts, axis=0), new])
         if c < m:
             index = index[~_below(folded[index], inverse[index], q, "unoriented")[0]]
-    A, units = folded[index], inverse[index]
-    if mode == "oriented" and m % 2 == 0 and q > 2:
-        A, units = np.vstack([A, A]), np.vstack([units, units])
-        A[len(index):, -1] = q - A[len(index):, -1]  # the mirrors
-        units[len(index):, -1] = q - units[len(index):, -1]
-    return A, units
+    return folded[index], inverse[index]
 
 
 def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
@@ -470,13 +470,12 @@ def _class_rows(q: int, m: int, mode: KeyMode) -> np.ndarray:
     label 0 for the unique structure of odd q).  One _below call over the
     _class_candidates tuples A, with input label 1 at even q: (A, 0) is a
     class iff no unit sends A below itself, and (A, 1) iff none sends
-    (A, 1) below itself ("Classes")."""
+    (A, 1) below itself ("Classes").  A is in lex order, so no sort."""
     A, units = _class_candidates(q, m, mode)
-    tup_below, row_below = _below(A, units, q, mode, None if q % 2 else 1)
-    below = [tup_below] if q % 2 else [tup_below, row_below]
-    rows = np.vstack([np.column_stack([A[~b], np.full((~b).sum(), label, dtype=np.int64)])
-                      for label, b in enumerate(below)])
-    return rows[np.lexsort(rows.T[::-1])]
+    labels = 2 - q % 2
+    below = _below(A, units, q, mode, None if q % 2 else 1)
+    kept = np.flatnonzero(~np.column_stack(below[:labels]))
+    return np.column_stack([A[kept // labels], kept % labels])
 
 
 def canonical_key(x: SpinLensSpace, mode: KeyMode = "unoriented") -> CanonicalKey:

@@ -207,7 +207,9 @@ def test_huge_q_keys_raise_instead_of_wrapping():
 def test_class_candidate_units_invert_their_entries():
     """Every unit _class_candidates lists beside a tuple entry is that
     entry's inverse mod q, an int64 in [0, q), mirror rows included:
-    q = 1..60, m = 2..7, both modes."""
+    q = 1..60, m = 2..7, both modes.  Every tuple starts with 1 mod q, so
+    its first unit is 1, which _below skips: at q > 2 it fixes each
+    (tuple, label) row (at q <= 2 every unit is 1)."""
     for m in range(2, 8):
         for q in range(1, 61):
             if q % 2 == 0 and m % 2 == 1:
@@ -217,6 +219,11 @@ def test_class_candidate_units_invert_their_entries():
                 assert units.dtype == np.int64 and units.shape == A.shape, (q, m, mode)
                 assert ((units >= 0) & (units < q)).all(), (q, m, mode)
                 assert (A * units % q == 1 % q).all(), (q, m, mode)
+                assert (A[:, 0] == 1 % q).all() and (units[:, 0] == 1 % q).all(), (q, m, mode)
+                for h in range(2 - q % 2) if q > 2 else ():
+                    image = lens._image(A, units[:, 0], q, mode, h)
+                    assert np.array_equal(image, np.column_stack([A, np.full(len(A), h)])), \
+                        (q, m, mode, h)
 
 
 def test_mismatch_raises():
@@ -458,6 +465,19 @@ def test_class_rows_prefilter_drops_only_noncanonical_rows():
                     assert kept.all(), (q, m, mode)
                 dropped += (~kept).sum()
     assert dropped > 0
+
+
+def test_class_rows_come_out_strictly_increasing():
+    """_class_rows lists its rows in strictly increasing lex order with no
+    sort, past the brute-force reference's q <= 40, where mirror entries
+    above q/2 must still follow the folded values of their prefix:
+    m = 4 at q = 41..100 and m = 8 at q = 64, both modes."""
+    for q, m in [(q, 4) for q in range(41, 101)] + [(64, 8)]:
+        for mode in ("oriented", "unoriented"):
+            rows = lens._class_rows(q, m, mode)
+            step = np.diff(rows, axis=0)
+            first = (step != 0).argmax(axis=1)
+            assert (step[np.arange(len(step)), first] > 0).all(), (q, m, mode)
 
 
 def test_every_proper_prefix_of_a_class_row_passes_the_class_test(monkeypatch):
