@@ -17,10 +17,12 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from .lens import (
+    LensParams,
     SpinLensSpace,
     canonical_key,
     format_spin_lens,
     spin_space,
+    spin_structures,
 )
 from .oracle import OracleMismatch, oracle_compare
 from .search import (
@@ -52,6 +54,11 @@ def _parse_params(text: str) -> tuple[int, ...]:
 def _build_space(q: int, s_text: str, spin: Optional[str]) -> SpinLensSpace:
     s = _parse_params(s_text)
     try:
+        # even q has two spin structures or none, so none is the default;
+        # a parameter error, or no structure at all, is reported as such
+        if spin is None and q % 2 == 0 and spin_structures(LensParams(q, s)):
+            raise UsageError(f"even q = {q} needs a spin structure: --spin h0|h1, "
+                             "or :h0/:h1 in an isospec spec")
         return spin_space(q, s, spin)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -224,7 +231,8 @@ def cmd_oracle(args) -> int:
 
 @lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, built once per process: it costs far more than a parse."""
+    """The parser, built once per process: it costs far more than a parse.
+    Its subcommands attribute maps each subcommand to its subparser."""
     parser = argparse.ArgumentParser(
         prog="lensdirac",
         description="Exact spin Dirac spectra of lens spaces.")
@@ -274,11 +282,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dps", type=int, help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_oracle)
 
+    parser.subcommands = sub.choices
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """What build_parser().parse_args(argv) returns, prints and exits with.
+
+    A known subcommand goes straight to its subparser: the top-level
+    parser would only set args.command and hand it the rest of argv,
+    which costs about as much as the subparser's own parse.  Anything
+    else (no argv, -h, an unknown name) and any argument the subparser
+    leaves over take the full parse, so every usage line and error
+    message is the full parser's."""
+    parser = build_parser()
+    sub = parser.subcommands.get(argv[0]) if argv else None
+    if sub is not None:
+        args, extra = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+        if not extra:
+            return args
+    return parser.parse_args(argv)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else list(argv))
     try:
         return args.func(args)
     except (UsageError, IoError, OverflowError) as exc:

@@ -54,16 +54,19 @@ mirror).  It runs on parity sums X+- = X_even +- X_odd:
 S = sum_u A+[u] B+[c - u] and D = sum_u A-[u] B-[c - u] give
 even = (S + D)/2 and odd = (S - D)/2, and for odd m the mirror terms of
 D cancel, so only S is computed.  Each sum is float64 matrix products
-plus an int64 antidiagonal fold over e.  Below 2^53 reduced points
-(the lattice has 2*(2q)^(m-1)) every sum in sight is exact in float64,
-each side is one limb, and S and D stay int64 arrays through the checks
-below, becoming Python integers only as the finished rows; beyond, the
-parity sums are cut into signed w-bit limbs, w chosen so that each
-product entry stays at or below 2^53 and each fold below 2^63, and the
-limb products are joined by shifts of Python integers, which appear in
-the contraction only past one limb.  The products are small
-(161 x 41 x 161 on the dimension-7 census at q = 81), so they run on the
-calling thread alone (_serial_blas).
+plus an antidiagonal fold over e.  Below 2^53 reduced points (the
+lattice has 2*(2q)^(m-1)) each side is one limb, and the products and
+the fold run in float64, exactly: every term of S is a nonnegative
+count of points, so each partial sum, in any order, is at most the
+total, and |X-| <= X+ entrywise, so each partial sum of D is bounded by
+the matching one of S.  Only the finished S and D become int64 arrays,
+which the checks below read, and Python integers only as the finished
+rows.  Beyond, the parity sums are cut into signed w-bit limbs, w chosen
+so that each product entry stays at or below 2^53 and each int64 fold
+below 2^63, and the limb products are joined by shifts of Python
+integers, which appear in the contraction only past one limb.  The
+products are small (161 x 41 x 161 on the dimension-7 census at
+q = 81), so they run on the calling thread alone (_serial_blas).
 
 Fixed costs.  Most tables are small (q <= 100 with a few thousand
 entries per half table), and each is built cold, so a step's fixed cost
@@ -76,7 +79,9 @@ C-level steps only: index vectors from arange and concatenate, cumsums
 in place, bool weights in arithmetic, reductions by ufunc, and int64
 residues as x - x // d * d, which takes numpy's fast path for division
 by a scalar and costs half of x % d on arrays of a thousand entries or
-more.
+more.  A one-limb table writes its parity sums straight into float64
+operands and folds in float64: a reduce that casts float64 to int64
+costs 2.5 to 4 times a plain one.
 
 Checks.  A table with the wrong number of rows, a total other than
 2*(2q)^(m-1), S and D of different parity, rows that are not symmetric
@@ -259,11 +264,12 @@ def _limbs(t: np.ndarray, w: int) -> Iterator[np.ndarray]:
     yield t >> w * (n - 1)
 
 
-def _parity_sums(t: np.ndarray, signs: int) -> np.ndarray:
+def _parity_sums(t: np.ndarray, signs: int, dtype=None) -> np.ndarray:
     """X_even + X_odd of a table X[..., parity], stacked over
-    X_even - X_odd when signs is 2."""
+    X_even - X_odd when signs is 2, in a new C-ordered array of the
+    given dtype (t's by default)."""
     even, odd = t[..., 0], t[..., 1]
-    out = np.empty((signs, *even.shape), dtype=t.dtype)
+    out = np.empty((signs, *even.shape), dtype=dtype or t.dtype)
     np.add(even, odd, out=out[0])
     if signs == 2:
         np.subtract(even, odd, out=out[1])
@@ -358,14 +364,17 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
 
     Each side's parity sums are cut into signed w-bit limbs (_limbs,
     _limb_width); when one limb holds the total, each side is its own
-    limb, with no magnitude scan.  For each pair of limbs and each sign,
-    one float64 product of rows A[ea, u] against weighted rows B[u, eb]
-    writes the (ea, eb) block into rows of ka + kb entries of which the
-    last ka stay zero.  Rereading that buffer with
-    rows one entry shorter shifts row ea right by ea, so the antidiagonal
-    ea + eb = k becomes column k and an int64 sum down the rows finishes
-    it.  Limbs i and j add that sum shifted left by w (i + j), as
-    Python integers; a single limb pair adds it as it is.  The products
+    limb, with no magnitude scan, its parity sums written straight into
+    float64 operands.  For each pair of limbs and each sign, one float64
+    product of rows A[ea, u] against weighted rows B[u, eb] writes the
+    (ea, eb) block into rows of ka + kb entries of which the last ka stay
+    zero.  Rereading that buffer with rows one entry shorter shifts row
+    ea right by ea, so the antidiagonal ea + eb = k becomes column k and
+    a sum down the rows finishes it.  One limb sums in float64, exact as
+    every partial sum is bounded by the total (module docstring,
+    "Contraction"), and only the finished 2 x (ka + kb - 1) result
+    becomes int64.  Past one limb the sum is int64, and limbs i and j
+    add it shifted left by w (i + j), as Python integers.  The products
     run on one thread (_serial_blas)."""
     q, ka, _ = ta.shape
     kb = tb.shape[1]
@@ -376,25 +385,29 @@ def _contract(ta: np.ndarray, tb: np.ndarray, c: int, mirror: np.ndarray,
     # one limb that holds the total holds every count and every sum; no
     # half table entry needs a scan, being at most (2q)^(m-1) < total
     one_limb = total >> w == 0
-
-    def cut(t: np.ndarray) -> Iterator[np.ndarray]:
-        return iter((t,)) if one_limb else _limbs(t, w)
-
-    left = [limb.transpose(0, 2, 1).astype(np.float64, order="C")
-            for limb in cut(_parity_sums(ta[keep], signs))]
-    right = [limb.astype(np.float64) * weight
-             for limb in cut(_parity_sums(tb[(c - u[keep]) % q], signs))]
+    a, b = ta[keep].transpose(1, 0, 2), tb[(c - u[keep]) % q]
+    if one_limb:
+        left = [_parity_sums(a, signs, np.float64)]
+        right = [_parity_sums(b, signs, np.float64)]
+    else:
+        left = [limb.astype(np.float64) for limb in _limbs(_parity_sums(a, signs), w)]
+        right = [limb.astype(np.float64) for limb in _limbs(_parity_sums(b, signs), w)]
+    for lb in right:
+        lb *= weight
     skew = np.zeros((ka, ka + kb))
     fold = skew.reshape(-1)[: ka * (ka + kb - 1)].reshape(ka, ka + kb - 1)
-    out = np.zeros((2, ka + kb - 1), dtype=np.int64 if one_limb else object)
+    out = np.zeros((2, ka + kb - 1), dtype=np.float64 if one_limb else object)
     with _serial_blas():
         for j, lb in enumerate(right):
             for i, la in enumerate(left):
                 for sign in range(signs):
                     np.matmul(la[sign], lb[sign], out=skew[:, :kb])
-                    part = np.add.reduce(fold, axis=0, dtype=np.int64)
-                    out[sign] += part if one_limb else part.astype(object) << w * (i + j)
-    return out
+                    if one_limb:
+                        np.add.reduce(fold, axis=0, out=out[sign])
+                    else:
+                        part = np.add.reduce(fold, axis=0, dtype=np.int64)
+                        out[sign] += part.astype(object) << w * (i + j)
+    return out.astype(np.int64) if one_limb else out
 
 
 # ------------------------------------------------------------ public API
@@ -530,7 +543,8 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     M[s, j] = T+-[s j mod mod] (s < mod, j = 0..q//2) of its sign from
     the factor vector of _sketch_factors(q), so a sign's table exists
     only while the stage that reads it runs; each factor is read from
-    M, the first at row s_1 + h q.
+    M, the first at row s_1 + h q.  Only the rows read are gathered, so
+    a two-row verdict gathers at most 2m, not mod.
 
     p < 2^31 for any q whose factor vector fits in memory, so products
     of two residues stay below 2^62 and int64 is exact.  A block's row
@@ -538,16 +552,22 @@ def _sketch_sums(q: int, s: np.ndarray, h: np.ndarray, sign: int) -> np.ndarray:
     sum less its terms j = 0 and j = q/2, stays far below 2^63."""
     p, fwd = _sketch_factors(q)
     mod = len(fwd)
-    u, j = np.arange(mod), np.arange(q // 2 + 1)
-    # x - x // d * d is x % d for d > 0, at half the cost on the O(q^2)
-    # index table and on the blocks
-    index = u[:, None] * j
+    first = s[:, 0] + q * h
+    read = np.zeros(mod, dtype=bool)
+    read[s[:, 1:]] = True
+    read[first] = True
+    rows = read.nonzero()[0]
+    # x - x // d * d is x % d for d > 0, at half the cost on the index
+    # table and on the blocks
+    index = rows[:, None] * np.arange(q // 2 + 1)
     index -= index // mod * mod
-    table = ((fwd + sign * fwd[-u % mod]) % p)[index]  # M[s, j]
+    # M[s, j], gathered only on the rows read; the others are never set
+    table = np.empty((mod, q // 2 + 1), dtype=np.int64)
+    table[rows] = ((fwd + sign * fwd[-np.arange(mod) % mod]) % p)[index]
     sums = np.empty(len(s), dtype=np.int64)
     for start in range(0, len(s), _SKETCH_BLOCK):
         block = slice(start, start + _SKETCH_BLOCK)
-        acc = table[s[block, 0] + q * h[block]]
+        acc = table[first[block]]
         for col in s[block, 1:].T:
             acc *= table[col]
             acc -= acc // p * p

@@ -376,13 +376,23 @@ def _image(S: np.ndarray, ell: np.ndarray, q: int, mode: KeyMode,
     """
     if q * q >= 2**63:
         raise OverflowError(f"q = {q}: products of residues would overflow int64")
-    prod = ell[:, None] * S
-    quot = prod // q
-    v = prod - quot * q
-    tup = np.minimum(v, q - v)
-    unfold = mode == "oriented" and S.shape[1] % 2 == 0
+    # two (n, m) int64 arrays at a time, worked in place: the residues v,
+    # and the quotient, then q times it, then the tuple (kept contiguous:
+    # steps on a strided view of the labelled output cost more than its
+    # one copy)
+    n, m = S.shape
+    v = np.multiply(ell[:, None], S)
+    tup = np.floor_divide(v, q)
+    if h is not None:
+        label = tup.sum(axis=1)
+    tup *= q
+    v -= tup
+    np.subtract(q, v, out=tup)
+    np.minimum(v, tup, out=tup)
+    unfold = mode == "oriented" and m % 2 == 0
     if unfold or h is not None:
         folds = (tup != v).sum(axis=1)
+    del v
     tup.sort(axis=1)
     if unfold:
         odd = folds % 2 == 1
@@ -391,12 +401,15 @@ def _image(S: np.ndarray, ell: np.ndarray, q: int, mode: KeyMode,
         return tup
     # each sign flip moves the transport parity by one, and the oriented
     # tuple always carries an even number of them
-    label = h + quot.sum(axis=1)
+    label += h
     if not unfold:
         label += folds
     if q == 2 and mode == "unoriented":  # the free flip moves the label by 1
         label[:] = 0
-    return np.column_stack([tup, label % 2])
+    out = np.empty((n, m + 1), dtype=np.int64)
+    out[:, :m] = tup
+    np.remainder(label, 2, out=out[:, m])
+    return out
 
 
 def _below(S: np.ndarray, units: np.ndarray, q: int, mode: KeyMode,

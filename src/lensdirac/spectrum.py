@@ -40,7 +40,7 @@ the tables are built, and decide, only for a pair that shares a bucket.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, repeat
 from operator import add
 from typing import NamedTuple
 
@@ -100,8 +100,10 @@ def spectrum_table(x: SpinLensSpace, kmax: int) -> list[LevelMultiplicities]:
         lifted.append(series)
     minus = [(s + d) // 2 for s, d in zip(*lifted)]
     plus = [(s - d) // 2 for s, d in zip(*lifted)]
-    return list(map(LevelMultiplicities, range(n), range(2 * m - 1, 2 * (m + n) - 1, 2),
-                    minus, plus))
+    # tuple.__new__ makes each row at C level; the named tuple's own
+    # __new__ is Python code, about twice the cost per row
+    return list(map(tuple.__new__, repeat(LevelMultiplicities),
+                    zip(range(n), range(2 * m - 1, 2 * (m + n) - 1, 2), minus, plus)))
 
 
 def fingerprint(x: SpinLensSpace) -> ReducedCountTable:

@@ -63,10 +63,18 @@ def test_spectrum_no_spin_structure(capsys):
     assert "no spin structure" in err
 
 
+NEEDS_SPIN = ("error: even q = {} needs a spin structure: --spin h0|h1, "
+              "or :h0/:h1 in an isospec spec\n")
+
+
 def test_spectrum_even_q_needs_spin(capsys):
-    code, _, err = run(capsys, "spectrum", "-q", "8", "-s", "1,3,5,7")
+    """Even q has no default structure: the error names the missing
+    label, not the unique structure the user never asked for."""
+    for q, s in ((8, "1,3,5,7"), (4, "1,3")):
+        assert run(capsys, "spectrum", "-q", str(q), "-s", s) == (2, "", NEEDS_SPIN.format(q))
+    code, _, err = run(capsys, "spectrum", "-q", "4", "-s", "1,3", "--spin", "unique")
     assert code == 2
-    assert "h0" in err
+    assert err.startswith("error: spin unique invalid for q=4")
 
 
 def test_spectrum_not_coprime(capsys):
@@ -217,9 +225,8 @@ def test_isospec_bad_spec(capsys):
 
 
 def test_isospec_even_q_spec_needs_spin(capsys):
-    code, _, err = run(capsys, "isospec", "32:1,3,5,15", "32:1,3,5,15:h1")
-    assert code == 2
-    assert "h0" in err
+    assert run(capsys, "isospec", "32:1,3,5,15", "32:1,3,5,15:h1") == (
+        2, "", NEEDS_SPIN.format(32))
 
 
 def test_search_finds_the_q49_family(capsys):
@@ -482,6 +489,50 @@ def test_one_parser_serves_every_call(capsys, monkeypatch):
     assert reused == fresh
     assert [code for code, _, _ in reused] == [0, 1, 0, 0, 0, 2, 2, 2] * 2
     assert all(out for _, out, _ in reused[:5])
+
+
+def parsed(capsys, parse, argv):
+    """The Namespace parse(argv) returns, with its attribute order, or
+    its exit code, and what it printed."""
+    try:
+        result = repr(parse(list(argv)))
+    except SystemExit as exc:
+        result = exc.code
+    captured = capsys.readouterr()
+    return result, captured.out, captured.err
+
+
+# every subcommand with and without its options, help at both levels,
+# and arguments that only the full parser rejects
+DISPATCH_ARGV = EVERY_SUBCOMMAND + [
+    ["isospec", "--unoriented", "81:1,8,19,37", "81:1,8,26,37"],
+    ["search", "-n", "7", "--q-max", "9", "--mode", "oriented", "--out", "x.json"],
+    ["family", "53", "-r", "7", "-t", "2", "--verify"],
+    ["oracle", "-q", "7", "-s", "1,2", "--spin", "unique", "--dps", "40"],
+    ["spectrum", "-q", "32", "-s", "1,3,5,15", "--spin", "h1", "--format", "csv"],
+    ["-h"], ["spectrum", "-h"], ["family", "--help"], [], ["nosuch"],
+    ["spectrum", "-q", "7", "-s", "1,2", "--bogus"],
+    ["spectrum", "-q", "7", "-s", "1,2", "extra"],
+    ["spectrum", "-q", "x", "-s", "1,2"],
+    ["spectrum", "--", "-q"],
+    ["-q", "7", "spectrum"],
+]
+
+
+def test_direct_dispatch_answers_as_a_full_parse(capsys, monkeypatch, tmp_path):
+    """main sends a known subcommand straight to its subparser.  For
+    every kind of call it returns the Namespace (attribute order
+    included), prints the text and exits with the code of the full
+    parser, and main answers exactly as when every call takes the full
+    parse."""
+    monkeypatch.chdir(tmp_path)  # for the census's --out
+    full = cli.build_parser().parse_args
+    for argv in DISPATCH_ARGV:
+        assert parsed(capsys, cli._parse_args, argv) == parsed(capsys, full, argv), argv
+    direct = [call(capsys, argv) for argv in DISPATCH_ARGV]
+    monkeypatch.setattr(cli.build_parser(), "subcommands", {})
+    assert [call(capsys, argv) for argv in DISPATCH_ARGV] == direct
+    assert [code for code, _, _ in direct[-10:]] == [0, 0, 0] + [2] * 7
 
 
 def readme_examples():

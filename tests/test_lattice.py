@@ -238,6 +238,40 @@ def test_limb_width_keeps_products_exact():
             lattice._limb_width(q, ka, 1 << 60)
 
 
+# totals 2(2q)^(m-1) between 2^52 and 2^53: odd q with even and odd m,
+# and even q with its h1 label
+FLOAT_EDGE_SPACES = [
+    spin_space(27, (1, 2, 4, 5, 7, 8, 10, 11, 13, 14)),
+    spin_space(45, (1, 2, 4, 7, 8, 11, 13, 14, 16)),
+    spin_space(26, (1, 3, 5, 7, 9, 11, 15, 17, 19, 21), "h1"),
+]
+
+
+def test_one_limb_float_folds_are_exact_at_the_float_edge(monkeypatch):
+    """Just below 2^53 points a table is still one limb, contracted and
+    folded in float64 with only its finished sums made int64.  Its rows
+    are those of the multi-limb path, which 16-bit limbs force: int64
+    folds joined as Python integers."""
+    seen = []
+    real = lattice._contract
+
+    def spy(*args):
+        out = real(*args)
+        seen.append(out.dtype)
+        return out
+
+    monkeypatch.setattr(lattice, "_contract", spy)
+    for x in FLOAT_EDGE_SPACES:
+        assert 1 << 52 < 2 * (2 * x.q) ** (x.m - 1) < 1 << 53, x
+    clear_caches()
+    one_limb = [reduced_counts(x).rows for x in FLOAT_EDGE_SPACES]
+    monkeypatch.setattr(lattice, "_limb_width", lambda q, ka, total: 16)
+    clear_caches()
+    assert [reduced_counts(x).rows for x in FLOAT_EDGE_SPACES] == one_limb
+    assert seen == [np.int64] * 3 + [object] * 3
+    clear_caches()
+
+
 def test_reduced_total_is_exact():
     # exactly 2*(2q)^(m-1) reduced points land in any such lattice
     for x in sample_spaces():

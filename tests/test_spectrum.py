@@ -53,6 +53,25 @@ def test_level_rows_are_immutable_named_tuples_as_readme_shows():
     assert row._replace(minus=3) == (1, 9, 3, 0) and row.minus == 2
 
 
+@pytest.mark.parametrize("kmax", [0, 1, 200])
+def test_table_rows_are_level_multiplicities(kmax):
+    """spectrum_table makes its rows with tuple.__new__, not the named
+    tuple's constructor: each is still a LevelMultiplicities, with its
+    fields, repr and _replace, equal to one built by name."""
+    x = spin_space(32, (1, 3, 5, 15), "h1")
+    rows = spectrum_table(x, kmax)
+    assert len(rows) == kmax + 1
+    for k, row in enumerate(rows):
+        assert type(row) is LevelMultiplicities
+        built = LevelMultiplicities(k=k, value2=2 * k + 7, minus=row[2], plus=row[3])
+        assert row == built and (row.k, row.value2) == (k, 2 * k + 7)
+        assert (row.minus, row.plus) == (built.minus, built.plus)
+        assert repr(row) == (f"LevelMultiplicities(k={k}, value2={2 * k + 7}, "
+                             f"minus={row.minus}, plus={row.plus})")
+        assert type(row._replace(plus=-1)) is LevelMultiplicities
+        assert row._replace(plus=-1) == (k, 2 * k + 7, row.minus, -1)
+
+
 def test_eigenvalue_values():
     assert spectrum_table(spin_space(5, (1, 2)), 0)[0].value2 == 3   # S^3/Z_5: 3/2
     assert spectrum_table(spin_space(7, (1, 2, 3, 4)), 5)[5].value2 == 17
