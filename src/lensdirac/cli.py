@@ -3,8 +3,10 @@
 Subcommands: spectrum (multiplicity table), isospec (pairwise decision),
 search (census over a q range), family (known-family generators), oracle
 (exact series cross-check).  Exit codes are a stable contract:
-0 affirmative, 1 negative verdict, 2 usage or validation error, or an
-input too large to compute (MemoryError, OverflowError).
+0 affirmative, 1 negative verdict, 2 usage or validation error, a failed
+exactness check (ArithmeticError), or an input too large to compute or
+allocate (MemoryError, OverflowError, numpy's ValueError).  main alone
+maps an exception to an exit code.
 """
 
 from __future__ import annotations
@@ -53,15 +55,12 @@ def _parse_params(text: str) -> tuple[int, ...]:
 
 def _build_space(q: int, s_text: str, spin: Optional[str]) -> SpinLensSpace:
     s = _parse_params(s_text)
-    try:
-        # even q has two spin structures or none, so none is the default;
-        # a parameter error, or no structure at all, is reported as such
-        if spin is None and q % 2 == 0 and spin_structures(LensParams(q, s)):
-            raise UsageError(f"even q = {q} needs a spin structure: --spin h0|h1, "
-                             "or :h0/:h1 in an isospec spec")
-        return spin_space(q, s, spin)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    # even q has two spin structures or none, so none is the default;
+    # a parameter error, or no structure at all, is reported as such
+    if spin is None and q % 2 == 0 and spin_structures(LensParams(q, s)):
+        raise UsageError(f"even q = {q} needs a spin structure: --spin h0|h1, "
+                         "or :h0/:h1 in an isospec spec")
+    return spin_space(q, s, spin)
 
 
 def _parse_space_spec(text: str) -> SpinLensSpace:
@@ -142,8 +141,6 @@ def cmd_search(args) -> int:
     if args.q_min < 1 or args.q_max < args.q_min:
         raise UsageError(
             f"need 1 <= q-min <= q-max, got {args.q_min}..{args.q_max}")
-    if args.dimension < 3 or args.dimension % 2 == 0:
-        raise UsageError(f"dimension must be odd and >= 3, got {args.dimension}")
     # fail before the census, not after it
     for path in filter(None, (args.out, args.csv)):
         directory = os.path.dirname(os.path.abspath(path))
@@ -191,10 +188,7 @@ def cmd_family(args) -> int:
         raise UsageError(f"{name} family needs -{needs}")
     if refuses is not None and getattr(args, refuses) is not None:
         raise UsageError(f"{name} family takes no -{refuses}")
-    try:
-        groups = make(args.r, args.t)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    groups = make(args.r, args.t)
 
     for members in groups:
         print(" | ".join(format_spin_lens(x) for x in members))
@@ -223,8 +217,6 @@ def cmd_oracle(args) -> int:
     except OracleMismatch as exc:
         print(f"FAIL: {exc}")
         return 1
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
     print(f"ok: {format_spin_lens(x)} k <= {args.k_max}")
     return 0
 
@@ -306,9 +298,10 @@ def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parse_args(sys.argv[1:] if argv is None else list(argv))
+    # any exception not caught here is a bug and keeps its traceback
     try:
         return args.func(args)
-    except (UsageError, IoError, OverflowError) as exc:
+    except (UsageError, IoError, ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

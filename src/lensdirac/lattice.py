@@ -489,9 +489,11 @@ def _sketch_factors(q: int) -> tuple[int, np.ndarray]:
     denominators are inverted together with one modular inversion
     (prefix products, then back)."""
     mod = q if q % 2 else 2 * q
+    # allocated first, so a q too large for numpy fails here at once, not
+    # after series_field's trial division of 2q
+    w, done = np.ones(mod, dtype=np.int64), 1
     p, zeta = series_field(q, 1 << 30)
     omega = pow(zeta, 2 * q // mod, p)
-    w, done = np.ones(mod, dtype=np.int64), 1
     while done < mod:  # w[u] = omega^u, doubling the known prefix
         step = min(done, mod - done)
         w[done:done + step] = w[:step] * pow(omega, done, p) % p

@@ -150,7 +150,7 @@ def brute_counts(x: SpinLensSpace, k_max: int,
     one against sum a_j s_j == target (mod modulus), from the raw
     parameters: (q, 0) for odd q, (2q, (h + h(q;s)) mod 2 * q) for even
     q.  rows[k] is the pair (even parity, odd parity), the same
-    orientation the DP tables use."""
+    orientation as the rows of the reduced tables (lattice.reduced_counts)."""
     q, m = x.q, x.m
     bound = (2 * k_max + m) ** m
     if bound > limit:

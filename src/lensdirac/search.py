@@ -163,8 +163,8 @@ def run_census(n: int, q_range: Iterable[int],
 
     Every half and full table and the sketch factor vector are keyed by
     q, so none is reused at another q: the lattice caches are cleared
-    (lattice.clear_caches) when each q finishes, so a long sweep holds
-    the tables of one q.
+    (lattice.clear_caches) when each q finishes or fails, so a long sweep
+    holds the tables of one q.
     """
     m = (n + 1) // 2
     results: list[CensusResult] = []
@@ -177,23 +177,25 @@ def run_census(n: int, q_range: Iterable[int],
                 n=n, q=q, mode=mode, families=(), classes=0, fingerprints=0,
                 seconds=0.0, note="no spin structure (q even, m odd)"))
             continue
-        survivors = sketch_survivors(q, classes, mode)
-        groups: dict[tuple, list[SpinLensSpace]] = {}
-        for row in classes[survivors].tolist():
-            x = _row_space(q, row)
-            groups.setdefault(_group_key(fingerprint(x).rows, mode), []).append(x)
-        families = []
-        for rows, members in groups.items():
-            if len(members) < 2:
-                continue
-            flags = tuple(find_isometry(a, b, "any") is not None
-                          for a, b in combinations(members, 2))
-            digest = ReducedCountTable(q, m, rows).digest()
-            families.append(IsospectralFamily(digest, tuple(members), flags))
-        results.append(CensusResult(
-            n=n, q=q, mode=mode, families=tuple(families), classes=len(classes),
-            fingerprints=len(survivors), seconds=time.perf_counter() - started))
-        clear_caches()
+        try:  # the tables of a failed q go too
+            survivors = sketch_survivors(q, classes, mode)
+            groups: dict[tuple, list[SpinLensSpace]] = {}
+            for row in classes[survivors].tolist():
+                x = _row_space(q, row)
+                groups.setdefault(_group_key(fingerprint(x).rows, mode), []).append(x)
+            families = []
+            for rows, members in groups.items():
+                if len(members) < 2:
+                    continue
+                flags = tuple(find_isometry(a, b, "any") is not None
+                              for a, b in combinations(members, 2))
+                digest = ReducedCountTable(q, m, rows).digest()
+                families.append(IsospectralFamily(digest, tuple(members), flags))
+            results.append(CensusResult(
+                n=n, q=q, mode=mode, families=tuple(families), classes=len(classes),
+                fingerprints=len(survivors), seconds=time.perf_counter() - started))
+        finally:
+            clear_caches()
     return tuple(results)
 
 

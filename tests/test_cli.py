@@ -271,13 +271,19 @@ def test_search_checks_output_paths_before_the_census(tmp_path, capsys, monkeypa
 
 
 def test_oversized_inputs_are_errors_not_verdicts(capsys, monkeypatch):
-    """OverflowError (a q past the int64 products of the class rows) and
-    MemoryError (a table too large to build) exit 2 with one error line,
-    never 1, the negative verdict."""
+    """OverflowError (a q past the int64 products of the class rows),
+    numpy's ValueError (an array too large to allocate), MemoryError (a
+    table too large to build) and ArithmeticError (a failed exactness
+    check) exit 2 with one error line, never 1, the negative verdict."""
     code, out, err = run(capsys, "search", "-n", "7", "--q-min", "3037000500",
                          "--q-max", "3037000500")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "overflow" in err and err.count("\n") == 1
+
+    code, out, err = run(capsys, "spectrum", "-q", "9223372036854775837", "-s", "1,2",
+                         "-k", "1")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
     def no_memory(*args):
         raise MemoryError("Unable to allocate 745. GiB")
@@ -288,6 +294,14 @@ def test_oversized_inputs_are_errors_not_verdicts(capsys, monkeypatch):
     code, out, err = run(capsys, "isospec", "169:1,14,27,53", "169:1,157,144,118")
     assert (code, out) == (2, "")
     assert err == "error: out of memory: Unable to allocate 745. GiB\n"
+
+    def inexact(*args):
+        raise ArithmeticError("table total is off")
+
+    monkeypatch.setattr(lattice, "_full_table", inexact)
+    code, out, err = run(capsys, "isospec", "169:1,14,27,53", "169:1,157,144,118")
+    assert (code, out) == (2, "")
+    assert err == "error: table total is off\n"
 
 
 def test_search_rejects_bad_range(capsys):
@@ -405,7 +419,7 @@ def test_oracle_q49(capsys):
     assert out == "ok: L(49; 1,6,8,20) k <= 30\n"
 
 
-def test_oracle_tight_tolerance_fails(capsys, monkeypatch):
+def test_oracle_fails_on_one_count_off_by_one(capsys, monkeypatch):
     """The comparison is exact: one count off by one at a single level
     fails it."""
     from lensdirac import oracle
@@ -419,7 +433,7 @@ def test_oracle_tight_tolerance_fails(capsys, monkeypatch):
     assert "disagree" in out and "k=9" in out
 
 
-def test_oracle_dps_meets_tight_tolerance(capsys):
+def test_oracle_ignores_dps(capsys):
     """--dps is accepted and ignored: the exact run prints the same line."""
     code, out, _ = run(capsys, "oracle", "-q", "49", "-s", "1,6,8,20",
                        "--dps", "40")

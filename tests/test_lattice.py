@@ -125,7 +125,7 @@ def test_reduced_rows_match_brute_force():
         assert packed_rows(x) == expect, x
 
 
-def test_backends_agree_on_larger_cases():
+def test_kernel_matches_packed_reference_on_larger_cases():
     cases = [
         spin_space(49, (1, 6, 8, 22)),
         spin_space(32, (1, 3, 5, 15), "h0"),
@@ -364,7 +364,7 @@ def both_sums(q, s, h):
     return plus, lattice._sketch_sums(q, s, h, -1).tolist()
 
 
-def test_sketch_matches_packed_table_past_int64():
+def test_sketch_matches_limb_contracted_table_past_int64():
     """A tower member (q = 40, m = 14) has 2*80^13 reduced points, past
     int64, so its full table is summed from several limb products; the
     sketch needs no table and has no such limit."""
@@ -375,7 +375,7 @@ def test_sketch_matches_packed_table_past_int64():
     assert minus != 0
 
 
-def test_packed_table_total_is_checked(monkeypatch):
+def test_limb_contracted_table_total_is_checked(monkeypatch):
     """A tower member (q = 40, m = 14) is past 2^53, so its half tables
     are cut into limbs; one count off by one in the top limb of each half
     (2^22 or more in the table) changes the table's total."""
@@ -565,6 +565,22 @@ def test_sketch_factors_where_a_denominator_vanishes(monkeypatch):
                     assert both_sums(*sketch_args([x])) == ([plus], [minus]), (x, u)
     finally:
         clear_caches()  # the factors of the patched point must not outlive it
+
+
+def test_sketch_factors_of_an_oversize_q_fail_before_the_field(monkeypatch):
+    """The factor vector of q = 10^22 + 1 has more entries than numpy can
+    index, and its allocation fails at once, before series_field, whose
+    trial division of 2q would take minutes."""
+    class Sentinel(Exception):
+        pass
+
+    def no_field(q, bound):
+        raise Sentinel
+
+    monkeypatch.setattr(lattice, "series_field", no_field)
+    clear_caches()
+    with pytest.raises((ValueError, MemoryError)):
+        lattice._sketch_factors(10 ** 22 + 1)
 
 
 def full_sketches(q, s, h):

@@ -421,7 +421,9 @@ def reference_class_rows(q, m, mode):
     if mode == "oriented" and m % 2 == 0 and q > 2:
         tuples += [t[:-1] + (q - t[-1],) for t in tuples]
     S = np.array(tuples, dtype=np.int64)
-    units = np.array([[pow(int(v), -1, q) for v in row] for row in S], dtype=np.int64)
+    inverse = np.array([pow(v, -1, q) if math.gcd(v, q) == 1 else 0
+                        for v in range(q)], dtype=np.int64)
+    units = inverse[S]
     # rows of m entries below q and a label, read as numbers in base q + 1
     weights = (q + 1) ** np.arange(m, -1, -1)
     rows, canon = [], []

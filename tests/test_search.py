@@ -361,6 +361,24 @@ def test_census_clears_the_table_caches_after_each_q():
         assert cached.cache_info().currsize == 0, cached
 
 
+def test_census_clears_the_table_caches_of_a_failed_q(monkeypatch):
+    """A q that fails after building tables (here the second fingerprint
+    at q = 75) leaves none of them in the caches."""
+    real, calls = search.fingerprint, []
+
+    def fail_second(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise RuntimeError("second fingerprint")
+        return real(x)
+
+    monkeypatch.setattr(search, "fingerprint", fail_second)
+    with pytest.raises(RuntimeError, match="second fingerprint"):
+        run_census(7, [75])
+    for cached in (lattice._half_table, lattice._full_table, lattice._sketch_factors):
+        assert cached.cache_info().currsize == 0, cached
+
+
 # (n, q): unoriented and oriented (classes, classes with label 1)
 EVEN_Q_CLASS_COUNTS = {
     (7, 76): ((670, 335), (1_340, 670)),
